@@ -77,11 +77,7 @@ class AlphaEntry:
 
 
 class AlphaTable:
-    """Memoized alpha / alpha_smooth values for a fixed measure pair.
-
-    Concurrent fills are safe: a key is always written with the same
-    deterministic value, so racing writers are idempotent.
-    """
+    """Memoized alpha / alpha_smooth values for a fixed measure pair."""
 
     def __init__(self, mu: Measure, nu: Measure):
         self.mu = mu

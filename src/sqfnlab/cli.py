@@ -15,26 +15,13 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .measure import (
-    Measure,
-    dyadic_cell_masses,
-    generate,
-    mass,
-    validate_spec,
-)
-from .dyadic import (
-    STANDARD,
-    delta,
-    doubling_constant,
-    shifted_systems,
-)
+from .measure import _is_int, generate, validate_spec
+from .dyadic import STANDARD, cell_mass, delta, doubling_constant
 from .alpha import AlphaTable, alpha, epsilon_for_doubling, smooth_bounds_check
 from .transport import w1_oracle, w1_supported
 from .tree import (
@@ -52,7 +39,6 @@ from .squarefn import (
     buckley_ratio,
     cz_decompose,
     delta_level_sums,
-    domination_check,
     dyadic_square_profile,
     mu_sampled_points,
     tolsa_l2,
@@ -79,18 +65,6 @@ def _random_measure(rng, max_cells=32):
     ws /= ws.sum()
     return generate({"type": "atomic",
                      "atoms": [(float(x), float(w)) for x, w in zip(xs, ws)]})
-
-
-def _finite_haar_density(seed=0, depth=5):
-    """Lebesgue perturbed by a few dyadic multipliers: an A-infinity weight."""
-    rng = np.random.default_rng(seed)
-    cells = np.ones(1)
-    for _ in range(depth):
-        eps = rng.uniform(-0.3, 0.3, cells.size)
-        cells = np.stack([cells * (1 + eps), cells * (1 - eps)],
-                         axis=-1).reshape(-1)
-    cells /= cells.sum()
-    return generate({"type": "histogram", "cells": cells.tolist()})
 
 
 SCENARIOS = {
@@ -154,21 +128,6 @@ SCENARIOS = {
 }
 
 
-def _build(spec):
-    if spec is None:
-        return None
-    t = spec.get("type")
-    if t == "finite-haar":
-        return _finite_haar_density(spec.get("seed", 0), spec.get("levels", 5))
-    if t == "ac-density":
-        rng = np.random.default_rng(spec.get("seed", 5))
-        n = int(spec.get("cells", 64))
-        dens = rng.uniform(0.5, 2.0, n)
-        cells = dens / dens.sum()
-        return generate({"type": "histogram", "cells": cells.tolist()})
-    return generate(spec)
-
-
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
@@ -185,11 +144,18 @@ def load_config(path):
     merged.setdefault("systems", "standard")
     merged.setdefault("outputs", {})
     merged.setdefault("tolerances", {})
-    if merged["depth"] > DEPTH_CAP:
-        raise ValueError(f"depth {merged['depth']} exceeds cap {DEPTH_CAP}")
+    depth = merged["depth"]
+    if not _is_int(depth) or depth < 0:
+        raise ValueError(f"depth must be a nonnegative integer, not {depth!r}")
+    if depth > DEPTH_CAP:
+        raise ValueError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    tols = merged["tolerances"]
+    if not isinstance(tols, dict) or not all(
+            (_is_int(v) or isinstance(v, float)) and 0 <= v < math.inf
+            for v in tols.values()):
+        raise ValueError("tolerances must map names to finite numbers >= 0")
     for key in ("mu_spec", "nu_spec"):
-        if merged.get(key) is not None and merged[key]["type"] not in (
-                "finite-haar", "ac-density"):
+        if merged.get(key) is not None:
             validate_spec(merged[key])
     return merged
 
@@ -251,8 +217,7 @@ def _suite_checks(cfg, mu, nu, tols):
     big = None
     for tree in forest.trees:
         if tree.members and len(tree.members) > 1 and \
-                mass(mu, tree.top.a, tree.top.b) > 0 and \
-                mass(nu, tree.top.a, tree.top.b) > 0:
+                cell_mass(mu, tree.top) > 0 and cell_mass(nu, tree.top) > 0:
             if big is None or len(tree.members) > len(big.members):
                 big = tree
     if big is not None:
@@ -266,7 +231,7 @@ def _suite_checks(cfg, mu, nu, tols):
         worst_coef = 0.0
         for i in idx:
             I = big.top.system.interval(*members[i])
-            if mass(mu, I.a, I.b) == 0:
+            if cell_mass(mu, I) == 0:
                 continue
             lhs, rhs = product_check(hs, I)
             worst_prod = max(worst_prod, abs(lhs - rhs))
@@ -285,7 +250,7 @@ def _suite_checks(cfg, mu, nu, tols):
                              0.0, tol_accum))
 
     # square function profile and classification
-    if mass(mu, 0.0, 1.0) > 0 and mu.piece_l.size:
+    if cell_mass(mu, STANDARD.root()) > 0 and mu.piece_l.size:
         pts = mu_sampled_points(mu, 16, depth + 4, seed=seed)
         prof = dyadic_square_profile(mu, nu, STANDARD, pts, depth=depth,
                                      table=table)
@@ -385,7 +350,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
             for tree in forest.trees:
                 tree.check_structure()
             I = STANDARD.interval(2, int(rng.integers(0, 4)))
-            if mass(m1, I.a, I.b) > 0 and mass(m2, I.a, I.b) > 0:
+            if cell_mass(m1, I) > 0 and cell_mass(m2, I) > 0:
                 hs_tree = forest.trees[0]
                 if hs_tree.members and len(hs_tree.members) > 1:
                     hs = haar(m1, m2, hs_tree)
@@ -396,22 +361,10 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
 
     elif name == "oracle-crossval":
         rng = np.random.default_rng(seed)
-        # pair generation stays sequential for determinism; the distance
-        # evaluations are independent and fan out across worker threads
         pairs = [(_random_measure(rng), _random_measure(rng))
                  for _ in range(int(cfg.get("pairs", 200)))]
-        threads = max(1, int(os.environ.get("SQFNLAB_THREADS", "1")))
-
-        def gap(pair):
-            m1, m2 = pair
-            return abs(w1_supported(m1, m2).value - w1_oracle(m1, m2))
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                gaps = list(pool.map(gap, pairs))
-        else:
-            gaps = [gap(p) for p in pairs]
-        worst = max(gaps) if gaps else 0.0
+        worst = max((abs(w1_supported(m1, m2).value - w1_oracle(m1, m2))
+                     for m1, m2 in pairs), default=0.0)
         checks.append(_check("oracle_gap", worst, 2.0 ** -12,
                              note="closed form vs midpoint grid"))
         extras["worst_oracle_gap"] = worst
@@ -432,8 +385,8 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
 
 
 def run_experiment(cfg):
-    mu = _build(cfg.get("mu_spec"))
-    nu = _build(cfg.get("nu_spec"))
+    mu, nu = (None if cfg.get(key) is None else generate(cfg[key])
+              for key in ("mu_spec", "nu_spec"))
     tols = cfg.get("tolerances", {})
     if mu is not None and nu is not None:
         checks, profiles, extras = _suite_checks(cfg, mu, nu, tols)
@@ -503,8 +456,7 @@ def cmd_validate(args):
     notes = []
     for key in ("mu_spec", "nu_spec"):
         spec = cfg.get(key)
-        if spec is not None and spec["type"] not in ("finite-haar",
-                                                     "ac-density"):
+        if spec is not None:
             notes.extend(f"{key}: {n}" for n in validate_spec(spec))
     print(f"scenario: {cfg['scenario']}")
     print(f"depth: {cfg['depth']} (cap {DEPTH_CAP})")

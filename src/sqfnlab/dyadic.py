@@ -11,11 +11,11 @@ simply carry the mass of their visible part).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Measure, cdf_left_values, mass
+from .measure import Measure, dyadic_cell_masses, mass
 
 __all__ = [
     "DyadicSystem",
@@ -26,6 +26,7 @@ __all__ = [
     "navigate",
     "containing_interval",
     "covering_interval",
+    "cell_mass",
     "delta",
     "doubling_constant",
     "tail_tip",
@@ -196,22 +197,31 @@ def shifted_systems(count):
 # Delta-numbers
 
 
-def _bounds(I):
-    if isinstance(I, DyadicInterval):
-        return I.a, I.b
-    a, b = I
-    return float(a), float(b)
+def cell_mass(m: Measure, I: DyadicInterval):
+    """m(I) for a cell of the standard grid, from the per-level cache."""
+    if I.system.shift_at(I.j) != 0.0 or not 0 <= I.k < 1 << I.j:
+        raise ValueError(f"{I} is not a standard dyadic cell")
+    return float(dyadic_cell_masses(m, I.j)[I.k])
 
 
 def delta(mu: Measure, nu: Measure, I):
-    """|mu(I_-)/mu(I) - nu(I_-)/nu(I)|; 0 when either denominator is 0."""
-    a, b = _bounds(I)
-    mid = 0.5 * (a + b)
-    mI = mass(mu, a, b)
-    nI = mass(nu, a, b)
+    """|mu(I_-)/mu(I) - nu(I_-)/nu(I)|; 0 when either denominator is 0.
+
+    I is a standard DyadicInterval, read from the cell masses of its level
+    and the next, or an (a, b) pair, measured directly.
+    """
+    if isinstance(I, DyadicInterval):
+        L = navigate(I, "left")
+        mI, nI = cell_mass(mu, I), cell_mass(nu, I)
+        mL, nL = cell_mass(mu, L), cell_mass(nu, L)
+    else:
+        a, b = float(I[0]), float(I[1])
+        mid = 0.5 * (a + b)
+        mI, nI = mass(mu, a, b), mass(nu, a, b)
+        mL, nL = mass(mu, a, mid), mass(nu, a, mid)
     if mI == 0.0 or nI == 0.0:
         return 0.0
-    return abs(mass(mu, a, mid) / mI - mass(nu, a, mid) / nI)
+    return abs(mL / mI - nL / nI)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +235,8 @@ class DoublingReport:
     depth_checked: int
 
 
-def doubling_constant(nu: Measure, system: DyadicSystem = STANDARD,
-                      depth=10) -> DoublingReport:
-    """Exact max of nu(parent)/nu(child) over levels 1..depth.
+def doubling_constant(nu: Measure, depth=10) -> DoublingReport:
+    """Exact max of nu(parent)/nu(child) over standard levels 1..depth.
 
     A zero-mass child below a positive-mass parent (or any zero-mass cell,
     which violates the precondition) yields an infinite constant with the
@@ -235,35 +244,21 @@ def doubling_constant(nu: Measure, system: DyadicSystem = STANDARD,
     """
     worst = 1.0
     witness = None
-    prev = np.array([_cell_masses(nu, system, 0)[0]])
+    prev = dyadic_cell_masses(nu, 0)
     for lev in range(1, depth + 1):
-        cells = _cell_masses(nu, system, lev)
+        cells = dyadic_cell_masses(nu, lev)
         parents = np.repeat(prev, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(cells > 0.0, parents / np.where(cells > 0, cells, 1.0),
-                             np.where(parents > 0.0, np.inf, np.inf))
+            ratio = np.where(cells > 0.0,
+                             parents / np.where(cells > 0, cells, 1.0), np.inf)
         i = int(np.argmax(ratio))
         if ratio[i] > worst:
             worst = float(ratio[i])
-            witness = DyadicInterval(system, lev, i)
+            witness = DyadicInterval(STANDARD, lev, i)
         if not np.isfinite(worst):
             break
         prev = cells
     return DoublingReport(worst, witness, depth)
-
-
-def _cell_masses(nu: Measure, system: DyadicSystem, level):
-    n = 1 << level
-    edges = np.arange(n + 1) / n + system.shift_at(level)
-    edges = np.clip(edges, 0.0, 1.0)
-    F = cdf_left_values(nu, edges)
-    cells = np.diff(F)
-    if nu.atom_x.size and edges[-1] >= 1.0:
-        last = np.searchsorted(edges, 1.0, side="left") - 1
-        if 0 <= last < cells.size:
-            lo = np.searchsorted(nu.atom_x, 1.0, side="left")
-            cells[last] += float(nu.atom_w[lo:].sum())
-    return cells
 
 
 # ---------------------------------------------------------------------------

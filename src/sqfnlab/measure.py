@@ -153,6 +153,15 @@ class Measure:
             object.__setattr__(self, "_tables_cache", t)
         return t
 
+    @property
+    def _cells(self):
+        """Level -> read-only masses of the standard dyadic cells."""
+        c = getattr(self, "_cells_cache", None)
+        if c is None:
+            c = {}
+            object.__setattr__(self, "_cells_cache", c)
+        return c
+
     def is_probability(self, tol=1e-12):
         return abs(self.total - 1.0) <= tol
 
@@ -261,6 +270,19 @@ def validate_spec(spec):
         n = spec.get("n")
         if n is None or not (2 <= n <= 30):
             raise ValueError("perturbed-density parameter n must be in 2..30")
+    elif t in ("finite-haar", "ac-density"):
+        seed = spec.get("seed", 0)
+        if not _is_int(seed) or seed < 0:
+            raise ValueError(f"{t} seed must be a nonnegative integer")
+        if t == "finite-haar":
+            L = spec.get("levels", 5)
+            if not _is_int(L) or not (1 <= L <= 30):
+                raise ValueError("finite-haar levels must be in 1..30")
+        else:
+            n = spec.get("cells", 64)
+            if not _is_int(n) or n < 1 or n & (n - 1) or n > 1 << 30:
+                raise ValueError("ac-density cells must be a power of two "
+                                 "up to 2^30")
     elif t == "example53":
         eps = spec.get("eps")
         if eps is None or not (0.0 < eps < 0.25):
@@ -272,6 +294,10 @@ def validate_spec(spec):
     if spec.get("depth", 0) and spec["depth"] > 30:
         raise ValueError("depth capped at 30")
     return notes
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _on_dyadic_boundary(x, max_level=30):
@@ -288,10 +314,21 @@ def generate(spec):
     if t == "atomic":
         return Measure.make(atoms=spec["atoms"])
     if t == "histogram":
-        cells = np.asarray(spec["cells"], dtype=float)
-        n = cells.size
-        edges = np.arange(n + 1) / n
-        return Measure.from_arrays([], [], edges[:-1], edges[1:], cells)
+        return _histogram(np.asarray(spec["cells"], dtype=float))
+    if t == "finite-haar":
+        # Lebesgue perturbed by a few dyadic multipliers: an A-infinity weight
+        rng = np.random.default_rng(spec.get("seed", 0))
+        cells = np.ones(1)
+        for _ in range(spec.get("levels", 5)):
+            eps = rng.uniform(-0.3, 0.3, cells.size)
+            cells = np.stack([cells * (1 + eps), cells * (1 - eps)],
+                             axis=-1).reshape(-1)
+        return _histogram(cells / cells.sum())
+    if t == "ac-density":
+        # bounded density in [1/2, 2] up to normalization
+        rng = np.random.default_rng(spec.get("seed", 5))
+        dens = rng.uniform(0.5, 2.0, spec.get("cells", 64))
+        return _histogram(dens / dens.sum())
     if t == "cascade":
         p, L = float(spec["p"]), int(spec["depth"])
         masses = np.array([1.0])
@@ -331,6 +368,12 @@ def generate(spec):
             return Measure.make(atoms=[(0.5, 1.0)])
         return Measure.make(atoms=[(0.25, eps), (0.5 + eps, 1.0 - eps)])
     raise ValueError(f"unknown generator type {t!r}")
+
+
+def _histogram(cells):
+    n = cells.size
+    edges = np.arange(n + 1) / n
+    return Measure.from_arrays([], [], edges[:-1], edges[1:], cells)
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +419,24 @@ def mass(m: Measure, a, b, closed_right=False):
 
 
 def dyadic_cell_masses(m: Measure, depth):
-    """Masses of the 2^depth standard dyadic cells; exact for aligned data."""
-    n = 1 << depth
-    edges = np.arange(n + 1) / n
-    if m.atom_x.size:
-        scaled = m.atom_x * n
-        if np.any((scaled == np.floor(scaled)) & (m.atom_x > 0) & (m.atom_x < 1)):
-            warnings.warn("atom on a level-%d dyadic boundary" % depth,
-                          BoundaryAtomWarning)
-    F = cdf_left_values(m, edges)
-    cells = np.diff(F)
-    # an atom exactly at 1 belongs to no half-open cell; fold it into the
-    # last cell so that the cells always sum to the total mass
-    cells[-1] += _atoms_at(m, 1.0)
+    """Masses of the 2^depth standard dyadic cells; exact for aligned data.
+
+    Memoized per level on the measure; the returned array is read-only.  An
+    atom exactly at 1 belongs to no half-open cell; it is folded into the
+    last cell so that the cells always sum to the total mass.
+    """
+    cells = m._cells.get(depth)
+    if cells is None:
+        n = 1 << depth
+        if m.atom_x.size:
+            scaled = m.atom_x * n
+            if np.any((scaled == np.floor(scaled)) & (m.atom_x > 0)
+                      & (m.atom_x < 1)):
+                warnings.warn("atom on a level-%d dyadic boundary" % depth,
+                              BoundaryAtomWarning)
+        cells = np.diff(cdf_left_values(m, np.arange(n + 1) / n))
+        cells[-1] += _atoms_at(m, 1.0)
+        cells = m._cells[depth] = _ro(cells)
     return cells
 
 

@@ -26,8 +26,9 @@ from .measure import (
 from .dyadic import (
     STANDARD,
     DyadicInterval,
-    DyadicSystem,
+    cell_mass,
     containing_interval,
+    delta,
     navigate,
 )
 from .alpha import AlphaTable, Ball, _compute_entry
@@ -182,6 +183,41 @@ def _both_uniform(mu, nu, a, b):
     return is_uniform_on(nu, a, b) is not None
 
 
+def _pruned_terms(mu, nu, J, depth, coef):
+    """Per-level coef(I)^2 mu(I) over the dyadic I inside J to the depth.
+
+    Entry i lists the 2^i cells of level J.j + i.  A cell where mu vanishes
+    or both measures are uniform contributes nothing and its descendants
+    are not visited, so no coefficient is computed below it.
+    """
+    terms = []
+    live = [J.k]
+    for j in range(J.j, max(depth, J.j) + 1):
+        base = J.k << (j - J.j)
+        mI = dyadic_cell_masses(mu, j)
+        t = np.zeros(1 << (j - J.j))
+        below = []
+        for k in live:
+            I = STANDARD.interval(j, k)
+            if mI[k] == 0.0 or _both_uniform(mu, nu, I.a, I.b):
+                continue
+            c = coef(I)
+            t[k - base] = c * c * mI[k]
+            below += (2 * k, 2 * k + 1)
+        terms.append(t)
+        live = below
+    return terms
+
+
+def _subtree_sums(terms):
+    """Bottom-up sums: each cell's term plus the sums of its two children."""
+    sums = [terms[-1]]
+    for t in terms[-2::-1]:
+        kids = sums[-1]
+        sums.append(t + kids[0::2] + kids[1::2])
+    return sums[::-1]
+
+
 def carleson_sum(mu: Measure, nu: Measure, J: DyadicInterval, which="alpha",
                  depth=10, table=None):
     """Sum of coef^2(I) mu(I) over dyadic I inside J down to the depth.
@@ -190,21 +226,12 @@ def carleson_sum(mu: Measure, nu: Measure, J: DyadicInterval, which="alpha",
     Subtrees where both measures are uniform contribute nothing and are
     skipped.
     """
-    if table is None and which == "alpha":
-        table = AlphaTable(mu, nu)
-    from .dyadic import delta as _delta
-
-    def rec(I):
-        mI = mass(mu, I.a, I.b)
-        if mI == 0.0 or _both_uniform(mu, nu, I.a, I.b):
-            return 0.0
-        c = table.alpha(I) if which == "alpha" else _delta(mu, nu, I)
-        out = c * c * mI
-        if I.j < depth:
-            out += rec(navigate(I, "left")) + rec(navigate(I, "right"))
-        return out
-
-    return rec(J)
+    if which == "alpha":
+        coef = (AlphaTable(mu, nu) if table is None else table).alpha
+    else:
+        def coef(I):
+            return delta(mu, nu, I)
+    return float(_subtree_sums(_pruned_terms(mu, nu, J, depth, coef))[0][0])
 
 
 def delta_level_sums(mu: Measure, nu: Measure, depth):
@@ -213,70 +240,34 @@ def delta_level_sums(mu: Measure, nu: Measure, depth):
     Returns (contrib, subtree, mu_levels): contrib[j][k] is the term of the
     level-j cell, subtree[j][k] the full truncated Carleson sum below it.
     """
-    mu_levels = [dyadic_cell_masses(mu, j) for j in range(depth + 1)]
-    nu_levels = [dyadic_cell_masses(nu, j) for j in range(depth + 1)]
     contrib = []
     for j in range(depth + 1):
-        mI = mu_levels[j]
-        nI = nu_levels[j]
-        if j < depth:
-            mL = mu_levels[j + 1][0::2]
-            nL = nu_levels[j + 1][0::2]
-        else:
-            mL = dyadic_cell_masses(mu, j + 1)[0::2]
-            nL = dyadic_cell_masses(nu, j + 1)[0::2]
+        mI, nI = dyadic_cell_masses(mu, j), dyadic_cell_masses(nu, j)
+        mL = dyadic_cell_masses(mu, j + 1)[0::2]
+        nL = dyadic_cell_masses(nu, j + 1)[0::2]
         ok = (mI > 0) & (nI > 0)
         d = np.zeros_like(mI)
         d[ok] = np.abs(mL[ok] / mI[ok] - nL[ok] / nI[ok])
         contrib.append(d * d * mI)
-    subtree = [None] * (depth + 1)
-    subtree[depth] = contrib[depth].copy()
-    for j in range(depth - 1, -1, -1):
-        kids = subtree[j + 1]
-        subtree[j] = contrib[j] + kids[0::2] + kids[1::2]
-    return contrib, subtree, mu_levels
+    mu_levels = [dyadic_cell_masses(mu, j) for j in range(depth + 1)]
+    return contrib, _subtree_sums(contrib), mu_levels
 
 
 def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta",
                   table=None):
     """sup over J (level <= depth/2) of carleson_sum(J) / mu(J)."""
-    top_level = depth // 2
     if which == "delta":
-        _, subtree, mu_levels = delta_level_sums(mu, nu, depth)
-        best = 0.0
-        for j in range(top_level + 1):
-            mI = mu_levels[j]
-            ok = mI > 0
-            if np.any(ok):
-                best = max(best, float(np.max(subtree[j][ok] / mI[ok])))
-        return best
-    if table is None:
-        table = AlphaTable(mu, nu)
+        _, subtree, _ = delta_level_sums(mu, nu, depth)
+    else:
+        coef = (AlphaTable(mu, nu) if table is None else table).alpha
+        subtree = _subtree_sums(
+            _pruned_terms(mu, nu, STANDARD.root(), depth, coef))
     best = 0.0
-    cache = {}
-
-    def subtree_sum(I):
-        key = (I.j, I.k)
-        if key in cache:
-            return cache[key]
-        mI = mass(mu, I.a, I.b)
-        if mI == 0.0 or _both_uniform(mu, nu, I.a, I.b):
-            cache[key] = 0.0
-            return 0.0
-        a = table.alpha(I)
-        out = a * a * mI
-        if I.j < depth:
-            out += subtree_sum(navigate(I, "left"))
-            out += subtree_sum(navigate(I, "right"))
-        cache[key] = out
-        return out
-
-    for j in range(top_level + 1):
-        for k in range(1 << j):
-            J = STANDARD.interval(j, k)
-            mJ = mass(mu, J.a, J.b)
-            if mJ > 0:
-                best = max(best, subtree_sum(J) / mJ)
+    for j in range(depth // 2 + 1):
+        mI = dyadic_cell_masses(mu, j)
+        ok = mI > 0
+        if np.any(ok):
+            best = max(best, float(np.max(subtree[j][ok] / mI[ok])))
     return best
 
 
@@ -284,8 +275,8 @@ def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta",
 # Tolsa-style L2 bound
 
 
-def tolsa_l2(gdensity: Measure, nu: Measure, system=STANDARD, depth=8,
-             gdepth=None, table=None):
+def tolsa_l2(gdensity: Measure, nu: Measure, depth=8, gdepth=None,
+             table=None):
     """(lhs, l2norm, ratio) for the squared-alpha L2 bound.
 
     gdensity is mu = g dnu with g piecewise constant at resolution gdepth
@@ -310,12 +301,12 @@ def tolsa_l2(gdensity: Measure, nu: Measure, system=STANDARD, depth=8,
 
     def rec(I):
         nonlocal lhs
-        nI = mass(nu, I.a, I.b)
+        nI = cell_mass(nu, I)
         if nI == 0.0:
             return
         if _both_uniform(mu, nu, I.a, I.b):
             return
-        mI = mass(mu, I.a, I.b)
+        mI = cell_mass(mu, I)
         a = table.alpha(I)
         lhs += a * a * mI * mI / nI
         if I.j < depth:
@@ -340,12 +331,11 @@ class CZDecomposition:
     depth: int
 
     def bad_union_nu(self, nu: Measure):
-        return sum(mass(nu, I.a, I.b) for I in self.bad)
+        return sum(cell_mass(nu, I) for I in self.bad)
 
 
-def cz_decompose(mu: Measure, nu: Measure, lam, system=STANDARD,
-                 depth=10) -> CZDecomposition:
-    """Split mu at level lam relative to nu.
+def cz_decompose(mu: Measure, nu: Measure, lam, depth=10) -> CZDecomposition:
+    """Split mu at level lam relative to nu on the standard grid.
 
     Maximal dyadic intervals with mu(I) > lam nu(I) become the bad set;
     the good part is mu off their union plus (mu(I)/nu(I)) nu on each bad
@@ -356,12 +346,10 @@ def cz_decompose(mu: Measure, nu: Measure, lam, system=STANDARD,
         raise ValueError("lambda must be at least 1")
     bad = []
     ratios = []
-    stack = [STANDARD.root() if system is STANDARD else system.root()]
-    good_regions = []
 
     def scan(I):
-        mI = mass(mu, I.a, I.b)
-        nI = mass(nu, I.a, I.b)
+        mI = cell_mass(mu, I)
+        nI = cell_mass(nu, I)
         if nI > 0 and mI > lam * nI:
             bad.append(I)
             ratios.append(mI / nI)
@@ -370,13 +358,13 @@ def cz_decompose(mu: Measure, nu: Measure, lam, system=STANDARD,
             scan(navigate(I, "left"))
             scan(navigate(I, "right"))
 
-    scan(stack[0])
+    scan(STANDARD.root())
+    # the scan visits left before right, so the bad intervals come sorted
     parts = []
     cursor = 0.0
-    for I in sorted(bad, key=lambda I: I.a):
+    for I, r in zip(bad, ratios):
         if I.a > cursor:
             parts.append(restrict(mu, cursor, I.a))
-        r = mass(mu, I.a, I.b) / mass(nu, I.a, I.b)
         parts.append(scale(restrict(nu, I.a, I.b), r))
         cursor = I.b
     if cursor < 1.0:
@@ -388,28 +376,29 @@ def cz_decompose(mu: Measure, nu: Measure, lam, system=STANDARD,
 def martingale_diff(gdensity: Measure, nu: Measure, I=None, depth=8):
     """Child-average tables of the nu-martingale differences of g.
 
-    Returns {(j, k): (parent_avg, left_avg, right_avg)} for intervals with
-    nu-mass below I; averages are mu(J)/nu(J) with mu = g dnu.
+    Returns {(j, k): (parent_avg, left_avg, right_avg)} for standard
+    intervals with nu-mass below I; averages are mu(J)/nu(J) with
+    mu = g dnu.
     """
     if I is None:
         I = STANDARD.root()
     out = {}
 
     def rec(J):
-        nJ = mass(nu, J.a, J.b)
+        nJ = cell_mass(nu, J)
         if nJ == 0.0 or J.j >= depth:
             return
-        mid = 0.5 * (J.a + J.b)
-        nL = mass(nu, J.a, mid)
+        L, R = navigate(J, "left"), navigate(J, "right")
+        nL = cell_mass(nu, L)
         nR = nJ - nL
         if nL == 0.0 or nR == 0.0:
             return
-        avg = mass(gdensity, J.a, J.b) / nJ
-        la = mass(gdensity, J.a, mid) / nL
-        ra = mass(gdensity, mid, J.b) / nR
+        avg = cell_mass(gdensity, J) / nJ
+        la = cell_mass(gdensity, L) / nL
+        ra = cell_mass(gdensity, R) / nR
         out[(J.j, J.k)] = (avg, la, ra)
-        rec(navigate(J, "left"))
-        rec(navigate(J, "right"))
+        rec(L)
+        rec(R)
 
     rec(I)
     return out

@@ -26,8 +26,8 @@ from .measure import (
     restrict,
     scale,
 )
-from .dyadic import STANDARD, DyadicInterval, delta, navigate
-from .alpha import AlphaTable, select_ball, alpha_smooth
+from .dyadic import STANDARD, DyadicInterval, cell_mass, delta, navigate
+from .alpha import AlphaTable, select_ball, alpha_smooth, _interval_bounds
 from .alpha import alpha as _interval_alpha
 
 __all__ = [
@@ -104,12 +104,6 @@ class Tree:
             if (j + 1, 2 * k) in self.members:
                 yield DyadicInterval(sys, j, k)
 
-    def depth_histogram(self):
-        hist = {}
-        for I in self.member_intervals():
-            hist[I.j] = hist.get(I.j, 0) + 1
-        return hist
-
     def check_structure(self):
         """Coherence and child-count invariants, exhaustively."""
         if self.lazy_full:
@@ -162,7 +156,7 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10,
     queue = [STANDARD.root()]
     while queue:
         top = queue.pop()
-        if mass(mu, top.a, top.b) == 0.0:
+        if cell_mass(mu, top) == 0.0:
             trees.append(Tree(top, None, (), max_depth, lazy_full=True))
             continue
         members = set()
@@ -170,9 +164,9 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10,
         stack = [(top, 0.0)]
         while stack:
             I, s = stack.pop()
-            if mass(nu, I.a, I.b) == 0.0:
+            if cell_mass(nu, I) == 0.0:
                 raise ValueError(f"nu vanishes on {I}: doubling violation")
-            if mode == "ball" and mass(mu, I.a, I.b) > 0.0:
+            if mode == "ball" and cell_mass(mu, I) > 0.0:
                 a_val = alpha_smooth(mu, nu, select_ball(mu, nu, I))
             else:
                 a_val = table.alpha(I)
@@ -205,9 +199,8 @@ def tree_doubling_check(mu: Measure, tree: Tree, D=None) -> TreeDoublingReport:
     for I in tree.member_intervals():
         if I.j == tree.top.j:
             continue
-        P = navigate(I, "parent")
-        mI = mass(mu, I.a, I.b)
-        mP = mass(mu, P.a, P.b)
+        mI = cell_mass(mu, I)
+        mP = cell_mass(mu, navigate(I, "parent"))
         if mP == 0.0:
             continue
         r = math.inf if mI == 0.0 else mP / mI
@@ -230,8 +223,8 @@ def adapted_measure(nu: Measure, mu: Measure, tree: Tree) -> Measure:
     for L in sorted(tree.leaves, key=lambda L: L.a):
         if L.a > cursor:
             parts.append(restrict(nu, cursor, L.a))
-        mL = mass(mu, L.a, L.b)
-        nL = mass(nu, L.a, L.b)
+        mL = cell_mass(mu, L)
+        nL = cell_mass(nu, L)
         if mL == 0.0:
             raise ValueError(f"leaf {L} carries no mu-mass")
         parts.append(scale(restrict(mu, L.a, L.b), nL / mL))
@@ -264,10 +257,10 @@ class HaarSystem:
     nu_top: float
 
     def mu_mass(self, I):
-        return mass(self.mu, I.a, I.b) / self.mu_top
+        return cell_mass(self.mu, I) / self.mu_top
 
     def nu_mass(self, I):
-        return mass(self.nu, I.a, I.b) / self.nu_top
+        return cell_mass(self.nu, I) / self.nu_top
 
     def h_value(self, I, x):
         """h_I at a point x (0 outside I)."""
@@ -284,19 +277,19 @@ class HaarSystem:
 
 
 def haar(mu: Measure, nu: Measure, tree: Tree) -> HaarSystem:
-    mu_top = mass(mu, tree.top.a, tree.top.b)
-    nu_top = mass(nu, tree.top.a, tree.top.b)
+    mu_top = cell_mass(mu, tree.top)
+    nu_top = cell_mass(nu, tree.top)
     if mu_top == 0.0 or nu_top == 0.0:
         raise ValueError("tree top must carry mass for both measures")
     coeff, cplus, cminus = {}, {}, {}
     for I in tree.internal_members():
-        mid = 0.5 * (I.a + I.b)
-        mI = mass(mu, I.a, I.b)
-        nI = mass(nu, I.a, I.b)
+        mI = cell_mass(mu, I)
+        nI = cell_mass(nu, I)
         if mI == 0.0 or nI == 0.0:
             raise ValueError(f"zero mass on tree member {I}")
-        mL = mass(mu, I.a, mid)
-        nL = mass(nu, I.a, mid)
+        L = navigate(I, "left")
+        mL = cell_mass(mu, L)
+        nL = cell_mass(nu, L)
         if mL == 0.0 or mL == mI:
             raise ValueError(f"mu vanishes on a child of {I}")
         key = (I.j, I.k)
@@ -308,11 +301,11 @@ def haar(mu: Measure, nu: Measure, tree: Tree) -> HaarSystem:
 
 def coefficient_identity_gap(hs: HaarSystem, I: DyadicInterval):
     """|form4 - form5|: the two expressions for a_I must agree."""
-    mid = 0.5 * (I.a + I.b)
-    mI = mass(hs.mu, I.a, I.b)
-    nI = mass(hs.nu, I.a, I.b)
-    a4 = mass(hs.mu, I.a, mid) / mI - mass(hs.nu, I.a, mid) / nI
-    a5 = mass(hs.nu, mid, I.b) / nI - mass(hs.mu, mid, I.b) / mI
+    L, R = navigate(I, "left"), navigate(I, "right")
+    mI = cell_mass(hs.mu, I)
+    nI = cell_mass(hs.nu, I)
+    a4 = cell_mass(hs.mu, L) / mI - cell_mass(hs.nu, L) / nI
+    a5 = cell_mass(hs.nu, R) / nI - cell_mass(hs.mu, R) / mI
     return abs(a4 - a5)
 
 
@@ -513,10 +506,7 @@ def tailtip_check(mu: Measure, nu: Measure, I, tau=1 / 16, N1=0, N2=-1,
     blow-up invariant) and rescales by mu(I).  The degenerate choice
     (N1, N2) = (0, -1) gives Tail = {I}, Tip = I_- with tip constant 4.
     """
-    if hasattr(I, "a"):
-        a, b = I.a, I.b
-    else:
-        a, b = I
+    a, b, _ = _interval_bounds(I)
     mI = mass(mu, a, b)
     if mI == 0.0:
         return TailTipReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
@@ -553,14 +543,14 @@ def carleson_comparison(mu: Measure, nu: Measure, tree: Tree,
     """Sum of Delta^2 mu over the tree against alpha^2 mu plus top mass."""
     if table is None:
         table = AlphaTable(mu, nu)
-    top_mass = mass(mu, tree.top.a, tree.top.b)
+    top_mass = cell_mass(mu, tree.top)
     if tree.lazy_full:
         return CarlesonComparison(0.0, 0.0, top_mass, 0.0)
     sum_delta = 0.0
     sum_alpha = 0.0
     leafset = {(L.j, L.k) for L in tree.leaves}
     for I in tree.member_intervals():
-        mI = mass(mu, I.a, I.b)
+        mI = cell_mass(mu, I)
         if mI == 0.0:
             continue
         d = delta(mu, nu, I)

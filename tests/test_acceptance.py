@@ -79,17 +79,6 @@ def _positive_histogram(rng, n):
     return generate({"type": "histogram", "cells": cells.tolist()}), cells
 
 
-def _finite_haar(seed=0, levels=5):
-    rng = np.random.default_rng(seed)
-    cells = np.ones(1)
-    for _ in range(levels):
-        eps = rng.uniform(-0.3, 0.3, cells.size)
-        cells = np.stack([cells * (1 + eps), cells * (1 - eps)],
-                         axis=-1).reshape(-1)
-    cells /= cells.sum()
-    return generate({"type": "histogram", "cells": cells.tolist()})
-
-
 @pytest.fixture(scope="module")
 def fleet():
     """Named (mu, nu) pairs reused by the tree-level criteria."""
@@ -99,7 +88,7 @@ def fleet():
         "cascade": (CASC, LEB),
         "example22": (generate({"type": "example22", "n": 8}), LEB),
         "ac-density": (_positive_histogram(rng, 64)[0], LEB),
-        "finite-haar": (_finite_haar(), LEB),
+        "finite-haar": (generate({"type": "finite-haar"}), LEB),
         "random-1": (_positive_histogram(rng, 32)[0],
                      _positive_histogram(rng, 32)[0]),
         "random-2": (_positive_histogram(rng, 16)[0],
@@ -321,7 +310,7 @@ def test_criterion_08_small_alpha_doubling(line):
 
 
 def test_criterion_09_buckley_surrogates(line):
-    w = _finite_haar()
+    w = generate({"type": "finite-haar"})
     bd10 = buckley_ratio(w, LEB, 10, which="delta")
     bd14 = buckley_ratio(w, LEB, 14, which="delta")
     ba10 = buckley_ratio(w, LEB, 10, which="alpha")

@@ -31,8 +31,22 @@ def test_unknown_scenario_is_usage_error(tmp_path, capsys):
 
 
 def test_depth_cap_is_enforced(tmp_path):
-    cfg = _write_cfg(tmp_path, {"scenario": "identity", "depth": 40})
-    assert main(["validate", "--config", cfg]) == 2
+    # every malformed value is a config error (exit 2), never a traceback
+    for bad in [
+        {"scenario": "identity", "depth": 40},
+        {"scenario": "identity", "depth": "12"},
+        {"scenario": "identity", "depth": -3},
+        {"scenario": "identity", "tolerances": {"exact": "x"}},
+        {"scenario": "ac-density",
+         "mu_spec": {"type": "ac-density", "cells": 3}},
+        {"scenario": "finite-haar-ainfty",
+         "mu_spec": {"type": "finite-haar", "levels": -1}},
+    ]:
+        cfg = _write_cfg(tmp_path, bad)
+        with pytest.raises(ValueError):
+            load_config(cfg)
+        assert main(["validate", "--config", cfg]) == 2, bad
+        assert main(["run", "--config", cfg]) == 2, bad
 
 
 def test_validate_warns_on_boundary_atoms(tmp_path, capsys):
@@ -103,8 +117,7 @@ def test_console_entry_point_runs(tmp_path):
         pythonpath += os.pathsep + os.environ["PYTHONPATH"]
     proc = subprocess.run(
         [sys.executable, "-m", "sqfnlab.cli", "run", "--config", cfg],
-        capture_output=True, text=True, env={"SQFNLAB_THREADS": "2",
-                                             "PATH": "/usr/bin:/bin",
+        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin",
                                              "PYTHONPATH": pythonpath})
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)

@@ -43,7 +43,27 @@ def test_atom_at_one_counts_in_closed_unit_interval():
     assert mass(m, 0.0, 1.0) == pytest.approx(0.75, abs=1e-15)
     assert mass(m, 0.0, 1.0, closed_right=True) == pytest.approx(1.0, abs=1e-15)
     cells = dyadic_cell_masses(m, 3)
-    assert cells.sum() == pytest.approx(1.0, abs=1e-15)
+    # the atom at 1 lands in the last cell, so the cells sum to the total
+    assert cells[-1] == mass(m, 7 / 8, 1.0, closed_right=True)
+    assert cells.sum() == pytest.approx(m.total, abs=1e-15)
+
+
+def test_cell_masses_equal_scalar_mass_on_every_cell():
+    rng = np.random.default_rng(3)
+    atoms = list(zip(rng.uniform(0.0, 1.0, 40), rng.uniform(0.1, 1.0, 40)))
+    for m in [
+        generate({"type": "lebesgue"}),
+        generate({"type": "cascade", "p": 0.7, "depth": 16}),
+        generate({"type": "cantor", "depth": 14}),
+        generate({"type": "example22", "n": 8}),
+        generate({"type": "finite-haar", "seed": 0, "levels": 5}),
+        Measure.make(atoms=atoms),
+    ]:
+        for j in range(13):
+            cells = dyadic_cell_masses(m, j)
+            n = 1 << j
+            scalar = [mass(m, k / n, (k + 1) / n) for k in range(n)]
+            assert cells.tolist() == scalar, (m, j)
 
 
 def test_cdf_left_values_piecewise():
@@ -54,9 +74,13 @@ def test_cdf_left_values_piecewise():
 
 def test_cascade_cell_masses():
     m = generate({"type": "cascade", "p": 0.7, "depth": 2})
-    np.testing.assert_allclose(dyadic_cell_masses(m, 2),
-                               [0.49, 0.21, 0.21, 0.09], atol=1e-15)
+    cells = dyadic_cell_masses(m, 2)
+    np.testing.assert_allclose(cells, [0.49, 0.21, 0.21, 0.09], atol=1e-15)
     assert m.total == pytest.approx(1.0, abs=1e-12)
+    # memoized on the measure and read-only
+    assert dyadic_cell_masses(m, 2) is cells
+    with pytest.raises(ValueError):
+        cells[0] = 1.0
 
 
 def test_cantor_middle_half_support():
@@ -162,6 +186,8 @@ def test_generator_total_mass_is_one():
         {"type": "cantor", "depth": 8},
         {"type": "example22", "n": 6},
         {"type": "example52", "n": 4},
+        {"type": "finite-haar", "seed": 3, "levels": 6},
+        {"type": "ac-density", "seed": 5, "cells": 32},
     ]:
         m = generate(spec)
         assert m.total == pytest.approx(1.0, abs=1e-12), spec

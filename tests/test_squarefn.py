@@ -93,14 +93,7 @@ def test_carleson_sum_identity_is_zero():
 
 
 def test_buckley_ratio_flavors_on_finite_perturbation():
-    rng = np.random.default_rng(0)
-    cells = np.ones(1)
-    for _ in range(5):
-        eps = rng.uniform(-0.3, 0.3, cells.size)
-        cells = np.stack([cells * (1 + eps), cells * (1 - eps)],
-                         axis=-1).reshape(-1)
-    cells /= cells.sum()
-    w = generate({"type": "histogram", "cells": cells.tolist()})
+    w = generate({"type": "finite-haar", "seed": 0, "levels": 5})
     # perturbations stop at level 5: deeper levels add nothing
     for which in ("delta", "alpha"):
         b10 = buckley_ratio(w, LEB, 10, which=which)
