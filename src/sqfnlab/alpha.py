@@ -4,12 +4,14 @@ alpha(I) is the supported Wasserstein distance between the probability
 blow-ups of two measures onto I.  alpha_smooth(I) normalizes the blow-ups
 by the tent-weighted masses mu(phi_I), nu(phi_I) instead; this variant is
 stable under moving to comparable enclosing intervals, which the plain
-version is not.
+version is not.  alpha_table(mu, nu) memoizes the plain alpha and the tent
+masses once per pair on mu; the smooth variant is computed when asked.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,7 @@ __all__ = [
     "Ball",
     "AlphaEntry",
     "AlphaTable",
+    "alpha_table",
     "alpha",
     "alpha_smooth",
     "smooth_bounds_check",
@@ -70,79 +73,91 @@ def _interval_bounds(I):
 @dataclass(frozen=True)
 class AlphaEntry:
     alpha: float
-    alpha_smooth: float
     mu_phi: float
     nu_phi: float
     one_sided_zero: bool
 
 
 class AlphaTable:
-    """Memoized alpha / alpha_smooth values for a fixed measure pair."""
+    """Memoized alpha entries for a fixed measure pair, keyed on bounds."""
 
     def __init__(self, mu: Measure, nu: Measure):
-        self.mu = mu
+        # weak: mu keeps this table, so a strong reference would be a cycle
+        self._mu = weakref.ref(mu)
         self.nu = nu
         self._entries = {}
 
-    def _key(self, I):
-        if isinstance(I, DyadicInterval):
-            return I.text()
-        a, b, closed = _interval_bounds(I)
-        return (a, b, closed)
-
     def entry(self, I) -> AlphaEntry:
-        key = self._key(I)
+        key = _interval_bounds(I)
         e = self._entries.get(key)
         if e is None:
-            a, b, closed = _interval_bounds(I)
-            e = _compute_entry(self.mu, self.nu, a, b, closed)
-            self._entries[key] = e
+            e = self._entries[key] = _compute_entry(self._mu(), self.nu, *key)
         return e
 
     def alpha(self, I):
         return self.entry(I).alpha
 
-    def alpha_smooth(self, I):
-        return self.entry(I).alpha_smooth
-
     def flagged(self):
+        """(a, b, closed) of entries with exactly one tent mass zero."""
         return [k for k, e in self._entries.items() if e.one_sided_zero]
 
     def __len__(self):
         return len(self._entries)
 
 
-def _compute_entry(mu, nu, a, b, closed):
+def alpha_table(mu: Measure, nu: Measure) -> AlphaTable:
+    """The pair's one AlphaTable, kept on mu and created on first use."""
+    tables = mu._memo("_alpha_tables")  # id(nu) -> AlphaTable
+    table = tables.get(id(nu))
+    if table is None or table.nu is not nu:
+        table = tables[id(nu)] = AlphaTable(mu, nu)
+    return table
+
+
+def _uniform_densities(mu, nu, a, b, closed):
+    """(cu, cv) when both measures charge [a, b) uniformly, else None."""
     if 0.0 <= a and b <= 1.0 and not closed:
         cu = is_uniform_on(mu, a, b)
         cv = is_uniform_on(nu, a, b)
         if cu is not None and cv is not None and cu > 0.0 and cv > 0.0:
-            L = b - a
-            return AlphaEntry(0.0, 0.0, cu * L / 4.0, cv * L / 4.0, False)
+            return cu, cv
+    return None
+
+
+def _w1_normalized(bu, cu, bv, cv):
+    """Supported W1 of bu / cu and bv / cv, a zero divisor giving ZERO."""
+    return w1_supported(scale(bu, 1.0 / cu) if cu > 0 else ZERO,
+                        scale(bv, 1.0 / cv) if cv > 0 else ZERO).value
+
+
+def _compute_entry(mu, nu, a, b, closed):
+    uniform = _uniform_densities(mu, nu, a, b, closed)
+    if uniform is not None:
+        L = b - a
+        return AlphaEntry(0.0, uniform[0] * L / 4.0, uniform[1] * L / 4.0,
+                          False)
     bu = blowup(mu, a, b, closed_right=closed)
     bv = blowup(nu, a, b, closed_right=closed)
-    mu_I = scale(bu, 1.0 / bu.total) if bu.total > 0 else ZERO
-    nu_I = scale(bv, 1.0 / bv.total) if bv.total > 0 else ZERO
-    a_plain = w1_supported(mu_I, nu_I).value
+    a_plain = _w1_normalized(bu, bu.total, bv, bv.total)
     mu_phi = integrate(bu, _PHI)
     nu_phi = integrate(bv, _PHI)
-    mu_s = scale(bu, 1.0 / mu_phi) if mu_phi > 0 else ZERO
-    nu_s = scale(bv, 1.0 / nu_phi) if nu_phi > 0 else ZERO
-    a_smooth = w1_supported(mu_s, nu_s).value
     flag = (mu_phi == 0.0) != (nu_phi == 0.0) and (bu.total > 0 and bv.total > 0)
-    return AlphaEntry(a_plain, a_smooth, mu_phi, nu_phi, flag)
+    return AlphaEntry(a_plain, mu_phi, nu_phi, flag)
 
 
 def alpha(mu: Measure, nu: Measure, I):
     """W1 of the probability blow-ups onto I (0 vs anything gives W1 = 0)."""
-    a, b, closed = _interval_bounds(I)
-    return _compute_entry(mu, nu, a, b, closed).alpha
+    return alpha_table(mu, nu).alpha(I)
 
 
 def alpha_smooth(mu: Measure, nu: Measure, I):
-    """W1 of the tent-normalized blow-ups onto I."""
+    """W1 of the tent-normalized blow-ups onto I, computed on every call."""
     a, b, closed = _interval_bounds(I)
-    return _compute_entry(mu, nu, a, b, closed).alpha_smooth
+    e = alpha_table(mu, nu).entry(I)
+    if _uniform_densities(mu, nu, a, b, closed) is not None:
+        return 0.0
+    return _w1_normalized(blowup(mu, a, b, closed_right=closed), e.mu_phi,
+                          blowup(nu, a, b, closed_right=closed), e.nu_phi)
 
 
 @dataclass(frozen=True)
@@ -156,14 +171,15 @@ class SmoothBoundsReport:
 def smooth_bounds_check(mu: Measure, nu: Measure, I) -> SmoothBoundsReport:
     """Check alpha_s <= 2 and alpha_s <= 2 alpha / nu_I(phi)."""
     a, b, closed = _interval_bounds(I)
-    e = _compute_entry(mu, nu, a, b, closed)
+    e = alpha_table(mu, nu).entry(I)
     nI = mass(nu, a, b, closed_right=closed)
     if e.nu_phi <= 0.0 or nI <= 0.0:
         raise ValueError("smooth bounds need nu(phi_I) > 0")
     nu_frac = e.nu_phi / nI
     bound_alpha = 2.0 * e.alpha / nu_frac
-    ok = e.alpha_smooth <= min(2.0, bound_alpha) + 1e-9
-    return SmoothBoundsReport(e.alpha_smooth, 2.0, bound_alpha, ok)
+    a_s = alpha_smooth(mu, nu, I)
+    ok = a_s <= min(2.0, bound_alpha) + 1e-9
+    return SmoothBoundsReport(a_s, 2.0, bound_alpha, ok)
 
 
 @dataclass(frozen=True)
@@ -196,15 +212,15 @@ def stability_check(mu: Measure, nu: Measure, inner, outer,
         raise ValueError("theta must be positive")
     if (b1 - a1) < theta * (b2 - a2) - 1e-12:
         raise ValueError("|inner| < theta |outer|")
-    eI = _compute_entry(mu, nu, a1, b1, c1)
-    eJ = _compute_entry(mu, nu, a2, b2, c2)
-    if eI.nu_phi <= 0.0:
+    table = alpha_table(mu, nu)
+    nu_phi_I, nu_phi_J = table.entry(inner).nu_phi, table.entry(outer).nu_phi
+    if nu_phi_I <= 0.0:
         raise ValueError("stability needs nu(phi_I) > 0")
-    bound = (2.0 / theta) * (eJ.nu_phi / eI.nu_phi) * eJ.alpha_smooth
-    ratio = eI.alpha_smooth / eJ.alpha_smooth if eJ.alpha_smooth > 0 else math.inf
-    ok = eI.alpha_smooth <= bound + 1e-9
-    return StabilityReport(eI.alpha_smooth, eJ.alpha_smooth, theta, bound,
-                           ratio, ok)
+    s_I, s_J = alpha_smooth(mu, nu, inner), alpha_smooth(mu, nu, outer)
+    bound = (2.0 / theta) * (nu_phi_J / nu_phi_I) * s_J
+    ratio = s_I / s_J if s_J > 0 else math.inf
+    ok = s_I <= bound + 1e-9
+    return StabilityReport(s_I, s_J, theta, bound, ratio, ok)
 
 
 def epsilon_for_doubling(D):

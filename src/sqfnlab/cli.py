@@ -22,7 +22,12 @@ import numpy as np
 from . import __version__
 from .measure import _is_int, generate, validate_spec
 from .dyadic import STANDARD, cell_mass, delta, doubling_constant
-from .alpha import AlphaTable, alpha, epsilon_for_doubling, smooth_bounds_check
+from .alpha import (
+    alpha,
+    alpha_smooth,
+    epsilon_for_doubling,
+    smooth_bounds_check,
+)
 from .transport import w1_oracle, w1_supported
 from .tree import (
     carleson_comparison,
@@ -168,14 +173,6 @@ def _check(name, lhs, rhs, tol=0.0, note=""):
             "passed": bool(lhs <= rhs + tol), "note": note}
 
 
-def _auto_epsilon(nu, depth):
-    rep = doubling_constant(nu, depth=min(depth, 10))
-    if not math.isfinite(rep.constant):
-        return 1.0 / 128.0, rep.constant
-    eps, _ = epsilon_for_doubling(max(rep.constant, 1.0))
-    return eps, rep.constant
-
-
 def _suite_checks(cfg, mu, nu, tols):
     """The common scenario suite; returns (checks, profiles, extras)."""
     name = cfg["scenario"]
@@ -188,23 +185,23 @@ def _suite_checks(cfg, mu, nu, tols):
     tol_accum = tols.get("accumulation", TOL_ACCUM)
     tol_stat = tols.get("statistical", TOL_STAT)
 
-    table = AlphaTable(mu, nu)
     drep = doubling_constant(nu, depth=min(depth, 10))
     extras["doubling_constant"] = drep.constant
 
-    if cfg["epsilon"] == "auto":
-        eps, _ = _auto_epsilon(nu, depth)
-    else:
+    if cfg["epsilon"] != "auto":
         eps = float(cfg["epsilon"])
+    elif math.isfinite(drep.constant):
+        eps, _ = epsilon_for_doubling(max(drep.constant, 1.0))
+    else:
+        eps = 1.0 / 128.0
     extras["epsilon"] = eps
 
-    forest = stopping_forest(mu, nu, eps, max_depth=min(depth, 12),
-                             table=table)
+    forest = stopping_forest(mu, nu, eps, max_depth=min(depth, 12))
     extras["trees"] = len(forest.trees)
     ratios = []
     for tree in forest.trees:
         tree.check_structure()
-        cc = carleson_comparison(mu, nu, tree, table=table)
+        cc = carleson_comparison(mu, nu, tree)
         if cc.sum_alpha + cc.top_mass > 0:
             ratios.append(cc.ratio)
     if ratios:
@@ -252,8 +249,7 @@ def _suite_checks(cfg, mu, nu, tols):
     # square function profile and classification
     if cell_mass(mu, STANDARD.root()) > 0 and mu.piece_l.size:
         pts = mu_sampled_points(mu, 16, depth + 4, seed=seed)
-        prof = dyadic_square_profile(mu, nu, STANDARD, pts, depth=depth,
-                                     table=table)
+        prof = dyadic_square_profile(mu, nu, STANDARD, pts, depth=depth)
         profiles["square_dyadic"] = prof
         slopes = prof.slopes()
         tail = prof.final_increments(max(depth - 2, 0))
@@ -321,7 +317,6 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
                              min(2.0, rep.bound_alpha), 1e-9))
 
     elif name == "example53":
-        from .alpha import alpha_smooth
         a_half = alpha_smooth(mu, nu, (0.0, 0.5, True))
         checks.append(_check("smooth_alpha_left_half_exact",
                              abs(a_half - 1.0), 0.0, tol_exact))
@@ -432,7 +427,11 @@ def cmd_run(args):
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report = run_experiment(cfg)
+    try:
+        report = run_experiment(cfg)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report, sort_keys=True, indent=1))
     if report["passed"]:
         return 0

@@ -11,6 +11,7 @@ multiplicative cascades) stay cheap to restrict, blow up and integrate.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -105,15 +106,20 @@ class Measure:
         return Measure.from_arrays(ax, aw, pl, pr, pm)
 
     def _check(self):
+        # the total is NaN or infinite when a weight or a mass is; the range
+        # checks are written so that a NaN position or piece end fails them
+        if not math.isfinite(self.total):
+            raise ValueError("atom weights and piece masses must be finite")
         if self.atom_x.size:
-            if self.atom_x.min() < 0.0 or self.atom_x.max() > 1.0:
+            if not (self.atom_x.min() >= 0.0 and self.atom_x.max() <= 1.0):
                 raise ValueError("atom positions must lie in [0, 1]")
             if self.atom_w.min() < 0.0:
                 raise ValueError("atom weights must be nonnegative")
         if self.piece_l.size:
             if np.any(self.piece_r <= self.piece_l):
                 raise ValueError("pieces need left < right")
-            if self.piece_l.min() < 0.0 or self.piece_r.max() > 1.0 + 1e-15:
+            if not (self.piece_l.min() >= 0.0
+                    and self.piece_r.max() <= 1.0 + 1e-15):
                 raise ValueError("pieces must lie in [0, 1]")
             if self.piece_m.min() < 0.0:
                 raise ValueError("piece masses must be nonnegative")
@@ -153,17 +159,18 @@ class Measure:
             object.__setattr__(self, "_tables_cache", t)
         return t
 
+    def _memo(self, name):
+        """A dict kept on the measure under name, created on first use."""
+        d = getattr(self, name, None)
+        if d is None:
+            d = {}
+            object.__setattr__(self, name, d)
+        return d
+
     @property
     def _cells(self):
         """Level -> read-only masses of the standard dyadic cells."""
-        c = getattr(self, "_cells_cache", None)
-        if c is None:
-            c = {}
-            object.__setattr__(self, "_cells_cache", c)
-        return c
-
-    def is_probability(self, tol=1e-12):
-        return abs(self.total - 1.0) <= tol
+        return self._memo("_cells_cache")
 
     def __repr__(self):
         return (f"Measure(total={self.total:.6g}, atoms={self.atom_x.size}, "
@@ -240,7 +247,7 @@ def validate_spec(spec):
         if not atoms:
             raise ValueError("atomic spec needs a nonempty 'atoms' list")
         for x, w in atoms:
-            if not (0.0 <= x <= 1.0) or w < 0:
+            if not (0.0 <= x <= 1.0) or not (0.0 <= w < math.inf):
                 raise ValueError("atom out of range")
             if _on_dyadic_boundary(x):
                 notes.append(
@@ -250,8 +257,9 @@ def validate_spec(spec):
         cells = spec.get("cells")
         if cells is None or len(cells) == 0 or len(cells) & (len(cells) - 1):
             raise ValueError("histogram needs 2^L cell masses")
-        if min(cells) < 0:
-            raise ValueError("histogram masses must be nonnegative")
+        if not all(0.0 <= c < math.inf for c in cells):
+            raise ValueError("histogram masses must be finite and "
+                             "nonnegative")
     elif t == "cascade":
         p = spec.get("p")
         L = spec.get("depth")
@@ -459,16 +467,6 @@ class CdfDifference:
 
     def segments(self):
         return self.x[:-1], self.x[1:], self.g0, self.g1
-
-    def __call__(self, t):
-        """Value at interior points (right-continuous at breakpoints)."""
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0,
-                    self.x.size - 2)
-        x0 = self.x[i]
-        x1 = self.x[i + 1]
-        w = np.where(x1 > x0, (t - x0) / np.where(x1 > x0, x1 - x0, 1.0), 0.0)
-        return self.g0[i] * (1 - w) + self.g1[i] * w
 
 
 def cdf_difference(m1: Measure, m2: Measure) -> CdfDifference:

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import (
+    BoundaryAtomWarning,
     Measure,
     dyadic_cell_masses,
     is_uniform_on,
@@ -31,7 +33,7 @@ from .dyadic import (
     delta,
     navigate,
 )
-from .alpha import AlphaTable, Ball, _compute_entry
+from .alpha import Ball, alpha_smooth, alpha_table
 
 __all__ = [
     "SquareFunctionProfile",
@@ -104,17 +106,14 @@ def mu_sampled_points(mu: Measure, n, depth, seed=0):
 
 
 def dyadic_square_profile(mu: Measure, nu: Measure, system=STANDARD,
-                          points=(), depth=12, table=None):
+                          points=(), depth=12):
     """Partial sums of alpha^2 along each point's dyadic chain."""
     if depth > system.max_level:
         raise ValueError("depth exceeds the system's max level")
-    if table is None:
-        table = AlphaTable(mu, nu)
+    table = alpha_table(mu, nu)
     pts = np.asarray(points, dtype=float)
     scaled = pts * (1 << depth)
     if np.any(scaled == np.floor(scaled)):
-        import warnings
-        from .measure import BoundaryAtomWarning
         warnings.warn("sample point on a dyadic boundary",
                       BoundaryAtomWarning)
     sums = np.zeros((pts.size, depth + 1))
@@ -129,7 +128,7 @@ def dyadic_square_profile(mu: Measure, nu: Measure, system=STANDARD,
 
 
 def continuous_square_profile(mu: Measure, nu: Measure, points, r_min,
-                              pts_per_octave=4, table=None):
+                              pts_per_octave=4):
     """Trapezoid quadrature of alpha_s^2(B(x, r)) dr/r from r_min to 1.
 
     The grid is refined (nodes per octave doubled) until the total changes
@@ -138,8 +137,6 @@ def continuous_square_profile(mu: Measure, nu: Measure, points, r_min,
     """
     if r_min <= 0 or r_min >= 1:
         raise ValueError("need 0 < r_min < 1")
-    if table is None:
-        table = AlphaTable(mu, nu)
     pts = np.asarray(points, dtype=float)
 
     def quad(ppo):
@@ -150,7 +147,8 @@ def continuous_square_profile(mu: Measure, nu: Measure, points, r_min,
         vals = np.empty((pts.size, n))
         for i, x in enumerate(pts):
             for j, r in enumerate(radii):
-                vals[i, j] = table.alpha_smooth(Ball(float(x), float(r))) ** 2
+                ball = Ball(float(x), float(r))
+                vals[i, j] = alpha_smooth(mu, nu, ball) ** 2
         dt = t[1] - t[0]
         # cumulative trapezoid from the top scale (r = 1) downward
         seg = (vals[:, 1:] + vals[:, :-1]) / 2.0 * dt
@@ -219,7 +217,7 @@ def _subtree_sums(terms):
 
 
 def carleson_sum(mu: Measure, nu: Measure, J: DyadicInterval, which="alpha",
-                 depth=10, table=None):
+                 depth=10):
     """Sum of coef^2(I) mu(I) over dyadic I inside J down to the depth.
 
     which selects alpha-numbers or Delta-numbers as the coefficient.
@@ -227,7 +225,7 @@ def carleson_sum(mu: Measure, nu: Measure, J: DyadicInterval, which="alpha",
     skipped.
     """
     if which == "alpha":
-        coef = (AlphaTable(mu, nu) if table is None else table).alpha
+        coef = alpha_table(mu, nu).alpha
     else:
         def coef(I):
             return delta(mu, nu, I)
@@ -253,13 +251,12 @@ def delta_level_sums(mu: Measure, nu: Measure, depth):
     return contrib, _subtree_sums(contrib), mu_levels
 
 
-def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta",
-                  table=None):
+def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):
     """sup over J (level <= depth/2) of carleson_sum(J) / mu(J)."""
     if which == "delta":
         _, subtree, _ = delta_level_sums(mu, nu, depth)
     else:
-        coef = (AlphaTable(mu, nu) if table is None else table).alpha
+        coef = alpha_table(mu, nu).alpha
         subtree = _subtree_sums(
             _pruned_terms(mu, nu, STANDARD.root(), depth, coef))
     best = 0.0
@@ -275,8 +272,7 @@ def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta",
 # Tolsa-style L2 bound
 
 
-def tolsa_l2(gdensity: Measure, nu: Measure, depth=8, gdepth=None,
-             table=None):
+def tolsa_l2(gdensity: Measure, nu: Measure, depth=8, gdepth=None):
     """(lhs, l2norm, ratio) for the squared-alpha L2 bound.
 
     gdensity is mu = g dnu with g piecewise constant at resolution gdepth
@@ -295,8 +291,7 @@ def tolsa_l2(gdensity: Measure, nu: Measure, depth=8, gdepth=None,
         raise ValueError("mu is not absolutely continuous at g-resolution")
     ok = nu_cells > 0
     l2 = float(np.sum(mu_cells[ok] ** 2 / nu_cells[ok]))
-    if table is None:
-        table = AlphaTable(mu, nu)
+    table = alpha_table(mu, nu)
     lhs = 0.0
 
     def rec(I):
@@ -429,8 +424,9 @@ def domination_check(mu: Measure, nu: Measure, x, r, systems,
     bound dominates alpha_s^2(B).
     """
     ball = Ball(float(x), float(r))
-    eB = _compute_entry(mu, nu, ball.x - ball.r, ball.x + ball.r, True)
-    a_s2 = eB.alpha_smooth ** 2
+    table = alpha_table(mu, nu)
+    eB = table.entry(ball)
+    a_s2 = alpha_smooth(mu, nu, ball) ** 2
     j = math.floor(math.log2(1.0 / (8.0 * r)))
     while 2.0 ** (-j) < 8.0 * r:
         j -= 1
@@ -443,7 +439,7 @@ def domination_check(mu: Measure, nu: Measure, x, r, systems,
         J = containing_interval(system, x - r, j)
         if x + r > J.b:
             continue
-        eJ = _compute_entry(mu, nu, J.a, J.b, False)
+        eJ = table.entry(J)
         nJ = mass(nu, J.a, J.b)
         if eJ.nu_phi <= 0 or eB.nu_phi <= 0 or nJ <= 0:
             continue

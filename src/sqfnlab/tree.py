@@ -27,7 +27,7 @@ from .measure import (
     scale,
 )
 from .dyadic import STANDARD, DyadicInterval, cell_mass, delta, navigate
-from .alpha import AlphaTable, select_ball, alpha_smooth, _interval_bounds
+from .alpha import _interval_bounds, alpha_table
 from .alpha import alpha as _interval_alpha
 
 __all__ = [
@@ -73,9 +73,6 @@ class Tree:
             return (self.top.j <= I.j <= self.max_depth
                     and (I.k >> (I.j - self.top.j)) == self.top.k)
         return (I.j, I.k) in self.members
-
-    def is_leaf(self, I: DyadicInterval):
-        return any(L.j == I.j and L.k == I.k for L in self.leaves)
 
     def member_intervals(self):
         sys = self.top.system
@@ -132,25 +129,20 @@ class Tree:
 class Forest:
     trees: tuple
     epsilon: float
-    mode: str
     max_depth: int
-    alpha_table: AlphaTable = field(repr=False, default=None)
 
 
-def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10,
-                    mode="interval", table=None) -> Forest:
+def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
     """Split [0, 1) into stopping trees by accumulated squared alphas.
 
     An interval becomes a leaf of its tree as soon as the inclusive sum of
     alpha^2 over the chain from the tree top reaches epsilon^2; its children
     become tops of new trees.  Tops without mu-mass carry full non-stopping
-    (lazy) subtrees.  mode="ball" accumulates smooth alphas of selected
-    balls instead of interval alphas.
+    (lazy) subtrees.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if table is None:
-        table = AlphaTable(mu, nu)
+    table = alpha_table(mu, nu)
     eps2 = epsilon * epsilon
     trees = []
     queue = [STANDARD.root()]
@@ -166,10 +158,7 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10,
             I, s = stack.pop()
             if cell_mass(nu, I) == 0.0:
                 raise ValueError(f"nu vanishes on {I}: doubling violation")
-            if mode == "ball" and cell_mass(mu, I) > 0.0:
-                a_val = alpha_smooth(mu, nu, select_ball(mu, nu, I))
-            else:
-                a_val = table.alpha(I)
+            a_val = table.alpha(I)
             s2 = s + a_val * a_val
             members.add((I.j, I.k))
             if s2 >= eps2:
@@ -182,7 +171,7 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10,
                 stack.append((navigate(I, "right"), s2))
         trees.append(Tree(top, frozenset(members), tuple(leaves), max_depth))
     trees.sort(key=lambda t: (t.top.j, t.top.k))
-    return Forest(tuple(trees), epsilon, mode, max_depth, table)
+    return Forest(tuple(trees), epsilon, max_depth)
 
 
 @dataclass(frozen=True)
@@ -538,11 +527,9 @@ class CarlesonComparison:
     ratio: float
 
 
-def carleson_comparison(mu: Measure, nu: Measure, tree: Tree,
-                        table=None) -> CarlesonComparison:
+def carleson_comparison(mu: Measure, nu: Measure,
+                        tree: Tree) -> CarlesonComparison:
     """Sum of Delta^2 mu over the tree against alpha^2 mu plus top mass."""
-    if table is None:
-        table = AlphaTable(mu, nu)
     top_mass = cell_mass(mu, tree.top)
     if tree.lazy_full:
         return CarlesonComparison(0.0, 0.0, top_mass, 0.0)
@@ -556,7 +543,7 @@ def carleson_comparison(mu: Measure, nu: Measure, tree: Tree,
         d = delta(mu, nu, I)
         sum_delta += d * d * mI
         if (I.j, I.k) not in leafset:
-            a_val = table.alpha(I)
+            a_val = _interval_alpha(mu, nu, I)
             sum_alpha += a_val * a_val * mI
     denom = sum_alpha + top_mass
     ratio = sum_delta / denom if denom > 0 else 0.0

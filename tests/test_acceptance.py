@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from sqfnlab.alpha import AlphaTable, alpha, epsilon_for_doubling
+from sqfnlab.alpha import alpha, epsilon_for_doubling
+from sqfnlab.cli import _random_measure
 from sqfnlab.dyadic import STANDARD, delta, doubling_constant, shifted_systems
 from sqfnlab.measure import (
     Measure,
@@ -55,24 +56,6 @@ def line(capsys):
     return emit
 
 
-def _random_pair(rng, max_cells=32):
-    out = []
-    for _ in range(2):
-        if rng.random() < 0.5:
-            n = int(2 ** rng.integers(1, 6))
-            cells = rng.uniform(0.05, 1.0, n)
-            cells /= cells.sum()
-            out.append(generate({"type": "histogram",
-                                 "cells": cells.tolist()}))
-        else:
-            n = int(rng.integers(1, max_cells + 1))
-            xs = rng.uniform(0.0, 1.0, n)
-            ws = rng.uniform(0.1, 1.0, n)
-            ws /= ws.sum()
-            out.append(Measure.make(atoms=list(zip(xs, ws))))
-    return out
-
-
 def _positive_histogram(rng, n):
     cells = rng.uniform(0.05, 1.0, n)
     cells /= cells.sum()
@@ -102,10 +85,9 @@ def fleet_forests(fleet):
     """Stopping forests of every fleet pair at depths 10 and 14."""
     out = {}
     for name, (mu, nu) in fleet.items():
-        table = AlphaTable(mu, nu)
-        f10 = stopping_forest(mu, nu, 1.0 / 128.0, max_depth=10, table=table)
-        f14 = stopping_forest(mu, nu, 1.0 / 128.0, max_depth=14, table=table)
-        out[name] = (mu, nu, table, f10, f14)
+        f10 = stopping_forest(mu, nu, 1.0 / 128.0, max_depth=10)
+        f14 = stopping_forest(mu, nu, 1.0 / 128.0, max_depth=14)
+        out[name] = (mu, nu, f10, f14)
     return out
 
 
@@ -114,7 +96,7 @@ def test_criterion_01_transport_oracle_gate(line):
     t0 = time.monotonic()
     worst = 0.0
     for _ in range(1000):
-        m1, m2 = _random_pair(rng)
+        m1, m2 = _random_measure(rng), _random_measure(rng)
         worst = max(worst, abs(w1_supported(m1, m2).value
                                - w1_oracle(m1, m2, grid_n=1 << 14)))
     elapsed = time.monotonic() - t0
@@ -149,7 +131,7 @@ def test_criterion_03_supported_vs_unrestricted_split(line):
 def test_criterion_04_product_representation(fleet_forests, line):
     rng = np.random.default_rng(2)
     worst_prod = worst_coef = 0.0
-    for name, (mu, nu, table, f10, f14) in fleet_forests.items():
+    for name, (mu, nu, f10, f14) in fleet_forests.items():
         for tree in f14.trees:
             if not tree.members or len(tree.members) < 3 or tree.lazy_full:
                 continue
@@ -180,7 +162,7 @@ def test_criterion_05_haar_analysis(fleet_forests, line):
     rng = np.random.default_rng(3)
     worst_mean = worst_orth = worst_pars = 0.0
     for name in ("identity", "cascade", "ac-density", "random-1"):
-        mu, nu, table, f10, f14 = fleet_forests[name]
+        mu, nu, f10, f14 = fleet_forests[name]
         if name == "cascade":
             # singleton stopping trees carry no Haar functions; use the
             # full tree of the pair with the roles swapped instead
@@ -243,10 +225,10 @@ def test_criterion_06_representation_and_carleson(fleet_forests, line):
     # fleet Carleson ratio: one constant, stable under depth 10 -> 14
     def fleet_max(depth_key):
         best = 0.0
-        for name, (mu, nu, table, f10, f14) in fleet_forests.items():
+        for name, (mu, nu, f10, f14) in fleet_forests.items():
             forest = f10 if depth_key == 10 else f14
             for tree in forest.trees:
-                cc = carleson_comparison(mu, nu, tree, table=table)
+                cc = carleson_comparison(mu, nu, tree)
                 if cc.sum_alpha + cc.top_mass > 0:
                     best = max(best, cc.ratio)
         return best

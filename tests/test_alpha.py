@@ -1,20 +1,35 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import sqfnlab.alpha as alpha_module
 from sqfnlab.alpha import (
     AlphaTable,
     Ball,
+    _interval_bounds,
     alpha,
     alpha_smooth,
+    alpha_table,
     epsilon_for_doubling,
     select_ball,
     smooth_bounds_check,
     stability_check,
 )
 from sqfnlab.dyadic import STANDARD, doubling_constant
-from sqfnlab.measure import Measure, generate, mass
+from sqfnlab.measure import (
+    Measure,
+    blowup,
+    generate,
+    integrate,
+    mass,
+    phi_tent,
+    scale,
+)
+from sqfnlab.squarefn import buckley_ratio
+from sqfnlab.transport import w1_supported
+from sqfnlab.tree import stopping_forest
 
 
 LEB = generate({"type": "lebesgue"})
@@ -120,14 +135,54 @@ def test_small_alpha_forces_comparable_children():
     assert hits > 100
 
 
-def test_alpha_table_memoizes():
+def test_alpha_table_memoizes(monkeypatch):
     casc = generate({"type": "cascade", "p": 0.7, "depth": 10})
-    table = AlphaTable(casc, LEB)
+    leb = generate({"type": "lebesgue"})
+    table = alpha_table(casc, leb)
     I = STANDARD.interval(2, 1)
     v1 = table.alpha(I)
     n = len(table)
     v2 = table.alpha(I)
     assert v1 == v2 and len(table) == n
+    # one table per pair, kept on mu; another nu gets its own
+    assert alpha_table(casc, leb) is table
+    assert alpha_table(casc, generate({"type": "lebesgue"})) is not table
+
+    # every interval a forest visits is memoized for later readers
+    stopping_forest(casc, leb, 1.0 / 128.0, max_depth=8)
+    n = len(table)
+    alpha(casc, leb, STANDARD.root())
+    buckley_ratio(casc, leb, 8, which="alpha")
+    assert len(table) == n
+
+    # a plain read of a new non-uniform interval costs one W1
+    calls = []
+
+    def counted(m1, m2, **kw):
+        calls.append(1)
+        return w1_supported(m1, m2, **kw)
+
+    monkeypatch.setattr(alpha_module, "w1_supported", counted)
+    alpha(casc, leb, (0.1, 0.7))
+    assert len(calls) == 1 and len(table) == n + 1
+    monkeypatch.undo()
+
+    # the smooth variant is W1 of the tent-normalized blow-ups
+    phi = phi_tent()
+    for I in [Ball(0.3, 0.2), Ball(0.5, 0.75), (0.1, 0.7), (0.0, 0.5, True),
+              STANDARD.interval(3, 2)]:
+        a, b, closed = _interval_bounds(I)
+        bu = blowup(casc, a, b, closed_right=closed)
+        bv = blowup(leb, a, b, closed_right=closed)
+        want = w1_supported(scale(bu, 1.0 / integrate(bu, phi)),
+                            scale(bv, 1.0 / integrate(bv, phi))).value
+        assert want > 0.0
+        assert alpha_smooth(casc, leb, I) == want
+
+    # the tables hold mu weakly, so mu goes with its last reference
+    ref = weakref.ref(casc)
+    del casc, table
+    assert ref() is None
 
 
 def test_select_ball_contains_interval_and_nests():

@@ -41,12 +41,26 @@ def test_depth_cap_is_enforced(tmp_path):
          "mu_spec": {"type": "ac-density", "cells": 3}},
         {"scenario": "finite-haar-ainfty",
          "mu_spec": {"type": "finite-haar", "levels": -1}},
+        {"scenario": "identity",
+         "mu_spec": {"type": "histogram", "cells": [0.5, float("nan")]}},
     ]:
         cfg = _write_cfg(tmp_path, bad)
         with pytest.raises(ValueError):
             load_config(cfg)
         assert main(["validate", "--config", cfg]) == 2, bad
         assert main(["run", "--config", cfg]) == 2, bad
+
+
+def test_precondition_violation_is_input_error(tmp_path, capsys):
+    # a well-formed config whose nu vanishes on a dyadic cell breaks the
+    # forest's doubling precondition: exit 2 with a message, no traceback
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "identity",
+        "nu_spec": {"type": "atomic", "atoms": [[0.3, 1.0]]},
+    })
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "nu vanishes" in err
 
 
 def test_validate_warns_on_boundary_atoms(tmp_path, capsys):

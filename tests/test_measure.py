@@ -31,6 +31,31 @@ def test_make_sorts_and_drops_zero_weights():
     assert m.total == pytest.approx(0.7, abs=1e-15)
 
 
+def test_non_finite_input_is_rejected():
+    nan, inf = float("nan"), float("inf")
+    for atoms, pieces in [
+        ([(nan, 1.0)], ()),
+        ([(0.5, nan)], ()),
+        ([(0.5, inf)], ()),
+        ((), [(0.0, 1.0, nan)]),
+        ((), [(0.0, 1.0, inf)]),
+        ((), [(nan, 1.0, 1.0)]),
+        ((), [(0.0, nan, 1.0)]),
+    ]:
+        with pytest.raises(ValueError):
+            Measure.make(atoms=atoms, pieces=pieces)
+    for spec in [
+        {"type": "histogram", "cells": [0.5, nan]},
+        {"type": "histogram", "cells": [inf, 0.5]},
+        {"type": "atomic", "atoms": [(0.3, nan)]},
+        {"type": "atomic", "atoms": [(0.3, inf)]},
+    ]:
+        with pytest.raises(ValueError):
+            validate_spec(spec)
+        with pytest.raises(ValueError):
+            generate(spec)
+
+
 def test_mass_half_open_vs_closed():
     m = Measure.make(atoms=[(0.5, 1.0)])
     assert mass(m, 0.0, 0.5) == 0.0

@@ -1,26 +1,9 @@
 import numpy as np
 import pytest
 
+from sqfnlab.cli import _random_measure
 from sqfnlab.measure import Measure, generate
 from sqfnlab.transport import w1_oracle, w1_supported, w1_unrestricted
-
-
-def _random_pair(rng, max_cells=32):
-    out = []
-    for _ in range(2):
-        if rng.random() < 0.5:
-            n = int(2 ** rng.integers(1, 6))
-            cells = rng.uniform(0.05, 1.0, n)
-            cells /= cells.sum()
-            out.append(generate({"type": "histogram",
-                                 "cells": cells.tolist()}))
-        else:
-            n = int(rng.integers(1, max_cells + 1))
-            xs = rng.uniform(0.0, 1.0, n)
-            ws = rng.uniform(0.1, 1.0, n)
-            ws /= ws.sum()
-            out.append(Measure.make(atoms=list(zip(xs, ws))))
-    return out
 
 
 def test_endpoint_deltas_split():
@@ -57,7 +40,7 @@ def test_translated_atoms_supported_distance():
 def test_witness_is_admissible_and_attains_value():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        m1, m2 = _random_pair(rng)
+        m1, m2 = _random_measure(rng), _random_measure(rng)
         res = w1_supported(m1, m2, want_witness=True)
         psi = res.witness
         assert abs(psi(0.0)) <= 1e-12 and abs(psi(1.0)) <= 1e-12
@@ -71,7 +54,7 @@ def test_oracle_agreement_sweep():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
-        m1, m2 = _random_pair(rng)
+        m1, m2 = _random_measure(rng), _random_measure(rng)
         got = w1_supported(m1, m2).value
         ref = w1_oracle(m1, m2)
         worst = max(worst, abs(got - ref))
@@ -81,7 +64,7 @@ def test_oracle_agreement_sweep():
 def test_value_is_symmetric_and_nonnegative():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        m1, m2 = _random_pair(rng)
+        m1, m2 = _random_measure(rng), _random_measure(rng)
         v12 = w1_supported(m1, m2).value
         v21 = w1_supported(m2, m1).value
         assert v12 >= 0.0

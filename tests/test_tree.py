@@ -164,7 +164,7 @@ def test_tailtip_bounds_delta_general_and_degenerate():
 def test_carleson_comparison_cascade_ratio():
     forest = stopping_forest(CASC, LEB, 1.0 / 128.0, max_depth=6)
     t0 = next(t for t in forest.trees if t.top.bounds() == (0.0, 1.0))
-    cc = carleson_comparison(CASC, LEB, t0, table=forest.alpha_table)
+    cc = carleson_comparison(CASC, LEB, t0)
     # singleton tree: one Delta^2 mu term over mu(top) alone
     assert cc.sum_alpha == 0.0
     assert cc.ratio == pytest.approx(0.04, abs=1e-12)
