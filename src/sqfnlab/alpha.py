@@ -19,6 +19,7 @@ import numpy as np
 from .measure import (
     Measure,
     ZERO,
+    _overlap,
     blowup,
     integrate,
     is_uniform_on,
@@ -249,15 +250,10 @@ def select_ball(mu: Measure, nu: Measure, I: DyadicInterval, samples=8,
     """
     k = I.j
     a, b = I.a, I.b
-    centers = []
-    if mu.atom_x.size:
-        sel = (mu.atom_x >= a) & (mu.atom_x < b)
-        centers.extend(mu.atom_x[sel].tolist())
-    if mu.piece_l.size:
-        lo = np.maximum(mu.piece_l, a)
-        hi = np.minimum(mu.piece_r, b)
-        good = hi > lo
-        centers.extend(((lo[good] + hi[good]) / 2.0).tolist())
+    at, pc = _overlap(mu, a, b)
+    lo = np.maximum(mu.piece_l[pc], a)
+    hi = np.minimum(mu.piece_r[pc], b)
+    centers = mu.atom_x[at].tolist() + ((lo + hi) / 2.0).tolist()
     if not centers:
         raise ValueError("interval does not meet the support of mu")
     centers = sorted(set(centers))[: max(samples, 4)]

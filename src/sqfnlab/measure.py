@@ -4,8 +4,9 @@ All generators produce data at dyadic-rational coordinates, so masses of
 dyadic cells and integrals of piecewise-linear test functions are exact in
 double precision (up to ~1e-15 accumulation).  Measures are immutable after
 construction; every operation returns a new value.  The internals are plain
-numpy arrays so that measures with hundreds of thousands of pieces (deep
-multiplicative cascades) stay cheap to restrict, blow up and integrate.
+numpy arrays, and interval queries binary-search the sorted atoms and pieces,
+so that measures with hundreds of thousands of pieces (deep multiplicative
+cascades) stay cheap to restrict, blow up and integrate.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ class Measure:
                 raise ValueError("piece masses must be nonnegative")
             if np.any(self.piece_l[1:] < self.piece_r[:-1] - 1e-15):
                 raise ValueError("pieces must be pairwise disjoint")
+            if np.any(self.piece_r[1:] < self.piece_r[:-1]):
+                raise ValueError("piece right ends must be nondecreasing")
         s = float(self.atom_w.sum() + self.piece_m.sum())
         if abs(s - self.total) > _REL_TOL * max(1.0, abs(s)):
             raise ValueError("cached total inconsistent with parts")
@@ -496,22 +499,28 @@ def cdf_difference(m1: Measure, m2: Measure) -> CdfDifference:
 # restriction / blow-up / arithmetic
 
 
+def _overlap(m: Measure, a, b, closed_right=False):
+    """Slices of m's atoms in [a, b) (or [a, b]) and of its pieces meeting it.
+
+    A binary search: from_arrays sorts atoms and pieces, and pieces are
+    disjoint, so their right ends are sorted too (Measure._check rejects
+    input where they are not).  The piece slice is exact only when a < b.
+    """
+    return (slice(m.atom_x.searchsorted(a),
+                  m.atom_x.searchsorted(b, "right" if closed_right else "left")),
+            slice(m.piece_r.searchsorted(a, "right"), m.piece_l.searchsorted(b)))
+
+
 def restrict(m: Measure, a, b, closed_right=False):
     """Restriction of m to [a, b) (or [a, b]); keeps coordinates."""
-    if b <= a:
+    if not a < b:
         raise ValueError("need a < b")
-    ax = aw = _EMPTY
-    if m.atom_x.size:
-        sel = (m.atom_x >= a) & ((m.atom_x <= b) if closed_right else (m.atom_x < b))
-        ax, aw = m.atom_x[sel], m.atom_w[sel]
-    pl = pr = pm = _EMPTY
-    if m.piece_l.size:
-        lo = np.maximum(m.piece_l, a)
-        hi = np.minimum(m.piece_r, b)
-        sel = hi > lo
-        dens = m.piece_m[sel] / (m.piece_r[sel] - m.piece_l[sel])
-        pl, pr, pm = lo[sel], hi[sel], dens * (hi[sel] - lo[sel])
-    return Measure.from_arrays(ax, aw, pl, pr, pm, check=False)
+    at, pc = _overlap(m, a, b, closed_right)
+    # every piece in the slice has r > a and l < b, so lo < hi
+    l, r = m.piece_l[pc], m.piece_r[pc]
+    lo, hi = np.maximum(l, a), np.minimum(r, b)
+    return Measure.from_arrays(m.atom_x[at], m.atom_w[at], lo, hi,
+                               m.piece_m[pc] / (r - l) * (hi - lo), check=False)
 
 
 def blowup(m: Measure, a, b, closed_right=False):
@@ -560,25 +569,22 @@ def combine(measures):
 
 def is_uniform_on(m: Measure, a, b):
     """Density c if m|[a,b) = c * Lebesgue|[a,b) exactly, else None."""
-    if m.atom_x.size:
-        if np.any((m.atom_x >= a) & (m.atom_x < b)):
-            return None
-    if not m.piece_l.size:
+    if not a < b:  # empty, reversed or NaN; the piece slice needs a < b
+        if math.isnan(a) or math.isnan(b):
+            raise ValueError("interval bounds must not be NaN")
         return 0.0
-    lo = np.maximum(m.piece_l, a)
-    hi = np.minimum(m.piece_r, b)
-    sel = hi > lo
-    if not np.any(sel):
+    at, pc = _overlap(m, a, b)
+    if at.stop > at.start:
+        return None
+    if pc.stop == pc.start:
         return 0.0
-    dens = m.piece_m[sel] / (m.piece_r[sel] - m.piece_l[sel])
+    l, r = m.piece_l[pc], m.piece_r[pc]
+    dens = m.piece_m[pc] / (r - l)
     d0 = dens[0]
     if np.any(np.abs(dens - d0) > 1e-15 * max(1.0, abs(d0))):
         return None
     # the overlapping pieces must tile [a, b) without gaps
-    lo, hi = lo[sel], hi[sel]
-    if lo[0] > a or hi[-1] < b:
-        return None
-    if np.any(lo[1:] > hi[:-1]):
+    if l[0] > a or r[-1] < b or np.any(l[1:] > r[:-1]):
         return None
     return float(d0)
 
@@ -599,9 +605,8 @@ def integrate(m: Measure, f: PiecewiseLinearFn):
         out += float(np.dot(m.atom_w, f(m.atom_x)))
     if m.piece_l.size:
         dens = m.piece_m / (m.piece_r - m.piece_l)
-        Fr = f.antiderivative_values(m.piece_r)
-        Fl = f.antiderivative_values(m.piece_l)
-        out += float(np.dot(dens, Fr - Fl))
+        F = f.antiderivative_values(np.concatenate([m.piece_r, m.piece_l]))
+        out += float(np.dot(dens, F[:dens.size] - F[dens.size:]))
     return out
 
 

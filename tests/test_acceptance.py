@@ -5,7 +5,6 @@ lines survive capture) and asserts the corresponding quantitative gate.
 """
 
 import math
-import sys
 import time
 
 import numpy as np

@@ -1,4 +1,3 @@
-import math
 import weakref
 
 import numpy as np

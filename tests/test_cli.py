@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import sqfnlab
-from sqfnlab.cli import SCENARIOS, load_config, main, run_experiment
+from sqfnlab.cli import load_config, main, run_experiment
 
 
 def _write_cfg(tmp_path, cfg):

@@ -5,7 +5,6 @@ import pytest
 
 from sqfnlab.dyadic import (
     STANDARD,
-    DyadicInterval,
     DyadicSystem,
     check_partition_properties,
     containing_interval,

@@ -23,6 +23,7 @@ from sqfnlab.measure import (
     scale,
     validate_spec,
 )
+from sqfnlab.cli import _random_measure
 
 
 def test_make_sorts_and_drops_zero_weights():
@@ -167,6 +168,120 @@ def test_integrate_tent_against_lebesgue():
     assert integrate(leb, phi) == pytest.approx(0.25, abs=1e-15)
     d = Measure.make(atoms=[(0.5, 2.0)])
     assert integrate(d, phi) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_piece_right_ends_must_be_sorted():
+    # within the 1e-15 overlap the disjointness check tolerates, a short
+    # second piece would end before the first one and break binary search
+    with pytest.raises(ValueError):
+        Measure.make(pieces=[(0.0, 0.5, 0.5),
+                             (0.5 - 2.0 ** -53, 0.5 - 2.0 ** -54, 0.1)])
+
+
+def test_nan_bounds_raise_and_reversed_bounds_stay_empty():
+    nan = float("nan")
+    m = generate({"type": "cascade", "p": 0.7, "depth": 4})
+    leb = generate({"type": "lebesgue"})
+    assert is_uniform_on(m, 0.5, 0.25) == 0.0
+    assert is_uniform_on(leb, 0.5, 0.25) == 0.0
+    with pytest.raises(ValueError):
+        is_uniform_on(m, nan, 0.5)
+    for a, b in [(0.25, nan), (nan, 0.5)]:
+        with pytest.raises(ValueError):
+            restrict(m, a, b)
+
+
+def _restrict_scan(m, a, b, closed_right=False):
+    """restrict as a masked scan over every atom and piece (reference)."""
+    ax = aw = np.empty(0)
+    if m.atom_x.size:
+        sel = (m.atom_x >= a) & ((m.atom_x <= b) if closed_right
+                                 else (m.atom_x < b))
+        ax, aw = m.atom_x[sel], m.atom_w[sel]
+    pl = pr = pm = np.empty(0)
+    if m.piece_l.size:
+        lo = np.maximum(m.piece_l, a)
+        hi = np.minimum(m.piece_r, b)
+        sel = hi > lo
+        dens = m.piece_m[sel] / (m.piece_r[sel] - m.piece_l[sel])
+        pl, pr, pm = lo[sel], hi[sel], dens * (hi[sel] - lo[sel])
+    return Measure.from_arrays(ax, aw, pl, pr, pm, check=False)
+
+
+def _is_uniform_on_scan(m, a, b):
+    """is_uniform_on as a masked scan over every atom and piece (reference)."""
+    if m.atom_x.size:
+        if np.any((m.atom_x >= a) & (m.atom_x < b)):
+            return None
+    if not m.piece_l.size:
+        return 0.0
+    lo = np.maximum(m.piece_l, a)
+    hi = np.minimum(m.piece_r, b)
+    sel = hi > lo
+    if not np.any(sel):
+        return 0.0
+    dens = m.piece_m[sel] / (m.piece_r[sel] - m.piece_l[sel])
+    d0 = dens[0]
+    if np.any(np.abs(dens - d0) > 1e-15 * max(1.0, abs(d0))):
+        return None
+    lo, hi = lo[sel], hi[sel]
+    if lo[0] > a or hi[-1] < b:
+        return None
+    if np.any(lo[1:] > hi[:-1]):
+        return None
+    return float(d0)
+
+
+def _integrate_two_calls(m, f):
+    """integrate with one antiderivative call per end array (reference)."""
+    out = 0.0
+    if m.atom_x.size:
+        out += float(np.dot(m.atom_w, f(m.atom_x)))
+    if m.piece_l.size:
+        dens = m.piece_m / (m.piece_r - m.piece_l)
+        out += float(np.dot(dens, f.antiderivative_values(m.piece_r)
+                            - f.antiderivative_values(m.piece_l)))
+    return out
+
+
+def test_sliced_queries_equal_the_full_scans():
+    rng = np.random.default_rng(20170)
+    gapped = Measure.make(
+        atoms=[(0.1, 0.2), (0.3125, 0.1), (0.5, 0.05), (0.8, 0.15)],
+        pieces=[(0.0, 0.25, 0.2), (0.3125, 0.5, 0.1), (0.5, 0.625, 0.1),
+                (0.75, 1.0, 0.1)])
+    measures = [_random_measure(rng) for _ in range(8)] + [
+        generate({"type": "cascade", "p": 0.7, "depth": 12}),
+        generate({"type": "cantor", "depth": 10}),
+        gapped,
+    ]
+    for m in measures:
+        # bounds on piece ends and atoms, outside [0, 1] as balls give, and
+        # a few anywhere
+        pts = np.unique(np.concatenate([
+            m.piece_l, m.piece_r, m.atom_x, [-0.25, -1e-3, 0.0, 1.0, 1.25],
+            rng.uniform(-0.2, 1.2, 8)]))
+        pairs = [(pts[i], pts[i + k]) for i in rng.integers(0, pts.size, 60)
+                 for k in (1, 2, 7) if i + k < pts.size]
+        pairs += [tuple(rng.choice(pts, 2, replace=False)) for _ in range(60)]
+        for a, b in pairs:
+            a, b = min(a, b), max(a, b)
+            for closed in (False, True):
+                got = restrict(m, a, b, closed_right=closed)
+                want = _restrict_scan(m, a, b, closed_right=closed)
+                for name in ("atom_x", "atom_w", "piece_l", "piece_r",
+                             "piece_m"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name))
+                assert got.total == want.total
+            for u, v in ((a, b), (b, a), (a, a)):
+                assert is_uniform_on(m, u, v) == _is_uniform_on_scan(m, u, v)
+    casc = generate({"type": "cascade", "p": 0.7, "depth": 14})
+    phi = phi_tent()
+    for j in range(13):
+        for k in range(1 << j):
+            bm = blowup(casc, k / 2 ** j, (k + 1) / 2 ** j)
+            assert integrate(bm, phi) == _integrate_two_calls(bm, phi)
 
 
 def test_cdf_difference_tracks_jumps():

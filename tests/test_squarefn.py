@@ -6,13 +6,7 @@ import pytest
 
 from sqfnlab.alpha import alpha
 from sqfnlab.dyadic import STANDARD, doubling_constant, shifted_systems
-from sqfnlab.measure import (
-    Measure,
-    dyadic_cell_masses,
-    generate,
-    mass,
-    restrict,
-)
+from sqfnlab.measure import dyadic_cell_masses, generate, mass, restrict
 from sqfnlab.squarefn import (
     buckley_ratio,
     carleson_sum,

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from sqfnlab.dyadic import STANDARD
-from sqfnlab.measure import (
-    Measure,
-    cdf_left_values,
-    generate,
-    integrate,
-    mass,
-)
+from sqfnlab.measure import generate, mass
 from sqfnlab.tree import (
     adapted_measure,
     carleson_comparison,
