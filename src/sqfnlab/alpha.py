@@ -10,16 +10,12 @@ masses once per pair on mu; the smooth variant is computed when asked.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
-
-import numpy as np
 
 from .measure import (
     Measure,
     ZERO,
-    _overlap,
     blowup,
     integrate,
     is_uniform_on,
@@ -38,9 +34,7 @@ __all__ = [
     "alpha",
     "alpha_smooth",
     "smooth_bounds_check",
-    "stability_check",
     "epsilon_for_doubling",
-    "select_ball",
 ]
 
 _PHI = phi_tent()
@@ -183,47 +177,6 @@ def smooth_bounds_check(mu: Measure, nu: Measure, I) -> SmoothBoundsReport:
     return SmoothBoundsReport(a_s, 2.0, bound_alpha, ok)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    alpha_s_inner: float
-    alpha_s_outer: float
-    theta: float
-    bound: float
-    observed_ratio: float
-    ok: bool
-
-
-def stability_check(mu: Measure, nu: Measure, inner, outer,
-                    theta=None) -> StabilityReport:
-    """Check alpha_s(I) <= (2/theta) (nu(phi_J)/nu(phi_I)) alpha_s(J).
-
-    inner = I must sit inside outer = J with |I| >= theta |J|.  The
-    constant is the explicit one from the comparability proof: a test
-    function for I, transplanted to J's coordinates, is (1/theta)-Lipschitz
-    and dominated by phi_J / theta, and renormalizing multiplies by the
-    ratio of the tent masses.
-    """
-    a1, b1, c1 = _interval_bounds(inner)
-    a2, b2, c2 = _interval_bounds(outer)
-    if not (a2 <= a1 and b1 <= b2):
-        raise ValueError("inner interval must sit inside outer")
-    if theta is None:
-        theta = (b1 - a1) / (b2 - a2)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if (b1 - a1) < theta * (b2 - a2) - 1e-12:
-        raise ValueError("|inner| < theta |outer|")
-    table = alpha_table(mu, nu)
-    nu_phi_I, nu_phi_J = table.entry(inner).nu_phi, table.entry(outer).nu_phi
-    if nu_phi_I <= 0.0:
-        raise ValueError("stability needs nu(phi_I) > 0")
-    s_I, s_J = alpha_smooth(mu, nu, inner), alpha_smooth(mu, nu, outer)
-    bound = (2.0 / theta) * (nu_phi_J / nu_phi_I) * s_J
-    ratio = s_I / s_J if s_J > 0 else math.inf
-    ok = s_I <= bound + 1e-9
-    return StabilityReport(s_I, s_J, theta, bound, ratio, ok)
-
-
 def epsilon_for_doubling(D):
     """(eps, C) such that alpha(I) < eps forces mu(I) <= C min(children).
 
@@ -234,39 +187,3 @@ def epsilon_for_doubling(D):
     if D < 1:
         raise ValueError("doubling constant must be >= 1")
     return 1.0 / (16.0 * D ** 3), 2.0 * D ** 3
-
-
-def select_ball(mu: Measure, nu: Measure, I: DyadicInterval, samples=8,
-                seed=0) -> Ball:
-    """A near-optimal ball B(x, r) around I at the 2^10-separated scale.
-
-    Centers range over the mu-charged points of I (atoms, midpoints of
-    overlapping density pieces, interval midpoint as fallback); radii are
-    log-spaced in the band [1.1 * 2^(-k+9), 0.9 * 2^(-k+10)] for level k.
-    The returned ball minimizes alpha_smooth over the sampled grid, hence
-    sits within any fixed slack factor of the sampled infimum.  The band
-    gap between consecutive levels (0.2 * 2^(-k+10) > |parent|) makes the
-    selection monotone: nested intervals get nested balls.
-    """
-    k = I.j
-    a, b = I.a, I.b
-    at, pc = _overlap(mu, a, b)
-    lo = np.maximum(mu.piece_l[pc], a)
-    hi = np.minimum(mu.piece_r[pc], b)
-    centers = mu.atom_x[at].tolist() + ((lo + hi) / 2.0).tolist()
-    if not centers:
-        raise ValueError("interval does not meet the support of mu")
-    centers = sorted(set(centers))[: max(samples, 4)]
-    r_lo = 1.1 * 2.0 ** (-k + 9)
-    r_hi = 0.9 * 2.0 ** (-k + 10)
-    radii = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), samples))
-    best = None
-    for x in centers:
-        for r in radii:
-            val = alpha_smooth(mu, nu, Ball(float(x), float(r)))
-            if best is None or val < best[0]:
-                best = (val, float(x), float(r))
-    _, x, r = best
-    ball = Ball(x, r)
-    assert ball.x - ball.r <= a and b <= ball.x + ball.r
-    return ball

@@ -1,9 +1,8 @@
 """Dyadic interval systems on [0, 1): navigation, Delta-numbers, doubling.
 
 A system is a translated dyadic grid: level-j intervals are
-[k 2^-j + s_j, (k+1) 2^-j + s_j).  Constant shifts keep the parent/child
-structure intact; per-level shift tables are allowed for generalized grids
-and are validated constructively.  The window [0, 1) is extended over the
+[k 2^-j + s, (k+1) 2^-j + s) for a constant shift s, which keeps the
+parent/child structure intact.  The window [0, 1) is extended over the
 reals for shifted systems (measures vanish outside [0, 1], so wrapped cells
 simply carry the mass of their visible part).
 """
@@ -21,34 +20,23 @@ __all__ = [
     "DyadicSystem",
     "DyadicInterval",
     "DoublingReport",
-    "TailTip",
     "STANDARD",
     "navigate",
     "containing_interval",
-    "covering_interval",
     "cell_mass",
     "delta",
     "doubling_constant",
-    "tail_tip",
     "shifted_systems",
-    "parse_interval",
-    "check_partition_properties",
 ]
 
 
 @dataclass(frozen=True)
 class DyadicSystem:
-    """A dyadic grid, optionally shifted (constant or per-level table)."""
+    """A dyadic grid, optionally shifted by a constant."""
 
     name: str
     shift: float = 0.0
-    level_shifts: tuple | None = None
     max_level: int = 30
-
-    def shift_at(self, j):
-        if self.level_shifts is not None:
-            return self.level_shifts[j]
-        return self.shift
 
     def interval(self, j, k):
         return DyadicInterval(self, int(j), int(k))
@@ -78,11 +66,11 @@ class DyadicInterval:
 
     @property
     def a(self):
-        return self.k * 2.0 ** (-self.j) + self.system.shift_at(self.j)
+        return self.k * 2.0 ** (-self.j) + self.system.shift
 
     @property
     def b(self):
-        return (self.k + 1) * 2.0 ** (-self.j) + self.system.shift_at(self.j)
+        return (self.k + 1) * 2.0 ** (-self.j) + self.system.shift
 
     def bounds(self):
         return self.a, self.b
@@ -90,27 +78,12 @@ class DyadicInterval:
     def contains_point(self, x):
         return self.a <= x < self.b
 
-    def contains(self, other):
-        return self.a <= other.a and other.b <= self.b
-
-    def text(self):
-        return f"{self.j}:{self.k}@{self.system.name}"
-
     def __repr__(self):
         return f"[{self.a:g}, {self.b:g})@{self.system.name}"
 
 
-def parse_interval(s, systems=None):
-    """Inverse of DyadicInterval.text; systems maps name -> DyadicSystem."""
-    head, name = s.split("@")
-    j, k = head.split(":")
-    if systems is None:
-        systems = {"std": STANDARD}
-    return DyadicInterval(systems[name], int(j), int(k))
-
-
-def navigate(I: DyadicInterval, step, count=1):
-    """parent | left | right | minus_chain(count) | plus_chain(count)."""
+def navigate(I: DyadicInterval, step):
+    """The parent, left child or right child of I (step names which)."""
     if step == "parent":
         if I.j == 0:
             raise ValueError("root interval has no parent")
@@ -119,69 +92,15 @@ def navigate(I: DyadicInterval, step, count=1):
         return DyadicInterval(I.system, I.j + 1, 2 * I.k)
     if step == "right":
         return DyadicInterval(I.system, I.j + 1, 2 * I.k + 1)
-    if step == "minus_chain":
-        out = I
-        for _ in range(count):
-            out = navigate(out, "left")
-        return out
-    if step == "plus_chain":
-        out = I
-        for _ in range(count):
-            out = navigate(out, "right")
-        return out
     raise ValueError(f"unknown step {step!r}")
-
-
-def check_partition_properties(system: DyadicSystem, depth=8):
-    """Constructive check of the grid axioms up to the given depth.
-
-    Each level must partition the (extended) window with cells of length
-    2^-j, and every cell must split into exactly two cells of the next
-    level.  For per-level shift tables this requires the shifts to agree
-    modulo the finer grid.
-    """
-    for j in range(depth):
-        s0 = system.shift_at(j)
-        s1 = system.shift_at(j + 1)
-        q = (s0 - s1) * 2.0 ** (j + 1)
-        if abs(q - round(q)) > 1e-12:
-            raise ValueError(
-                f"{system.name}: level {j} cells do not split into level "
-                f"{j + 1} cells (shift mismatch)")
-    return True
 
 
 def containing_interval(system: DyadicSystem, x, level):
     """The unique level-`level` interval of the system containing x."""
     if level > system.max_level:
         raise ValueError("level overflow")
-    k = math.floor((x - system.shift_at(level)) * (1 << level))
+    k = math.floor((x - system.shift) * (1 << level))
     return DyadicInterval(system, level, k)
-
-
-def covering_interval(systems, x, r):
-    """An interval J from one of the systems with [x-r, x+r] inside J.
-
-    Uses the level with 2^-j in [8r, 16r), so |J| <= 8 * (2r); the grids
-    must include two (or three) mutually shifted copies for the cover to
-    exist for every position (boundaries of distinct grids at the same
-    level stay at least 2^-j / 3 apart).
-    """
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if r > 2.0 ** -3:
-        raise ValueError("radius above the covering threshold 2^-3")
-    j = math.floor(math.log2(1.0 / (8.0 * r)))
-    # guard against roundoff on the band edge
-    while 2.0 ** (-j) < 8.0 * r:
-        j -= 1
-    while 2.0 ** (-j) >= 16.0 * r:
-        j += 1
-    for system in systems:
-        J = containing_interval(system, x - r, j)
-        if x + r <= J.b:
-            return J
-    raise AssertionError("no covering interval; incompatible system shifts")
 
 
 def shifted_systems(count):
@@ -199,7 +118,7 @@ def shifted_systems(count):
 
 def cell_mass(m: Measure, I: DyadicInterval):
     """m(I) for a cell of the standard grid, from the per-level cache."""
-    if I.system.shift_at(I.j) != 0.0 or not 0 <= I.k < 1 << I.j:
+    if I.system.shift != 0.0 or not 0 <= I.k < 1 << I.j:
         raise ValueError(f"{I} is not a standard dyadic cell")
     return float(dyadic_cell_masses(m, I.j)[I.k])
 
@@ -259,80 +178,3 @@ def doubling_constant(nu: Measure, depth=10) -> DoublingReport:
             break
         prev = cells
     return DoublingReport(worst, witness, depth)
-
-
-# ---------------------------------------------------------------------------
-# Tail / Tip index sets
-
-
-@dataclass(frozen=True)
-class TailTip:
-    """The two nested branches below I used by the Delta-vs-alpha estimate.
-
-    tail_minus: I, I_-, I_--, ... (N1 + 1 intervals)
-    tail_plus:  right descendants of I_-: (I_-)_+, ((I_-)_+)_+, ...
-                (N2 + 1 intervals; empty in the degenerate N2 = -1 case)
-    tip: the next interval of each branch (empty when both chains are
-         infinite: the nested intersection is a single point)
-    """
-
-    tail_minus: tuple
-    tail_plus: tuple
-    tip: tuple
-    n1: object
-    n2: object
-    truncated: bool = False
-
-    @property
-    def tail(self):
-        return self.tail_minus + self.tail_plus
-
-
-def tail_tip(I: DyadicInterval, n1, n2) -> TailTip:
-    """Index sets Tail_I(N1, N2) and Tip_I.
-
-    N1 >= 0 and N2 >= -1 (N2 = -1 only with N1 = 0, giving Tail = {I} and
-    Tip = I_-).  Infinite values truncate the chains at the system's max
-    level and flag the result; the tip is then empty.
-    """
-    inf1 = n1 == math.inf
-    inf2 = n2 == math.inf
-    if not inf1 and n1 < 0:
-        raise ValueError("N1 must be >= 0")
-    if not inf2 and n2 < -1:
-        raise ValueError("N2 must be >= -1")
-    if not inf2 and n2 == -1 and n1 != 0:
-        raise ValueError("N2 = -1 requires N1 = 0")
-    cap = I.system.max_level - I.j - 2
-    truncated = False
-    if inf1 or n1 > cap:
-        n1_eff, truncated = cap, True
-    else:
-        n1_eff = int(n1)
-    if inf2 or n2 > cap:
-        n2_eff, truncated = cap, True
-    else:
-        n2_eff = int(n2)
-    if n1_eff < 0 or n2_eff < -1:
-        raise ValueError("level overflow")
-
-    minus = [I]
-    for _ in range(n1_eff):
-        minus.append(navigate(minus[-1], "left"))
-    I_minus = navigate(I, "left")
-    plus = []
-    cur = I_minus
-    for _ in range(n2_eff + 1):
-        cur = navigate(cur, "right")
-        plus.append(cur)
-    tip = []
-    if not inf1 and n1 <= cap:
-        tip.append(navigate(minus[-1], "left"))
-    if not inf2 and n2 <= cap:
-        base = plus[-1] if plus else I_minus
-        tip.append(navigate(base, "right"))
-    # report the union: drop tip pieces nested inside another piece (the
-    # degenerate N2 = -1 case yields right(I_-) inside left(I))
-    tip = [T for T in tip
-           if not any(U is not T and U.contains(T) for U in tip)]
-    return TailTip(tuple(minus), tuple(plus), tuple(tip), n1, n2, truncated)

@@ -11,7 +11,6 @@ cascades) stay cheap to restrict, blow up and integrate.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ __all__ = [
     "scale",
     "dyadic_cell_masses",
     "is_uniform_on",
-    "measure_to_json",
-    "measure_from_json",
     "phi_tent",
 ]
 
@@ -196,6 +193,8 @@ class PiecewiseLinearFn:
         vy = _ro(np.atleast_1d(np.asarray(values, dtype=float)))
         if bx.size != vy.size or bx.size < 2:
             raise ValueError("need matching breakpoints/values, at least two")
+        if not (np.isfinite(bx).all() and np.isfinite(vy).all()):
+            raise ValueError("breakpoints and values must be finite")
         if np.any(np.diff(bx) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         return PiecewiseLinearFn(bx, vy)
@@ -220,9 +219,6 @@ class PiecewiseLinearFn:
 
     def lipschitz_constant(self):
         return float(np.max(np.abs(np.diff(self.values) / np.diff(self.breakpoints))))
-
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
 
     def scaled(self, c):
         return PiecewiseLinearFn(self.breakpoints, _ro(self.values * c))
@@ -415,7 +411,7 @@ def _atoms_at(m: Measure, x):
 
 def mass(m: Measure, a, b, closed_right=False):
     """Mass of [a, b) (default) or [a, b]."""
-    if b < a:
+    if not a <= b:  # reversed or NaN
         raise ValueError("need a <= b")
     lo = max(a, 0.0)
     hi = min(b, 1.0)
@@ -608,21 +604,3 @@ def integrate(m: Measure, f: PiecewiseLinearFn):
         F = f.antiderivative_values(np.concatenate([m.piece_r, m.piece_l]))
         out += float(np.dot(dens, F[:dens.size] - F[dens.size:]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def measure_to_json(m: Measure):
-    return json.dumps({
-        "atoms": [[float(x), float(w)] for x, w in zip(m.atom_x, m.atom_w)],
-        "pieces": [[float(l), float(r), float(mm)]
-                   for l, r, mm in zip(m.piece_l, m.piece_r, m.piece_m)],
-        "total": m.total,
-    }, sort_keys=True)
-
-
-def measure_from_json(s):
-    d = json.loads(s)
-    return Measure.make(atoms=d["atoms"], pieces=d["pieces"])

@@ -46,7 +46,6 @@ __all__ = [
     "delta_level_sums",
     "tolsa_l2",
     "cz_decompose",
-    "martingale_diff",
     "domination_check",
 ]
 
@@ -127,13 +126,12 @@ def dyadic_square_profile(mu: Measure, nu: Measure, system=STANDARD,
     return SquareFunctionProfile(pts, np.arange(depth + 1), sums, "dyadic")
 
 
-def continuous_square_profile(mu: Measure, nu: Measure, points, r_min,
-                              pts_per_octave=4):
+def continuous_square_profile(mu: Measure, nu: Measure, points, r_min):
     """Trapezoid quadrature of alpha_s^2(B(x, r)) dr/r from r_min to 1.
 
-    The grid is refined (nodes per octave doubled) until the total changes
-    by less than 1%.  Partial sums run from r = 1 downward, so they grow
-    as the radius shrinks.
+    The grid starts at 4 nodes per octave and is refined (nodes per octave
+    doubled) until the total changes by less than 1%.  Partial sums run
+    from r = 1 downward, so they grow as the radius shrinks.
     """
     if r_min <= 0 or r_min >= 1:
         raise ValueError("need 0 < r_min < 1")
@@ -156,7 +154,7 @@ def continuous_square_profile(mu: Measure, nu: Measure, points, r_min,
             [np.zeros((pts.size, 1)), np.cumsum(seg[:, ::-1], axis=1)], axis=1)
         return radii[::-1], csum  # radii decreasing, sums increasing
 
-    ppo = pts_per_octave
+    ppo = 4
     radii, sums = quad(ppo)
     for _ in range(3):
         radii2, sums2 = quad(2 * ppo)
@@ -272,21 +270,20 @@ def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):
 # Tolsa-style L2 bound
 
 
-def tolsa_l2(gdensity: Measure, nu: Measure, depth=8, gdepth=None):
+def tolsa_l2(gdensity: Measure, nu: Measure, depth=8):
     """(lhs, l2norm, ratio) for the squared-alpha L2 bound.
 
-    gdensity is mu = g dnu with g piecewise constant at resolution gdepth
-    (inferred from the piece count when omitted).  lhs sums
+    gdensity is mu = g dnu with g piecewise constant on the dyadic cells of
+    level ceil(log2(pieces)), read from its piece count.  lhs sums
     alpha^2(I) mu(I)^2 / nu(I) over levels <= depth; l2norm is int g^2 dnu.
     """
     mu = gdensity
     if mu.atom_x.size:
         raise ValueError("density measure cannot carry atoms")
-    if gdepth is None:
-        n = max(mu.piece_l.size, 1)
-        gdepth = max(int(math.ceil(math.log2(n))), 0)
-    mu_cells = dyadic_cell_masses(mu, gdepth)
-    nu_cells = dyadic_cell_masses(nu, gdepth)
+    n = max(mu.piece_l.size, 1)
+    level = max(int(math.ceil(math.log2(n))), 0)
+    mu_cells = dyadic_cell_masses(mu, level)
+    nu_cells = dyadic_cell_masses(nu, level)
     if np.any((mu_cells > 0) & (nu_cells == 0)):
         raise ValueError("mu is not absolutely continuous at g-resolution")
     ok = nu_cells > 0
@@ -368,37 +365,6 @@ def cz_decompose(mu: Measure, nu: Measure, lam, depth=10) -> CZDecomposition:
     return CZDecomposition(float(lam), tuple(bad), good, tuple(ratios), depth)
 
 
-def martingale_diff(gdensity: Measure, nu: Measure, I=None, depth=8):
-    """Child-average tables of the nu-martingale differences of g.
-
-    Returns {(j, k): (parent_avg, left_avg, right_avg)} for standard
-    intervals with nu-mass below I; averages are mu(J)/nu(J) with
-    mu = g dnu.
-    """
-    if I is None:
-        I = STANDARD.root()
-    out = {}
-
-    def rec(J):
-        nJ = cell_mass(nu, J)
-        if nJ == 0.0 or J.j >= depth:
-            return
-        L, R = navigate(J, "left"), navigate(J, "right")
-        nL = cell_mass(nu, L)
-        nR = nJ - nL
-        if nL == 0.0 or nR == 0.0:
-            return
-        avg = cell_mass(gdensity, J) / nJ
-        la = cell_mass(gdensity, L) / nL
-        ra = cell_mass(gdensity, R) / nR
-        out[(J.j, J.k)] = (avg, la, ra)
-        rec(L)
-        rec(R)
-
-    rec(I)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # continuous-vs-dyadic domination
 
@@ -413,8 +379,8 @@ class DominationReport:
     ok: bool
 
 
-def domination_check(mu: Measure, nu: Measure, x, r, systems,
-                     level_offset=0) -> DominationReport:
+def domination_check(mu: Measure, nu: Measure, x, r,
+                     systems) -> DominationReport:
     """alpha_s^2(B(x, r)) against the best shifted-system interval bound.
 
     For each system whose level-j interval J contains B (with
@@ -432,7 +398,7 @@ def domination_check(mu: Measure, nu: Measure, x, r, systems,
         j -= 1
     while 2.0 ** (-j) >= 16.0 * r:
         j += 1
-    j = max(j + level_offset, 0)
+    j = max(j, 0)
     best = math.inf
     used = []
     for system in systems:

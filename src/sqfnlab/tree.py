@@ -19,12 +19,9 @@ import numpy as np
 from .measure import (
     Measure,
     PiecewiseLinearFn,
-    combine,
     integrate,
     mass,
     normalized_blowup,
-    restrict,
-    scale,
 )
 from .dyadic import STANDARD, DyadicInterval, cell_mass, delta, navigate
 from .alpha import _interval_bounds, alpha_table
@@ -35,8 +32,6 @@ __all__ = [
     "Forest",
     "HaarSystem",
     "stopping_forest",
-    "tree_doubling_check",
-    "adapted_measure",
     "haar",
     "product_check",
     "partial_sum_g",
@@ -172,55 +167,6 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
         trees.append(Tree(top, frozenset(members), tuple(leaves), max_depth))
     trees.sort(key=lambda t: (t.top.j, t.top.k))
     return Forest(tuple(trees), epsilon, max_depth)
-
-
-@dataclass(frozen=True)
-class TreeDoublingReport:
-    constant: float
-    worst_interval: DyadicInterval | None
-    ok: bool
-
-
-def tree_doubling_check(mu: Measure, tree: Tree, D=None) -> TreeDoublingReport:
-    """Worst mu(parent)/mu(member) over non-top members of the tree."""
-    worst = 1.0
-    witness = None
-    for I in tree.member_intervals():
-        if I.j == tree.top.j:
-            continue
-        mI = cell_mass(mu, I)
-        mP = cell_mass(mu, navigate(I, "parent"))
-        if mP == 0.0:
-            continue
-        r = math.inf if mI == 0.0 else mP / mI
-        if r > worst:
-            worst, witness = r, I
-    ok = True if D is None else worst <= D + 1e-12
-    return TreeDoublingReport(worst, witness, ok)
-
-
-def adapted_measure(nu: Measure, mu: Measure, tree: Tree) -> Measure:
-    """nu on the tree boundary plus (nu/mu)(leaf) * mu on each leaf.
-
-    The result agrees with nu on every tree member.
-    """
-    a0, b0 = tree.top.a, tree.top.b
-    if tree.lazy_full or not tree.leaves:
-        return restrict(nu, a0, b0)
-    parts = []
-    cursor = a0
-    for L in sorted(tree.leaves, key=lambda L: L.a):
-        if L.a > cursor:
-            parts.append(restrict(nu, cursor, L.a))
-        mL = cell_mass(mu, L)
-        nL = cell_mass(nu, L)
-        if mL == 0.0:
-            raise ValueError(f"leaf {L} carries no mu-mass")
-        parts.append(scale(restrict(mu, L.a, L.b), nL / mL))
-        cursor = L.b
-    if cursor < b0:
-        parts.append(restrict(nu, cursor, b0))
-    return combine(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +377,19 @@ class RepresentationReport:
 
 
 def representation_check(mu: Measure, nu: Measure, side="minus", tau=1 / 16,
-                         N=6, kmax=None) -> RepresentationReport:
+                         N=6) -> RepresentationReport:
     """Evaluate both sides of the telescoping transport inequality.
 
     For the bump series Psi = sum psi_j on the nested chain I_0 > I_1 > ...
     the difference |int Psi dmu - int Psi dnu| is bounded by alpha terms
     (Lipschitz constant times length times alpha times mass), delta terms
     weighted by exact nu-tail factors, and 2 ||Psi||_inf mu(I_{N+1}).
-    Measures must be probabilities on [0, 1).
+    The series runs to N + 16 bumps.  Measures must be probabilities on
+    [0, 1).
     """
-    if kmax is None:
-        kmax = N + 16
     if abs(mu.total - 1.0) > 1e-9 or abs(nu.total - 1.0) > 1e-9:
         raise ValueError("representation check expects probability measures")
-    funcs, ints = _chain(side, tau, kmax)
+    funcs, ints = _chain(side, tau, N + 16)
     mu_ints = np.array([integrate(mu, f) for f in funcs])
     nu_ints = np.array([integrate(nu, f) for f in funcs])
     lhs = abs(float(mu_ints.sum() - nu_ints.sum()))
@@ -487,8 +432,8 @@ class TailTipReport:
     ok: bool
 
 
-def tailtip_check(mu: Measure, nu: Measure, I, tau=1 / 16, N1=0, N2=-1,
-                  kmax=None) -> TailTipReport:
+def tailtip_check(mu: Measure, nu: Measure, I, tau=1 / 16, N1=0,
+                  N2=-1) -> TailTipReport:
     """Delta(I) mu(I) against the Tail-Tip right-hand side.
 
     Works on the blow-ups of both measures onto I (alpha and Delta are
@@ -502,8 +447,8 @@ def tailtip_check(mu: Measure, nu: Measure, I, tau=1 / 16, N1=0, N2=-1,
     mU = normalized_blowup(mu, a, b)
     nU = normalized_blowup(nu, a, b)
     plus_N = 0 if N2 == -1 else N2 + 2
-    rm = representation_check(mU, nU, "minus", tau, N1, kmax)
-    rp = representation_check(mU, nU, "plus", tau, plus_N, kmax)
+    rm = representation_check(mU, nU, "minus", tau, N1)
+    rp = representation_check(mU, nU, "plus", tau, plus_N)
     lhs = delta(mu, nu, (a, b)) * mI
     alpha_sum = (rm.alpha_term + rp.alpha_term) * mI
     delta_sum = (rm.delta_term + rp.delta_term) * mI

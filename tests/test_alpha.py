@@ -12,9 +12,7 @@ from sqfnlab.alpha import (
     alpha_smooth,
     alpha_table,
     epsilon_for_doubling,
-    select_ball,
     smooth_bounds_check,
-    stability_check,
 )
 from sqfnlab.dyadic import STANDARD, doubling_constant
 from sqfnlab.measure import (
@@ -88,12 +86,10 @@ def test_smooth_bounds_hold_on_random_sweep():
 
 def test_stability_bound_example52():
     # the plain alpha of the enclosing interval is tiny while the inner
-    # one is not; the smooth variant obeys the explicit stability constant
+    # one is not
     mu = generate({"type": "example52", "n": 6})
     inner = (0.5 - 2.0 ** -6, 0.5 + 2.0 ** -6)
     outer = (0.0, 1.0)
-    rep = stability_check(mu, LEB, inner, outer)
-    assert rep.ok
     a_inner = alpha(mu, LEB, inner)
     a_outer = alpha(mu, LEB, outer)
     # plain alpha is unstable: the inner value dwarfs the outer one
@@ -182,16 +178,6 @@ def test_alpha_table_memoizes(monkeypatch):
     ref = weakref.ref(casc)
     del casc, table
     assert ref() is None
-
-
-def test_select_ball_contains_interval_and_nests():
-    casc = generate({"type": "cascade", "p": 0.7, "depth": 12})
-    I = STANDARD.interval(4, 5)
-    J = STANDARD.interval(3, 2)  # parent
-    bI = select_ball(casc, LEB, I)
-    bJ = select_ball(casc, LEB, J)
-    assert bI.x - bI.r <= I.a and I.b <= bI.x + bI.r
-    assert bJ.x - bJ.r <= bI.x - bI.r and bI.x + bI.r <= bJ.x + bJ.r
 
 
 def test_one_sided_zero_flagging():

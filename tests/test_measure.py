@@ -1,11 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from sqfnlab.measure import (
     BoundaryAtomWarning,
     Measure,
+    PiecewiseLinearFn,
     blowup,
     cdf_difference,
     cdf_left_values,
@@ -15,8 +14,6 @@ from sqfnlab.measure import (
     integrate,
     is_uniform_on,
     mass,
-    measure_from_json,
-    measure_to_json,
     normalized_blowup,
     phi_tent,
     restrict,
@@ -55,6 +52,14 @@ def test_non_finite_input_is_rejected():
             validate_spec(spec)
         with pytest.raises(ValueError):
             generate(spec)
+    for bx, vy in [
+        ([0.0, nan, 1.0], [0.0, 1.0, 0.0]),
+        ([0.0, 0.5, inf], [0.0, 1.0, 0.0]),
+        ([0.0, 0.5, 1.0], [0.0, nan, 0.0]),
+        ([0.0, 0.5, 1.0], [0.0, -inf, 0.0]),
+    ]:
+        with pytest.raises(ValueError):
+            PiecewiseLinearFn.make(bx, vy)
 
 
 def test_mass_half_open_vs_closed():
@@ -189,6 +194,9 @@ def test_nan_bounds_raise_and_reversed_bounds_stay_empty():
     for a, b in [(0.25, nan), (nan, 0.5)]:
         with pytest.raises(ValueError):
             restrict(m, a, b)
+    for a, b in [(0.25, nan), (nan, 0.5), (nan, nan)]:
+        with pytest.raises(ValueError):
+            mass(m, a, b)
 
 
 def _restrict_scan(m, a, b, closed_right=False):
@@ -293,14 +301,6 @@ def test_cdf_difference_tracks_jumps():
     i = np.searchsorted(x0, 0.5)
     assert g0[i] == pytest.approx(0.5, abs=1e-15)
     assert g1[i - 1] == pytest.approx(-0.5, abs=1e-15)
-
-
-def test_json_roundtrip():
-    m = Measure.make(atoms=[(0.3, 0.4)], pieces=[(0.0, 0.5, 0.6)])
-    m2 = measure_from_json(json.loads(json.dumps(measure_to_json(m))))
-    xs = np.linspace(0, 1, 17)
-    np.testing.assert_allclose(cdf_left_values(m2, xs),
-                               cdf_left_values(m, xs), atol=0)
 
 
 def test_validate_spec_flags_boundary_atoms():

@@ -15,7 +15,6 @@ from sqfnlab.squarefn import (
     delta_level_sums,
     domination_check,
     dyadic_square_profile,
-    martingale_diff,
     mu_sampled_points,
     tolsa_l2,
 )
@@ -142,27 +141,6 @@ def test_cz_decomposition_invariants():
 def test_cz_rejects_lambda_below_one():
     with pytest.raises(ValueError):
         cz_decompose(LEB, LEB, 0.5)
-
-
-def test_martingale_differences_reconstruct_averages():
-    rng = np.random.default_rng(17)
-    cells = rng.uniform(0.2, 1.0, 64)
-    cells /= cells.sum()
-    g = generate({"type": "histogram", "cells": cells.tolist()})
-    tab = martingale_diff(g, LEB, depth=6)
-    for (j, k), (avg, la, ra) in tab.items():
-        # nu-orthogonality: children average back to the parent
-        assert 0.5 * (la + ra) == pytest.approx(avg, abs=1e-12)
-    # telescoping down a chain reproduces the cell average
-    x = 41.5 / 64
-    cur = (0, 0)
-    val = tab[(0, 0)][0]
-    for j in range(6):
-        _, la, ra = tab[cur]
-        k = int(x * (1 << (j + 1)))
-        val = ra if k % 2 else la
-        cur = (j + 1, k)
-    assert val == pytest.approx(cells[41] * 64, rel=1e-12)
 
 
 def test_domination_by_covering_intervals():

@@ -6,7 +6,6 @@ import pytest
 from sqfnlab.dyadic import STANDARD
 from sqfnlab.measure import generate, mass
 from sqfnlab.tree import (
-    adapted_measure,
     carleson_comparison,
     coefficient_identity_gap,
     g_cell_values,
@@ -17,7 +16,6 @@ from sqfnlab.tree import (
     representation_check,
     stopping_forest,
     tailtip_check,
-    tree_doubling_check,
     whitney_partition,
 )
 
@@ -61,21 +59,6 @@ def test_zero_mass_top_becomes_lazy_full_tree():
     assert lazies
     for t in lazies:
         assert mass(cantor, t.top.a, t.top.b) == 0.0
-
-
-def test_tree_doubling_check_on_full_tree():
-    tree = _full_tree(5)
-    rep = tree_doubling_check(CASC, tree)
-    assert rep.constant == pytest.approx(1.0 / 0.3, rel=1e-9)
-
-
-def test_adapted_measure_agrees_on_members():
-    tree = _full_tree(5)
-    nt = adapted_measure(CASC, LEB, tree)
-    for (j, k) in [(0, 0), (2, 3), (5, 17)]:
-        I = STANDARD.interval(j, k)
-        assert mass(nt, I.a, I.b) == pytest.approx(
-            mass(CASC, I.a, I.b), abs=1e-12)
 
 
 def test_haar_coefficient_forms_agree():
