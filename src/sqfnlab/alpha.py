@@ -4,14 +4,17 @@ alpha(I) is the supported Wasserstein distance between the probability
 blow-ups of two measures onto I.  alpha_smooth(I) normalizes the blow-ups
 by the tent-weighted masses mu(phi_I), nu(phi_I) instead; this variant is
 stable under moving to comparable enclosing intervals, which the plain
-version is not.  alpha_table(mu, nu) memoizes the plain alpha and the tent
-masses once per pair on mu; the smooth variant is computed when asked.
+version is not.  alpha_table(mu, nu) memoizes the plain alpha and the
+one-sided-zero flag once per pair on mu; the smooth variant and the tent
+masses are computed when asked.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+
+import numpy as np
 
 from .measure import (
     Measure,
@@ -68,9 +71,7 @@ def _interval_bounds(I):
 @dataclass(frozen=True)
 class AlphaEntry:
     alpha: float
-    mu_phi: float
-    nu_phi: float
-    one_sided_zero: bool
+    one_sided_zero: bool  # exactly one blow-up has zero tent mass
 
 
 class AlphaTable:
@@ -125,19 +126,28 @@ def _w1_normalized(bu, cu, bv, cv):
                         scale(bv, 1.0 / cv) if cv > 0 else ZERO).value
 
 
+def _tent_null(bm):
+    """Whether bm(phi) == 0 for a blow-up bm: phi vanishes only at 0 and 1."""
+    return bm.piece_l.size == 0 and bool(
+        np.all((bm.atom_x == 0.0) | (bm.atom_x == 1.0)))
+
+
 def _compute_entry(mu, nu, a, b, closed):
-    uniform = _uniform_densities(mu, nu, a, b, closed)
-    if uniform is not None:
-        L = b - a
-        return AlphaEntry(0.0, uniform[0] * L / 4.0, uniform[1] * L / 4.0,
-                          False)
+    if _uniform_densities(mu, nu, a, b, closed) is not None:
+        return AlphaEntry(0.0, False)
     bu = blowup(mu, a, b, closed_right=closed)
     bv = blowup(nu, a, b, closed_right=closed)
-    a_plain = _w1_normalized(bu, bu.total, bv, bv.total)
-    mu_phi = integrate(bu, _PHI)
-    nu_phi = integrate(bv, _PHI)
-    flag = (mu_phi == 0.0) != (nu_phi == 0.0) and (bu.total > 0 and bv.total > 0)
-    return AlphaEntry(a_plain, mu_phi, nu_phi, flag)
+    flag = bu.total > 0 and bv.total > 0 and _tent_null(bu) != _tent_null(bv)
+    return AlphaEntry(_w1_normalized(bu, bu.total, bv, bv.total), flag)
+
+
+def _nu_tent_mass(mu, nu, I):
+    """nu(phi_I) of nu's blow-up onto I; c L / 4 when both are uniform on I."""
+    a, b, closed = _interval_bounds(I)
+    uniform = _uniform_densities(mu, nu, a, b, closed)
+    if uniform is not None:
+        return uniform[1] * (b - a) / 4.0
+    return integrate(blowup(nu, a, b, closed_right=closed), _PHI)
 
 
 def alpha(mu: Measure, nu: Measure, I):
@@ -148,11 +158,12 @@ def alpha(mu: Measure, nu: Measure, I):
 def alpha_smooth(mu: Measure, nu: Measure, I):
     """W1 of the tent-normalized blow-ups onto I, computed on every call."""
     a, b, closed = _interval_bounds(I)
-    e = alpha_table(mu, nu).entry(I)
+    alpha_table(mu, nu).entry(I)  # memoized and flagged as a plain read
     if _uniform_densities(mu, nu, a, b, closed) is not None:
         return 0.0
-    return _w1_normalized(blowup(mu, a, b, closed_right=closed), e.mu_phi,
-                          blowup(nu, a, b, closed_right=closed), e.nu_phi)
+    bu = blowup(mu, a, b, closed_right=closed)
+    bv = blowup(nu, a, b, closed_right=closed)
+    return _w1_normalized(bu, integrate(bu, _PHI), bv, integrate(bv, _PHI))
 
 
 @dataclass(frozen=True)
@@ -166,12 +177,13 @@ class SmoothBoundsReport:
 def smooth_bounds_check(mu: Measure, nu: Measure, I) -> SmoothBoundsReport:
     """Check alpha_s <= 2 and alpha_s <= 2 alpha / nu_I(phi)."""
     a, b, closed = _interval_bounds(I)
-    e = alpha_table(mu, nu).entry(I)
+    a_plain = alpha_table(mu, nu).alpha(I)
+    nu_phi = _nu_tent_mass(mu, nu, I)
     nI = mass(nu, a, b, closed_right=closed)
-    if e.nu_phi <= 0.0 or nI <= 0.0:
+    if nu_phi <= 0.0 or nI <= 0.0:
         raise ValueError("smooth bounds need nu(phi_I) > 0")
-    nu_frac = e.nu_phi / nI
-    bound_alpha = 2.0 * e.alpha / nu_frac
+    nu_frac = nu_phi / nI
+    bound_alpha = 2.0 * a_plain / nu_frac
     a_s = alpha_smooth(mu, nu, I)
     ok = a_s <= min(2.0, bound_alpha) + 1e-9
     return SmoothBoundsReport(a_s, 2.0, bound_alpha, ok)

@@ -175,7 +175,6 @@ def _check(name, lhs, rhs, tol=0.0, note=""):
 
 def _suite_checks(cfg, mu, nu, tols):
     """The common scenario suite; returns (checks, profiles, extras)."""
-    name = cfg["scenario"]
     depth = int(cfg["depth"])
     seed = int(cfg["seed"])
     checks = []
@@ -183,7 +182,6 @@ def _suite_checks(cfg, mu, nu, tols):
     profiles = {}
     tol_exact = tols.get("exact", TOL_EXACT)
     tol_accum = tols.get("accumulation", TOL_ACCUM)
-    tol_stat = tols.get("statistical", TOL_STAT)
 
     drep = doubling_constant(nu, depth=min(depth, 10))
     extras["doubling_constant"] = drep.constant
@@ -249,7 +247,7 @@ def _suite_checks(cfg, mu, nu, tols):
     # square function profile and classification
     if cell_mass(mu, STANDARD.root()) > 0 and mu.piece_l.size:
         pts = mu_sampled_points(mu, 16, depth + 4, seed=seed)
-        prof = dyadic_square_profile(mu, nu, STANDARD, pts, depth=depth)
+        prof = dyadic_square_profile(mu, nu, pts, depth=depth)
         profiles["square_dyadic"] = prof
         slopes = prof.slopes()
         tail = prof.final_increments(max(depth - 2, 0))
@@ -368,11 +366,10 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
         checks.append(_check("classified_ac",
                              0.0 if extras.get("classification") ==
                              "absolutely continuous" else 1.0, 0.0))
-        rng = np.random.default_rng(seed)
         cz = cz_decompose(mu, nu, 2.0, depth=min(depth, 10))
         checks.append(_check("cz_bad_union", cz.bad_union_nu(nu), 0.5,
                              note="nu(union of bad) < 1/lambda"))
-        lhs, l2, ratio = tolsa_l2(mu, nu, depth=min(depth, 10))
+        _, _, ratio = tolsa_l2(mu, nu, depth=min(depth, 10))
         extras["tolsa_ratio"] = ratio
         checks.append(_check("tolsa_finite", ratio, 1e6))
 

@@ -20,6 +20,7 @@ __all__ = [
     "DyadicSystem",
     "DyadicInterval",
     "DoublingReport",
+    "MAX_LEVEL",
     "STANDARD",
     "navigate",
     "containing_interval",
@@ -30,13 +31,15 @@ __all__ = [
 ]
 
 
+MAX_LEVEL = 30  # the finest level of every grid
+
+
 @dataclass(frozen=True)
 class DyadicSystem:
     """A dyadic grid, optionally shifted by a constant."""
 
     name: str
     shift: float = 0.0
-    max_level: int = 30
 
     def interval(self, j, k):
         return DyadicInterval(self, int(j), int(k))
@@ -57,8 +60,8 @@ class DyadicInterval:
     k: int
 
     def __post_init__(self):
-        if self.j < 0 or self.j > self.system.max_level:
-            raise ValueError(f"level {self.j} outside 0..{self.system.max_level}")
+        if self.j < 0 or self.j > MAX_LEVEL:
+            raise ValueError(f"level {self.j} outside 0..{MAX_LEVEL}")
 
     @property
     def length(self):
@@ -74,9 +77,6 @@ class DyadicInterval:
 
     def bounds(self):
         return self.a, self.b
-
-    def contains_point(self, x):
-        return self.a <= x < self.b
 
     def __repr__(self):
         return f"[{self.a:g}, {self.b:g})@{self.system.name}"
@@ -97,7 +97,7 @@ def navigate(I: DyadicInterval, step):
 
 def containing_interval(system: DyadicSystem, x, level):
     """The unique level-`level` interval of the system containing x."""
-    if level > system.max_level:
+    if level > MAX_LEVEL:
         raise ValueError("level overflow")
     k = math.floor((x - system.shift) * (1 << level))
     return DyadicInterval(system, level, k)

@@ -27,7 +27,6 @@ __all__ = [
     "cdf_left",
     "cdf_left_values",
     "cdf_difference",
-    "CdfDifference",
     "blowup",
     "restrict",
     "normalized_blowup",
@@ -72,7 +71,8 @@ class Measure:
     total: float = field(default=0.0)
 
     @staticmethod
-    def from_arrays(atom_x, atom_w, piece_l, piece_r, piece_m, check=True):
+    def from_arrays(atom_x, atom_w, piece_l, piece_r, piece_m):
+        """A checked Measure from arrays in any order; zero weights dropped."""
         ax = np.asarray(atom_x, dtype=float).ravel()
         aw = np.asarray(atom_w, dtype=float).ravel()
         pl = np.asarray(piece_l, dtype=float).ravel()
@@ -86,10 +86,8 @@ class Measure:
         pl, pr, pm = pl[keep], pr[keep], pm[keep]
         order = np.argsort(pl, kind="stable")
         pl, pr, pm = pl[order], pr[order], pm[order]
-        m = Measure(_ro(ax), _ro(aw), _ro(pl), _ro(pr), _ro(pm),
-                    float(aw.sum() + pm.sum()))
-        if check:
-            m._check()
+        m = _derived(ax, aw, pl, pr, pm)
+        m._check()
         return m
 
     @staticmethod
@@ -175,6 +173,14 @@ class Measure:
     def __repr__(self):
         return (f"Measure(total={self.total:.6g}, atoms={self.atom_x.size}, "
                 f"pieces={self.piece_l.size})")
+
+
+def _derived(ax, aw, pl, pr, pm):
+    """A Measure from slices or monotone maps of a checked measure's arrays,
+    which are already sorted, nonzero and valid.
+    """
+    ax, aw, pl, pr, pm = (_ro(v) for v in (ax, aw, pl, pr, pm))
+    return Measure(ax, aw, pl, pr, pm, float(aw.sum() + pm.sum()))
 
 
 ZERO = Measure.make()
@@ -343,8 +349,7 @@ def generate(spec):
             masses = np.stack([masses * p, masses * (1.0 - p)], axis=-1).reshape(-1)
         n = masses.size
         edges = np.arange(n + 1) / n
-        return Measure.from_arrays([], [], edges[:-1], edges[1:], masses,
-                                   check=False)
+        return Measure.from_arrays([], [], edges[:-1], edges[1:], masses)
     if t == "cantor":
         rl, rr = spec.get("ratios", (0.5, 0.5))
         L = int(spec["depth"])
@@ -451,24 +456,14 @@ def dyadic_cell_masses(m: Measure, depth):
 # cdf difference
 
 
-@dataclass(frozen=True)
-class CdfDifference:
+def cdf_difference(m1: Measure, m2: Measure):
     """G(x) = F1(x) - F2(x) on [0, 1] as linear segments with jumps.
 
-    Segment i runs over [x[i], x[i+1]) with G linear from g0[i] (value just
-    right of x[i]) to g1[i] (value just left of x[i+1]); jumps at atom
-    positions show up as g0[i] != g1[i-1].
+    Returns (x0, x1, g0, g1): G is linear on [x0[i], x1[i]) from g0[i] (the
+    value just right of x0[i]) to g1[i] (just left of x1[i]); atoms show up
+    as jumps g0[i] != g1[i-1].  The breakpoints include 0 and 1, so there
+    is at least one segment, each of positive length.
     """
-
-    x: np.ndarray
-    g0: np.ndarray
-    g1: np.ndarray
-
-    def segments(self):
-        return self.x[:-1], self.x[1:], self.g0, self.g1
-
-
-def cdf_difference(m1: Measure, m2: Measure) -> CdfDifference:
     bx = np.unique(np.concatenate([
         np.array([0.0, 1.0]),
         m1.piece_l, m1.piece_r, m1.atom_x,
@@ -488,7 +483,7 @@ def cdf_difference(m1: Measure, m2: Measure) -> CdfDifference:
             np.add.at(Fr, idx[hit], m.atom_w[hit])
     G_left = Fl1 - Fl2
     G_right = Fr1 - Fr2
-    return CdfDifference(_ro(bx), _ro(G_right[:-1]), _ro(G_left[1:]))
+    return bx[:-1], bx[1:], G_right[:-1], G_left[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +493,10 @@ def cdf_difference(m1: Measure, m2: Measure) -> CdfDifference:
 def _overlap(m: Measure, a, b, closed_right=False):
     """Slices of m's atoms in [a, b) (or [a, b]) and of its pieces meeting it.
 
-    A binary search: from_arrays sorts atoms and pieces, and pieces are
-    disjoint, so their right ends are sorted too (Measure._check rejects
-    input where they are not).  The piece slice is exact only when a < b.
+    A binary search: from_arrays sorts atoms and pieces, measures derived
+    from them keep that order, and pieces are disjoint, so their right ends
+    are sorted too (Measure._check rejects input where they are not).  The
+    piece slice is exact only when a < b.
     """
     return (slice(m.atom_x.searchsorted(a),
                   m.atom_x.searchsorted(b, "right" if closed_right else "left")),
@@ -515,18 +511,17 @@ def restrict(m: Measure, a, b, closed_right=False):
     # every piece in the slice has r > a and l < b, so lo < hi
     l, r = m.piece_l[pc], m.piece_r[pc]
     lo, hi = np.maximum(l, a), np.minimum(r, b)
-    return Measure.from_arrays(m.atom_x[at], m.atom_w[at], lo, hi,
-                               m.piece_m[pc] / (r - l) * (hi - lo), check=False)
+    return _derived(m.atom_x[at], m.atom_w[at], lo, hi,
+                    m.piece_m[pc] / (r - l) * (hi - lo))
 
 
 def blowup(m: Measure, a, b, closed_right=False):
     """Pushforward of m|[a,b) under x -> (x - a)/(b - a); unnormalized."""
     r = restrict(m, a, b, closed_right=closed_right)
     s = b - a
-    ax = np.clip((r.atom_x - a) / s, 0.0, 1.0)
-    pl = np.maximum((r.piece_l - a) / s, 0.0)
-    pr = np.minimum((r.piece_r - a) / s, 1.0)
-    return Measure.from_arrays(ax, r.atom_w, pl, pr, r.piece_m, check=False)
+    return _derived(np.clip((r.atom_x - a) / s, 0.0, 1.0), r.atom_w,
+                    np.maximum((r.piece_l - a) / s, 0.0),
+                    np.minimum((r.piece_r - a) / s, 1.0), r.piece_m)
 
 
 def normalized_blowup(m: Measure, a, b, closed_right=False):
@@ -538,11 +533,12 @@ def normalized_blowup(m: Measure, a, b, closed_right=False):
 
 
 def scale(m: Measure, c):
-    if c < 0:
+    if not c >= 0:  # negative or NaN
         raise ValueError("scale factor must be nonnegative")
-    return Measure.from_arrays(m.atom_x, m.atom_w * c,
-                               m.piece_l, m.piece_r, m.piece_m * c,
-                               check=False)
+    if c == 0:
+        return ZERO
+    return _derived(m.atom_x, m.atom_w * c, m.piece_l, m.piece_r,
+                    m.piece_m * c)
 
 
 def combine(measures):

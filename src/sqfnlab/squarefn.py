@@ -26,14 +26,13 @@ from .measure import (
     combine,
 )
 from .dyadic import (
+    MAX_LEVEL,
     STANDARD,
-    DyadicInterval,
     cell_mass,
     containing_interval,
-    delta,
     navigate,
 )
-from .alpha import Ball, alpha_smooth, alpha_table
+from .alpha import Ball, _nu_tent_mass, alpha_smooth, alpha_table
 
 __all__ = [
     "SquareFunctionProfile",
@@ -41,7 +40,6 @@ __all__ = [
     "mu_sampled_points",
     "dyadic_square_profile",
     "continuous_square_profile",
-    "carleson_sum",
     "buckley_ratio",
     "delta_level_sums",
     "tolsa_l2",
@@ -104,11 +102,10 @@ def mu_sampled_points(mu: Measure, n, depth, seed=0):
     return (idx + 0.5) / cells.size
 
 
-def dyadic_square_profile(mu: Measure, nu: Measure, system=STANDARD,
-                          points=(), depth=12):
-    """Partial sums of alpha^2 along each point's dyadic chain."""
-    if depth > system.max_level:
-        raise ValueError("depth exceeds the system's max level")
+def dyadic_square_profile(mu: Measure, nu: Measure, points=(), depth=12):
+    """Partial sums of alpha^2 along each point's standard dyadic chain."""
+    if depth > MAX_LEVEL:
+        raise ValueError("depth exceeds the grid's max level")
     table = alpha_table(mu, nu)
     pts = np.asarray(points, dtype=float)
     scaled = pts * (1 << depth)
@@ -119,7 +116,7 @@ def dyadic_square_profile(mu: Measure, nu: Measure, system=STANDARD,
     for i, x in enumerate(pts):
         acc = 0.0
         for j in range(depth + 1):
-            I = containing_interval(system, float(x), j)
+            I = containing_interval(STANDARD, float(x), j)
             a = table.alpha(I)
             acc += a * a
             sums[i, j] = acc
@@ -179,26 +176,26 @@ def _both_uniform(mu, nu, a, b):
     return is_uniform_on(nu, a, b) is not None
 
 
-def _pruned_terms(mu, nu, J, depth, coef):
-    """Per-level coef(I)^2 mu(I) over the dyadic I inside J to the depth.
+def _pruned_terms(mu, nu, depth):
+    """Per-level alpha(I)^2 mu(I) over the standard cells to the depth.
 
-    Entry i lists the 2^i cells of level J.j + i.  A cell where mu vanishes
-    or both measures are uniform contributes nothing and its descendants
-    are not visited, so no coefficient is computed below it.
+    Entry j lists the 2^j cells of level j.  A cell where mu vanishes or
+    both measures are uniform contributes nothing and its descendants are
+    not visited, so no alpha is computed below it.
     """
+    table = alpha_table(mu, nu)
     terms = []
-    live = [J.k]
-    for j in range(J.j, max(depth, J.j) + 1):
-        base = J.k << (j - J.j)
+    live = [0]
+    for j in range(depth + 1):
         mI = dyadic_cell_masses(mu, j)
-        t = np.zeros(1 << (j - J.j))
+        t = np.zeros(1 << j)
         below = []
         for k in live:
             I = STANDARD.interval(j, k)
             if mI[k] == 0.0 or _both_uniform(mu, nu, I.a, I.b):
                 continue
-            c = coef(I)
-            t[k - base] = c * c * mI[k]
+            a = table.alpha(I)
+            t[k] = a * a * mI[k]
             below += (2 * k, 2 * k + 1)
         terms.append(t)
         live = below
@@ -212,22 +209,6 @@ def _subtree_sums(terms):
         kids = sums[-1]
         sums.append(t + kids[0::2] + kids[1::2])
     return sums[::-1]
-
-
-def carleson_sum(mu: Measure, nu: Measure, J: DyadicInterval, which="alpha",
-                 depth=10):
-    """Sum of coef^2(I) mu(I) over dyadic I inside J down to the depth.
-
-    which selects alpha-numbers or Delta-numbers as the coefficient.
-    Subtrees where both measures are uniform contribute nothing and are
-    skipped.
-    """
-    if which == "alpha":
-        coef = alpha_table(mu, nu).alpha
-    else:
-        def coef(I):
-            return delta(mu, nu, I)
-    return float(_subtree_sums(_pruned_terms(mu, nu, J, depth, coef))[0][0])
 
 
 def delta_level_sums(mu: Measure, nu: Measure, depth):
@@ -250,13 +231,14 @@ def delta_level_sums(mu: Measure, nu: Measure, depth):
 
 
 def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):
-    """sup over J (level <= depth/2) of carleson_sum(J) / mu(J)."""
+    """sup over J (level <= depth/2) of sum_{I in J} coef(I)^2 mu(I) / mu(J).
+
+    I runs down to the depth; which picks Delta- or alpha-numbers as coef.
+    """
     if which == "delta":
         _, subtree, _ = delta_level_sums(mu, nu, depth)
     else:
-        coef = alpha_table(mu, nu).alpha
-        subtree = _subtree_sums(
-            _pruned_terms(mu, nu, STANDARD.root(), depth, coef))
+        subtree = _subtree_sums(_pruned_terms(mu, nu, depth))
     best = 0.0
     for j in range(depth // 2 + 1):
         mI = dyadic_cell_masses(mu, j)
@@ -357,10 +339,13 @@ def cz_decompose(mu: Measure, nu: Measure, lam, depth=10) -> CZDecomposition:
     for I, r in zip(bad, ratios):
         if I.a > cursor:
             parts.append(restrict(mu, cursor, I.a))
-        parts.append(scale(restrict(nu, I.a, I.b), r))
+        # the cell masses fold an atom at 1 into the last cell, so a part
+        # ending at 1 keeps it
+        parts.append(scale(restrict(nu, I.a, I.b, closed_right=I.b == 1.0),
+                           r))
         cursor = I.b
     if cursor < 1.0:
-        parts.append(restrict(mu, cursor, 1.0))
+        parts.append(restrict(mu, cursor, 1.0, closed_right=True))
     good = combine(parts) if parts else mu
     return CZDecomposition(float(lam), tuple(bad), good, tuple(ratios), depth)
 
@@ -391,8 +376,8 @@ def domination_check(mu: Measure, nu: Measure, x, r,
     """
     ball = Ball(float(x), float(r))
     table = alpha_table(mu, nu)
-    eB = table.entry(ball)
     a_s2 = alpha_smooth(mu, nu, ball) ** 2
+    nu_phi_B = _nu_tent_mass(mu, nu, ball)
     j = math.floor(math.log2(1.0 / (8.0 * r)))
     while 2.0 ** (-j) < 8.0 * r:
         j -= 1
@@ -405,14 +390,15 @@ def domination_check(mu: Measure, nu: Measure, x, r,
         J = containing_interval(system, x - r, j)
         if x + r > J.b:
             continue
-        eJ = table.entry(J)
+        a_J = table.alpha(J)
         nJ = mass(nu, J.a, J.b)
-        if eJ.nu_phi <= 0 or eB.nu_phi <= 0 or nJ <= 0:
+        nu_phi_J = _nu_tent_mass(mu, nu, J)
+        if nu_phi_J <= 0 or nu_phi_B <= 0 or nJ <= 0:
             continue
         theta = 2.0 * r / J.length
-        K = ((2.0 / theta) * (eJ.nu_phi / eB.nu_phi)
-             * (2.0 * nJ / eJ.nu_phi)) ** 2
-        bound = K * eJ.alpha ** 2
+        K = ((2.0 / theta) * (nu_phi_J / nu_phi_B)
+             * (2.0 * nJ / nu_phi_J)) ** 2
+        bound = K * a_J ** 2
         if bound < best:
             best = bound
         used.append(J)

@@ -45,13 +45,6 @@ class W1Result:
     witness: PiecewiseLinearFn | None = None
 
 
-def _segment_arrays(g):
-    """Segment endpoints and values of a CdfDifference, lengths > 0 only."""
-    x0, x1, g0, g1 = g.segments()
-    keep = x1 > x0
-    return x0[keep], x1[keep], g0[keep], g1[keep]
-
-
 def _value_median(x0, x1, g0, g1):
     """Weighted median of the value distribution of the segment graph.
 
@@ -186,10 +179,7 @@ def w1_supported(m1: Measure, m2: Measure, want_witness=False) -> W1Result:
     Works for arbitrary nonnegative finite measures on [0, 1]; the masses
     need not agree.
     """
-    g = cdf_difference(m1, m2)
-    x0, x1, g0, g1 = _segment_arrays(g)
-    if x0.size == 0:
-        return W1Result(0.0, 0.0, None)
+    x0, x1, g0, g1 = cdf_difference(m1, m2)
     c = _value_median(x0, x1, g0, g1)
     val = _abs_integral(x0, x1, g0, g1, c)
     wit = _witness(x0, x1, g0, g1, c) if want_witness else None
@@ -200,10 +190,7 @@ def w1_unrestricted(m1: Measure, m2: Measure) -> W1Result:
     """Distance with arbitrary 1-Lipschitz test functions; equal masses only."""
     if abs(m1.total - m2.total) > 1e-9 * max(1.0, m1.total, m2.total):
         raise ValueError("unrestricted distance needs equal total masses")
-    g = cdf_difference(m1, m2)
-    x0, x1, g0, g1 = _segment_arrays(g)
-    if x0.size == 0:
-        return W1Result(0.0, 0.0, None)
+    x0, x1, g0, g1 = cdf_difference(m1, m2)
     return W1Result(_abs_integral(x0, x1, g0, g1, 0.0), 0.0, None)
 
 

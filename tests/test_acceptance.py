@@ -243,7 +243,7 @@ def test_criterion_06_representation_and_carleson(fleet_forests, line):
 def test_criterion_07_discrimination(line):
     t0 = time.monotonic()
     pts = mu_sampled_points(CASC, 64, 18, seed=3)
-    prof = dyadic_square_profile(CASC, LEB, STANDARD, pts, depth=14)
+    prof = dyadic_square_profile(CASC, LEB, pts, depth=14)
     a2 = alpha(CASC, LEB, STANDARD.root()) ** 2
     slope_err = float(np.max(np.abs(prof.slopes() / a2 - 1.0)))
 
@@ -252,7 +252,7 @@ def test_criterion_07_discrimination(line):
     cells = dens / dens.sum()
     hist = generate({"type": "histogram", "cells": cells.tolist()})
     pts2 = mu_sampled_points(hist, 64, 18, seed=5)
-    prof2 = dyadic_square_profile(hist, LEB, STANDARD, pts2, depth=14)
+    prof2 = dyadic_square_profile(hist, LEB, pts2, depth=14)
     tail = float(np.max(prof2.final_increments(12)))
     elapsed = time.monotonic() - t0
     ok = slope_err <= 0.05 and tail < 1e-6 and elapsed <= 300.0

@@ -150,16 +150,24 @@ def test_alpha_table_memoizes(monkeypatch):
     buckley_ratio(casc, leb, 8, which="alpha")
     assert len(table) == n
 
-    # a plain read of a new non-uniform interval costs one W1
+    # a plain read of a new non-uniform interval costs one W1 and no tent
+    # mass
     calls = []
+    tents = []
 
     def counted(m1, m2, **kw):
         calls.append(1)
         return w1_supported(m1, m2, **kw)
 
+    def counted_integrate(m, f):
+        tents.append(1)
+        return integrate(m, f)
+
     monkeypatch.setattr(alpha_module, "w1_supported", counted)
+    monkeypatch.setattr(alpha_module, "integrate", counted_integrate)
     alpha(casc, leb, (0.1, 0.7))
     assert len(calls) == 1 and len(table) == n + 1
+    assert tents == []
     monkeypatch.undo()
 
     # the smooth variant is W1 of the tent-normalized blow-ups
@@ -188,3 +196,42 @@ def test_one_sided_zero_flagging():
     table = AlphaTable(mu, nu)
     table.entry((0.0, 0.5))
     assert table.flagged() == [(0.0, 0.5, False)]
+
+    # the flag equals a tent-mass reference: atoms at a, at b, at both ends
+    # and inside, with and without pieces, on closed and half-open intervals
+    measures = [
+        Measure.make(atoms=[(0.25, 1.0)]),
+        Measure.make(atoms=[(0.5, 1.0)]),
+        Measure.make(atoms=[(0.25, 0.5), (0.5, 0.5)]),
+        Measure.make(atoms=[(0.375, 1.0)]),
+        Measure.make(atoms=[(0.0, 0.5), (1.0, 0.5)]),
+        Measure.make(atoms=[(0.25, 0.5)], pieces=[(0.5, 1.0, 0.5)]),
+        Measure.make(atoms=[(0.5, 0.5)], pieces=[(0.25, 0.5, 0.5)]),
+        LEB,
+    ]
+    intervals = [(0.25, 0.5), (0.25, 0.5, True), (0.0, 0.25, True),
+                 (0.0, 1.0), (0.0, 1.0, True), (0.25, 0.375), (0.5, 1.0),
+                 Ball(0.5, 0.25)]
+    phi = phi_tent()
+    hits = 0
+    for mu in measures:
+        for nu in measures:
+            table = AlphaTable(mu, nu)
+            want = []
+            for I in intervals:
+                table.entry(I)
+                a, b, closed = _interval_bounds(I)
+                bu = blowup(mu, a, b, closed_right=closed)
+                bv = blowup(nu, a, b, closed_right=closed)
+                if (bu.total > 0 and bv.total > 0 and (integrate(bu, phi) == 0)
+                        != (integrate(bv, phi) == 0)):
+                    want.append((a, b, closed))
+            assert table.flagged() == want
+            hits += len(want)
+    assert hits > 0
+
+    # a smooth read flags its interval too
+    mu = generate({"type": "example53", "eps": 0.01, "role": "mu"})
+    nu = generate({"type": "example53", "eps": 0.01, "role": "nu"})
+    alpha_smooth(mu, nu, Ball(0.25, 0.25))
+    assert alpha_table(mu, nu).flagged() == [(0.0, 0.5, True)]

@@ -40,7 +40,7 @@ def test_shifted_systems_partition_axioms():
 def test_containing_interval_in_shifted_grid():
     third = shifted_systems(2)[1]
     I = containing_interval(third, 0.1, 2)
-    assert I.contains_point(0.1)
+    assert I.a <= 0.1 < I.b
     assert I.length == 0.25
 
 

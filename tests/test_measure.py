@@ -156,6 +156,10 @@ def test_restrict_scale_combine_roundtrip():
     np.testing.assert_allclose(cdf_left_values(back, xs),
                                cdf_left_values(m, xs), atol=1e-15)
     assert scale(m, 2.0).total == pytest.approx(2.0, abs=1e-15)
+    assert scale(m, 0.0).total == 0.0 and scale(m, 0.0).piece_l.size == 0
+    for c in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            scale(m, c)
 
 
 def test_is_uniform_on_detects_density():
@@ -213,7 +217,13 @@ def _restrict_scan(m, a, b, closed_right=False):
         sel = hi > lo
         dens = m.piece_m[sel] / (m.piece_r[sel] - m.piece_l[sel])
         pl, pr, pm = lo[sel], hi[sel], dens * (hi[sel] - lo[sel])
-    return Measure.from_arrays(ax, aw, pl, pr, pm, check=False)
+    return Measure.from_arrays(ax, aw, pl, pr, pm)
+
+
+def _rebuilt(m):
+    """m passed through from_arrays again (reference)."""
+    return Measure.from_arrays(m.atom_x, m.atom_w, m.piece_l, m.piece_r,
+                               m.piece_m)
 
 
 def _is_uniform_on_scan(m, a, b):
@@ -275,13 +285,19 @@ def test_sliced_queries_equal_the_full_scans():
         for a, b in pairs:
             a, b = min(a, b), max(a, b)
             for closed in (False, True):
-                got = restrict(m, a, b, closed_right=closed)
-                want = _restrict_scan(m, a, b, closed_right=closed)
-                for name in ("atom_x", "atom_w", "piece_l", "piece_r",
-                             "piece_m"):
-                    assert np.array_equal(getattr(got, name),
-                                          getattr(want, name))
-                assert got.total == want.total
+                # blow-ups and their scalings come out as from_arrays would
+                # sort, filter and check the same arrays
+                bm = blowup(m, a, b, closed_right=closed)
+                for got, want in [
+                        (restrict(m, a, b, closed_right=closed),
+                         _restrict_scan(m, a, b, closed_right=closed)),
+                        (bm, _rebuilt(bm)),
+                        (scale(bm, 0.375), _rebuilt(scale(bm, 0.375)))]:
+                    for name in ("atom_x", "atom_w", "piece_l", "piece_r",
+                                 "piece_m"):
+                        assert np.array_equal(getattr(got, name),
+                                              getattr(want, name))
+                    assert got.total == want.total
             for u, v in ((a, b), (b, a), (a, a)):
                 assert is_uniform_on(m, u, v) == _is_uniform_on_scan(m, u, v)
     casc = generate({"type": "cascade", "p": 0.7, "depth": 14})
@@ -295,8 +311,8 @@ def test_sliced_queries_equal_the_full_scans():
 def test_cdf_difference_tracks_jumps():
     m1 = Measure.make(atoms=[(0.5, 1.0)])
     m2 = generate({"type": "lebesgue"})
-    g = cdf_difference(m1, m2)
-    x0, x1, g0, g1 = g.segments()
+    x0, x1, g0, g1 = cdf_difference(m1, m2)
+    assert x0[0] == 0.0 and x1[-1] == 1.0 and np.all(x1 > x0)
     # G = -x on [0, 1/2), 1 - x on [1/2, 1)
     i = np.searchsorted(x0, 0.5)
     assert g0[i] == pytest.approx(0.5, abs=1e-15)

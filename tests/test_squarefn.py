@@ -6,10 +6,15 @@ import pytest
 
 from sqfnlab.alpha import alpha
 from sqfnlab.dyadic import STANDARD, doubling_constant, shifted_systems
-from sqfnlab.measure import dyadic_cell_masses, generate, mass, restrict
+from sqfnlab.measure import (
+    Measure,
+    dyadic_cell_masses,
+    generate,
+    mass,
+    restrict,
+)
 from sqfnlab.squarefn import (
     buckley_ratio,
-    carleson_sum,
     continuous_square_profile,
     cz_decompose,
     delta_level_sums,
@@ -33,7 +38,7 @@ def test_mu_sampled_points_land_in_support():
 
 def test_dyadic_profile_slope_matches_cell_alpha():
     pts = mu_sampled_points(CASC, 16, 14, seed=2)
-    prof = dyadic_square_profile(CASC, LEB, STANDARD, pts, depth=10)
+    prof = dyadic_square_profile(CASC, LEB, pts, depth=10)
     a2 = alpha(CASC, LEB, STANDARD.root()) ** 2
     np.testing.assert_allclose(prof.slopes(), a2, rtol=0.05)
 
@@ -44,13 +49,13 @@ def test_dyadic_profile_converges_for_bounded_density():
     cells /= cells.sum()
     hist = generate({"type": "histogram", "cells": cells.tolist()})
     pts = mu_sampled_points(hist, 16, 16, seed=3)
-    prof = dyadic_square_profile(hist, LEB, STANDARD, pts, depth=12)
+    prof = dyadic_square_profile(hist, LEB, pts, depth=12)
     assert np.max(prof.final_increments(8)) == 0.0
 
 
 def test_profile_partial_sums_nondecreasing_and_csv(tmp_path):
     pts = mu_sampled_points(CASC, 4, 12, seed=4)
-    prof = dyadic_square_profile(CASC, LEB, STANDARD, pts, depth=8)
+    prof = dyadic_square_profile(CASC, LEB, pts, depth=8)
     assert np.all(np.diff(prof.partial_sums, axis=1) >= 0)
     out = tmp_path / "prof.csv"
     prof.to_csv(out)
@@ -74,15 +79,13 @@ def test_continuous_profile_grows_for_cascade():
 
 
 def test_carleson_sum_cascade_delta_flavor():
-    got = carleson_sum(CASC, LEB, STANDARD.root(), which="delta", depth=10)
-    assert got == pytest.approx(0.04 * 11, rel=1e-10)
-    _, subtree, _ = delta_level_sums(CASC, LEB, 10)
-    assert subtree[0][0] == pytest.approx(got, rel=1e-12)
+    # the root's subtree sum: every cascade cell has Delta = 0.2
+    assert delta_level_sums(CASC, LEB, 10)[1][0][0] == pytest.approx(
+        0.04 * 11, rel=1e-10)
 
 
 def test_carleson_sum_identity_is_zero():
-    assert carleson_sum(LEB, LEB, STANDARD.root(), which="alpha",
-                        depth=12) == 0.0
+    assert buckley_ratio(LEB, LEB, 12, which="alpha") == 0.0
 
 
 def test_buckley_ratio_flavors_on_finite_perturbation():
@@ -136,6 +139,21 @@ def test_cz_decomposition_invariants():
         D = doubling_constant(LEB, depth=8).constant
         nub = dyadic_cell_masses(LEB, 8)
         assert np.max(mg / nub) <= D * lam + 1e-12
+
+
+def test_cz_keeps_an_atom_at_one():
+    # the cell masses fold the atom at 1 into the last cell; the good part
+    # must keep it too
+    mu = Measure.make(atoms=[(1.0, 0.2)],
+                      pieces=[(0.0, 0.5, 0.6), (0.5, 1.0, 0.2)])
+    assert cz_decompose(mu, LEB, 3.0, depth=1).good.total == 1.0
+    # and so must the nu part of a bad last cell
+    mu = Measure.make(atoms=[(1.0, 0.2)],
+                      pieces=[(0.0, 0.5, 0.2), (0.5, 1.0, 0.6)])
+    nu = Measure.make(atoms=[(1.0, 0.25)], pieces=[(0.0, 1.0, 0.75)])
+    cz = cz_decompose(mu, nu, 1.0, depth=1)
+    assert [(I.a, I.b) for I in cz.bad] == [(0.5, 1.0)]
+    assert cz.good.total == pytest.approx(1.0, abs=1e-15)
 
 
 def test_cz_rejects_lambda_below_one():
