@@ -7,6 +7,15 @@ stable under moving to comparable enclosing intervals, which the plain
 version is not.  alpha_table(mu, nu) memoizes the plain alpha and the
 one-sided-zero flag once per pair on mu; the smooth variant and the tent
 masses are computed when asked.
+
+The first read of a standard dyadic cell fills its whole level, in numpy
+passes over many cells at once, when both measures are aligned there
+(measure._cell_width: no atoms, and every cell holds the same run of whole
+pieces or lies inside one piece), at most one of them holds several pieces
+per cell, both charge every cell, and neither a cell's pieces nor the
+level's cells exceed 2^14.  Such a level, as on histogram, cascade and
+Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
+Every other level, and balls, tuples and shifted cells, stay per entry.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import numpy as np
 from .measure import (
     Measure,
     ZERO,
+    _level_pieces,
     blowup,
     integrate,
     is_uniform_on,
@@ -27,7 +37,7 @@ from .measure import (
     scale,
 )
 from .dyadic import DyadicInterval
-from .transport import w1_supported
+from .transport import w1_rows, w1_supported
 
 __all__ = [
     "Ball",
@@ -41,6 +51,9 @@ __all__ = [
 ]
 
 _PHI = phi_tent()
+# segments per numpy pass of a level fill, and cells of the finest level
+# filled whole
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,13 +95,26 @@ class AlphaTable:
         self._mu = weakref.ref(mu)
         self.nu = nu
         self._entries = {}
+        self._levels = {}  # level -> read-only alphas of its cells, or None
 
     def entry(self, I) -> AlphaEntry:
         key = _interval_bounds(I)
         e = self._entries.get(key)
         if e is None:
+            alphas = self._level(I)
+            if alphas is not None:  # filled cells are never flagged
+                return AlphaEntry(float(alphas[I.k]), False)
             e = self._entries[key] = _compute_entry(self._mu(), self.nu, *key)
         return e
+
+    def _level(self, I):
+        """The filled alphas of I's level, or None for a per-entry read."""
+        if not (isinstance(I, DyadicInterval) and I.system.shift == 0.0
+                and 0 <= I.k < 1 << I.j):
+            return None
+        if I.j not in self._levels:
+            self._levels[I.j] = _alpha_level(self._mu(), self.nu, I.j)
+        return self._levels[I.j]
 
     def alpha(self, I):
         return self.entry(I).alpha
@@ -98,7 +124,8 @@ class AlphaTable:
         return [k for k, e in self._entries.items() if e.one_sided_zero]
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._entries) + sum(
+            a.size for a in self._levels.values() if a is not None)
 
 
 def alpha_table(mu: Measure, nu: Measure) -> AlphaTable:
@@ -139,6 +166,62 @@ def _compute_entry(mu, nu, a, b, closed):
     bv = blowup(nu, a, b, closed_right=closed)
     flag = bu.total > 0 and bv.total > 0 and _tent_null(bu) != _tent_null(bv)
     return AlphaEntry(_w1_normalized(bu, bu.total, bv, bv.total), flag)
+
+
+def _alpha_level(mu, nu, j):
+    """Plain alphas of the 2^j standard level-j cells, or None.
+
+    The rows follow _compute_entry step by step: the uniform shortcut, the
+    blow-up totals, the scaled masses and their CDFs on the finer side's
+    grid, where a one-piece side is np.interp's line through (0, 0) and
+    (1, F(1)).  None where that needs more: a zero-mass cell (ZERO), two
+    sides of several pieces per cell (the union of two grids), a row wider
+    than a chunk or a level of more cells than a chunk.
+    """
+    n = 1 << j
+    sizes = mu.piece_l.size, nu.piece_l.size
+    width = max(max(sizes) >> j, 1)  # segments per row, if aligned
+    if n > _CHUNK or width > _CHUNK or min(sizes) > n:
+        return None
+    rows = _CHUNK // width
+    out = np.zeros(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        pu = _level_pieces(mu, j, start, stop)
+        pv = _level_pieces(nu, j, start, stop)
+        if pu is None or pv is None:
+            return None
+        todo = ~(pu[2] & pv[2])  # cells where both are uniform keep 0.0
+        if not todo.any():
+            continue
+        grid = (pu[0] if pu[0].shape[1] > 2 else pv[0])[todo]
+        Fu = _cdf_rows(pu[1][todo], grid)
+        Fv = _cdf_rows(pv[1][todo], grid)
+        if Fu is None or Fv is None:
+            return None
+        G = Fu - Fv
+        out[start:stop][todo] = w1_rows(grid[:, :-1], grid[:, 1:],
+                                        G[:, :-1], G[:, 1:])[1]
+    out.setflags(write=False)
+    return out
+
+
+def _cdf_rows(pm, grid):
+    """CDFs of the rows' blow-ups scaled to mass 1, read on grid.
+
+    As cdf_left_values reads a scaled blow-up: a cumsum of its own pieces,
+    or for one piece np.interp's line slope * x, exact at 0 and 1.  None
+    when a row has no mass.
+    """
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / pm.sum(axis=1)
+    if not np.all(np.isfinite(inv)):
+        return None
+    pm = pm * inv[:, None]
+    if pm.shape[1] == 1:
+        return pm * grid
+    return np.concatenate([np.zeros((pm.shape[0], 1)),
+                           np.cumsum(pm, axis=1)], axis=1)
 
 
 def _nu_tent_mass(mu, nu, I):

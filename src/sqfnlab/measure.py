@@ -313,8 +313,13 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _on_dyadic_boundary(x, max_level=30):
-    v = x * (1 << max_level)
+# dyadic.MAX_LEVEL, the finest level of every grid; dyadic imports this
+# module, so the value is repeated here
+_FINEST_LEVEL = 30
+
+
+def _on_dyadic_boundary(x):
+    v = x * (1 << _FINEST_LEVEL)
     return v == np.floor(v)
 
 
@@ -522,6 +527,62 @@ def blowup(m: Measure, a, b, closed_right=False):
     return _derived(np.clip((r.atom_x - a) / s, 0.0, 1.0), r.atom_w,
                     np.maximum((r.piece_l - a) / s, 0.0),
                     np.minimum((r.piece_r - a) / s, 1.0), r.piece_m)
+
+
+def _cell_width(m: Measure, j):
+    """P when every level-j cell is a run of P whole pieces, 0 when every
+    cell lies inside one piece, None otherwise or when m has atoms or its
+    pieces do not tile [0, 1).
+    """
+    pl, pr = m.piece_l, m.piece_r
+    if (m.atom_x.size or not pl.size or pl[0] != 0.0 or pr[-1] != 1.0
+            or np.any(pl[1:] != pr[:-1])):
+        return None
+    edges = np.arange((1 << j) + 1) * 2.0 ** (-j) + 0.0  # DyadicInterval.a
+    P = pl.size >> j
+    if P:
+        ok = pl.size == P << j and np.array_equal(pl[::P], edges[:-1])
+    else:
+        ok = np.all(pr[pr.searchsorted(edges[:-1], "right")] >= edges[1:])
+    return P if ok else None
+
+
+def _level_pieces(m: Measure, j, start, stop):
+    """Blow-ups of m onto the level-j cells start..stop-1, one row per cell.
+
+    Returns (x, pm, uniform) when the level is aligned (_cell_width), else
+    None: row i is the blow-up onto cell start + i, with its grid x[i] from
+    0 to 1, its piece masses pm[i], both computed elementwise as restrict
+    and blowup compute them, and uniform[i], whether is_uniform_on gives
+    the cell a positive density.
+    """
+    widths = m._memo("_cell_widths")  # level -> _cell_width
+    if j not in widths:
+        widths[j] = _cell_width(m, j)
+    P = widths[j]
+    if P is None:
+        return None
+    edges = np.arange(start, stop + 1) * 2.0 ** (-j) + 0.0
+    a, b = edges[:-1, None], edges[1:, None]
+    if P:
+        take = slice(start * P, stop * P)
+        l, r, mm = (v[take].reshape(-1, P)
+                    for v in (m.piece_l, m.piece_r, m.piece_m))
+    else:
+        i = m.piece_r.searchsorted(a[:, 0], "right")[:, None]
+        l, r, mm = m.piece_l[i], m.piece_r[i], m.piece_m[i]
+    dens = mm / (r - l)
+    d0 = dens[:, :1]
+    uniform = (d0[:, 0] > 0.0) & ~np.any(
+        np.abs(dens - d0) > 1e-15 * np.maximum(1.0, np.abs(d0)), axis=1)
+    lo, hi = np.maximum(l, a), np.minimum(r, b)
+    s = b - a
+    # exact: lo - a and hi - a lose nothing (Sterbenz, as a <= lo < hi <=
+    # b <= 2a or a = 0) and s is a power of two, so the rows' breakpoints
+    # keep the pieces' order and adjacent pieces share them
+    x0 = np.maximum((lo - a) / s, 0.0)
+    x1 = np.minimum((hi - a) / s, 1.0)
+    return np.concatenate([x0, x1[:, -1:]], axis=1), dens * (hi - lo), uniform
 
 
 def normalized_blowup(m: Measure, a, b, closed_right=False):

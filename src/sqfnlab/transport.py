@@ -28,7 +28,8 @@ from .measure import (
     cdf_left_values,
 )
 
-__all__ = ["W1Result", "w1_supported", "w1_unrestricted", "w1_oracle"]
+__all__ = ["W1Result", "w1_supported", "w1_rows", "w1_unrestricted",
+           "w1_oracle"]
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,132 @@ def _value_median(x0, x1, g0, g1):
     return float(0.5 * (c_lo + c_hi))
 
 
+def _bisect(arr, n, key, right=False):
+    """np.searchsorted(arr[r, :n[r]], key[r]) for each row r.
+
+    It repeats numpy's bisection step for step: the weight arrays it
+    searches can dip by one rounding step, and there a count of the
+    entries below the key would land elsewhere.
+    """
+    rows = np.arange(arr.shape[0])
+    lo = np.zeros_like(n)
+    hi = n.copy()
+    while True:
+        live = lo < hi
+        if not live.any():
+            return lo
+        mid = lo + ((hi - lo) >> 1)
+        v = arr[rows, np.minimum(mid, arr.shape[1] - 1)]
+        up = live & ((v <= key) if right else (v < key))
+        lo = np.where(up, mid + 1, lo)
+        hi = np.where(live & ~up, mid, hi)
+
+
+def _row_values(lo, hi):
+    """Each row's distinct values of lo and hi, in the order np.unique gives.
+
+    Returns (vals, nv, idx): row r's nv[r] values sorted at the front of
+    vals[r], padded with its largest, and for each entry of [lo, hi] the
+    flat index of its value in vals, which is where searchsorted puts it:
+    the first position of its run in a stable row sort.
+    """
+    both = np.concatenate([lo, hi], axis=1)
+    k, W = both.shape
+    order = np.argsort(both, axis=1, kind="stable")
+    srt = np.take_along_axis(both, order, axis=1)
+    run = np.zeros((k, W), np.intp)
+    np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=run[:, 1:])
+    vals = np.repeat(srt[:, -1:], W, axis=1)
+    rows = np.arange(k)[:, None]
+    vals[rows, run] = srt
+    run += rows * W
+    idx = np.empty_like(run)
+    np.put_along_axis(idx, order, run, axis=1)
+    return vals, run[:, -1] % W + 1, idx
+
+
+def _row_medians(L, g0, g1, total):
+    """_value_median of each row, with the same operations in the same order.
+
+    The bincounts add in segment order, as np.add.at does.
+    """
+    k, S = L.shape
+    lo = np.minimum(g0, g1)
+    hi = np.maximum(g0, g1)
+    span = hi - lo
+    flat = span == 0.0
+    vals, nv, idx = _row_values(lo, hi)
+    W = 2 * S
+    point = np.bincount(idx[:, :S][flat], L[flat],
+                        minlength=k * W).reshape(k, W)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = L / span
+    slope = np.concatenate([~flat, ~flat], axis=1)
+    dens = np.bincount(idx[slope], np.concatenate([d, -d], axis=1)[slope],
+                       minlength=k * W).reshape(k, W)
+    # a level fill's peak memory is one chunk's live arrays: drop them early
+    del lo, hi, span, flat, idx, d, slope
+    steps = np.diff(vals, axis=1)
+    steps *= np.cumsum(dens, axis=1)[:, :-1]
+    wle = np.zeros((k, W))
+    np.cumsum(steps, axis=1, out=wle[:, 1:])
+    del dens, steps
+    wle += np.cumsum(point, axis=1)
+    wlt = wle - point
+    del point
+
+    half = total / 2.0
+    tol = 1e-12 * np.where(1.0 > total, 1.0, total)
+    r = np.arange(k)
+
+    def at(a, i):
+        return a[r, np.clip(i, 0, W - 1)]
+
+    def py_min(x, y):  # Python's min(x, y): x unless y < x
+        return np.where(y < x, y, x)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # lower end: smallest c with weight{G <= c} >= half
+        i = np.minimum(_bisect(wle, nv, half - tol), nv - 1)
+        c_lo = at(vals, i)
+        rise = at(wlt, i) - at(wle, i - 1)
+        inner = ((i > 0) & (at(wle, i - 1) < half - tol) & (rise > tol)
+                 & (at(wlt, i) >= half - tol))
+        c_in = at(vals, i - 1) + (half - at(wle, i - 1)) / rise * (
+            c_lo - at(vals, i - 1))
+        c_lo = np.where(inner, py_min(c_in, c_lo), c_lo)
+
+        # upper end: largest c with weight{G < c} <= half
+        j = np.maximum(_bisect(wlt, nv, half + tol, right=True) - 1, 0)
+        c_hi = at(vals, j)
+        nxt = j + 1 < nv
+        rise = at(wlt, j + 1) - at(wle, j)
+        inner = nxt & (rise > tol) & (at(wle, j) < half - tol)
+        c_in = c_hi + (half - at(wle, j)) / rise * (at(vals, j + 1) - c_hi)
+        top = (nxt & ~inner & (rise <= tol) & (at(wle, j) <= half + tol)
+               & (at(wlt, j + 1) <= half + tol))
+        c_hi = np.where(inner, py_min(c_in, at(vals, j + 1)),
+                        np.where(top, at(vals, j + 1), c_hi))
+    c_hi = np.where(c_lo > c_hi, c_lo, c_hi)  # max(c_hi, c_lo)
+    return np.where(nv == 1, vals[:, 0], 0.5 * (c_lo + c_hi))
+
+
+def w1_rows(x0, x1, g0, g1):
+    """(c*, value) of the supported distance for each row of 2-D arrays.
+
+    Row r holds a segment graph as cdf_difference returns it, all rows of
+    one length; each result is == what w1_supported computes for that row.
+    """
+    L = x1 - x0
+    c = _row_medians(L, g0, g1, L.sum(axis=1))
+    return c, _abs_integral(x0, x1, g0, g1, c[:, None])
+
+
 def _abs_integral(x0, x1, g0, g1, c):
-    """int |G - c| dx summed over linear segments, exact per segment."""
+    """int |G - c| dx summed over the last axis's linear segments.
+
+    Exact per segment; rows of 2-D arrays take a column of shifts c.
+    """
     L = x1 - x0
     a = g0 - c
     b = g1 - c
@@ -118,7 +243,7 @@ def _abs_integral(x0, x1, g0, g1, c):
     flat_or_same = L * (np.abs(a) + np.abs(b)) / 2.0
     span = np.abs(b - a)
     crossing = L * (a * a + b * b) / (2.0 * np.where(span > 0, span, 1.0))
-    return float(np.sum(np.where(same, flat_or_same, crossing)))
+    return np.where(same, flat_or_same, crossing).sum(axis=-1)
 
 
 def _witness(x0, x1, g0, g1, c):
@@ -181,7 +306,7 @@ def w1_supported(m1: Measure, m2: Measure, want_witness=False) -> W1Result:
     """
     x0, x1, g0, g1 = cdf_difference(m1, m2)
     c = _value_median(x0, x1, g0, g1)
-    val = _abs_integral(x0, x1, g0, g1, c)
+    val = float(_abs_integral(x0, x1, g0, g1, c))
     wit = _witness(x0, x1, g0, g1, c) if want_witness else None
     return W1Result(val, c, wit)
 
@@ -191,7 +316,7 @@ def w1_unrestricted(m1: Measure, m2: Measure) -> W1Result:
     if abs(m1.total - m2.total) > 1e-9 * max(1.0, m1.total, m2.total):
         raise ValueError("unrestricted distance needs equal total masses")
     x0, x1, g0, g1 = cdf_difference(m1, m2)
-    return W1Result(_abs_integral(x0, x1, g0, g1, 0.0), 0.0, None)
+    return W1Result(float(_abs_integral(x0, x1, g0, g1, 0.0)), 0.0, None)
 
 
 def w1_oracle(m1: Measure, m2: Measure, grid_n=1 << 14):

@@ -7,6 +7,7 @@ import sqfnlab.alpha as alpha_module
 from sqfnlab.alpha import (
     AlphaTable,
     Ball,
+    _compute_entry,
     _interval_bounds,
     alpha,
     alpha_smooth,
@@ -235,3 +236,70 @@ def test_one_sided_zero_flagging():
     nu = generate({"type": "example53", "eps": 0.01, "role": "nu"})
     alpha_smooth(mu, nu, Ball(0.25, 0.25))
     assert alpha_table(mu, nu).flagged() == [(0.0, 0.5, True)]
+
+
+def _histogram(cells):
+    cells = np.asarray(cells, dtype=float)
+    return generate({"type": "histogram", "cells": (cells / cells.sum())
+                     .tolist()})
+
+
+# the example53 atoms sit on dyadic boundaries by construction
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_level_fill_equals_the_entries():
+    # every cell of every level a forest fills whole is == the per-entry
+    # alpha; the other levels stay per entry
+    rng = np.random.default_rng(8)
+    depth = 10
+    every = set(range(depth + 1))
+    fleet = [(_histogram(rng.uniform(0.05, 1.0, 32)),
+              _histogram(rng.uniform(0.05, 1.0, 16))) for _ in range(3)]
+    pairs = [
+        ("cascade-16", generate({"type": "cascade", "p": 0.7, "depth": 16}),
+         LEB, every - {0, 1}),  # rows of 2^16 and 2^15 pieces: too wide
+        ("finite-haar", generate({"type": "finite-haar"}), LEB, every),
+        ("ac-density 5", generate({"type": "ac-density", "seed": 5}), LEB,
+         every),
+        ("ac-density 1", generate({"type": "ac-density", "seed": 1,
+                                   "cells": 256}), LEB, every),
+        ("identity", generate({"type": "lebesgue"}), LEB, every),
+        # both sides hold several pieces per cell down to level 3
+        *[(f"histograms {i}", mu, nu, every - {0, 1, 2, 3})
+          for i, (mu, nu) in enumerate(fleet)],
+        # density bumps of width 2^-9 on either side of 1/2: runs of 4 and
+        # 2 whole pieces on levels 0-1, cells inside one piece from level 9
+        ("example22", generate({"type": "example22", "n": 9}), LEB,
+         every - set(range(2, 9))),
+        ("cantor", generate({"type": "cantor", "depth": 8}), LEB, set()),
+        ("example53 atoms", generate({"type": "example53", "eps": 0.01,
+                                      "role": "nu"}), LEB, set()),
+        # a cell inside a piece of width 3/4 carries a rounded mass
+        ("cascade-10 / 3:1", generate({"type": "cascade", "p": 0.7,
+                                       "depth": 10}),
+         Measure.make(pieces=[(0.0, 0.75, 0.6), (0.75, 1.0, 0.4)]),
+         every - {0, 1}),
+        # densities 1e-13 apart are not uniform to is_uniform_on
+        ("near-uniform", _histogram(1.0 + 1e-13 * rng.uniform(size=64)),
+         LEB, every),
+        ("zero-mass cell", _histogram([0.3, 0.0, 0.2, 0.5]), LEB, set()),
+        # the zero-mass piece from_arrays would drop: its cells act as ZERO
+        ("zero-mass piece", Measure(
+            np.zeros(0), np.zeros(0), np.arange(4) / 4, np.arange(1, 5) / 4,
+            np.array([0.3, 0.0, 0.2, 0.5]), 1.0), LEB, {0, 1}),
+    ]
+    for name, mu, nu, filled in pairs:
+        stopping_forest(mu, nu, 1.0 / 128.0, max_depth=depth)
+        levels = alpha_table(mu, nu)._levels
+        got = {j for j, alphas in levels.items() if alphas is not None}
+        assert set(levels) == every and got == filled, name
+        for j in got:
+            want = [_compute_entry(mu, nu, *_interval_bounds(
+                STANDARD.interval(j, k))).alpha for k in range(1 << j)]
+            assert np.array_equal(levels[j], want), (name, j)
+    # reads through the table take the filled value of the right cell
+    mu, nu = fleet[0]
+    for j in range(6):
+        for k in range(1 << j):
+            I = STANDARD.interval(j, k)
+            assert alpha(mu, nu, I) == _compute_entry(
+                mu, nu, *_interval_bounds(I)).alpha

@@ -1,7 +1,7 @@
 """Static checks: every export resolves, no import or local goes unused.
 
-The import scan covers the sources of the imported sqfnlab (installed or
-from src/) and this tests directory; the local scan covers the sources.
+Both scans cover the sources of the imported sqfnlab (installed or from
+src/) and this tests directory.
 """
 
 import ast
@@ -13,6 +13,7 @@ import sqfnlab
 
 PACKAGE_DIR = pathlib.Path(sqfnlab.__file__).resolve().parent
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
+FILES = sorted(PACKAGE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
 
 
 def test_every_all_entry_resolves():
@@ -54,9 +55,8 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    files = sorted(PACKAGE_DIR.glob("*.py")) + sorted(TESTS_DIR.glob("*.py"))
     found = [f"{path.name}:{line}: {name}"
-             for path in files for line, name in _unused_imports(path)]
+             for path in FILES for line, name in _unused_imports(path)]
     assert found == []
 
 
@@ -104,6 +104,5 @@ def _unused_locals(path):
 
 def test_no_unused_locals():
     found = [f"{path.name}:{line}: {name} in {func}"
-             for path in sorted(PACKAGE_DIR.glob("*.py"))
-             for line, func, name in _unused_locals(path)]
+             for path in FILES for line, func, name in _unused_locals(path)]
     assert found == []

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 from sqfnlab.cli import _random_measure
-from sqfnlab.measure import Measure, generate
-from sqfnlab.transport import w1_oracle, w1_supported, w1_unrestricted
+from sqfnlab.measure import Measure, cdf_difference, generate
+from sqfnlab.transport import (
+    _bisect,
+    w1_oracle,
+    w1_rows,
+    w1_supported,
+    w1_unrestricted,
+)
 
 
 def test_endpoint_deltas_split():
@@ -75,3 +81,37 @@ def test_identical_measures_give_zero():
     m = generate({"type": "cascade", "p": 0.6, "depth": 8})
     assert w1_supported(m, m).value == 0.0
     assert w1_unrestricted(m, m).value == 0.0
+
+
+def test_w1_rows_lockstep_with_w1_supported():
+    # one row at a time, then every segment count's rows stacked in one call
+    rng = np.random.default_rng(12)
+    by_length = {}
+    for _ in range(1000):
+        m1, m2 = _random_measure(rng), _random_measure(rng)
+        want = w1_supported(m1, m2)
+        graph = cdf_difference(m1, m2)
+        c, value = w1_rows(*(v[None] for v in graph))
+        assert (c[0], value[0]) == (want.optimal_shift, want.value)
+        by_length.setdefault(graph[0].size, []).append((graph, want))
+    stacked = 0
+    for rows in by_length.values():
+        c, value = w1_rows(*(np.stack(v) for v in zip(*(g for g, _ in rows))))
+        assert c.tolist() == [w.optimal_shift for _, w in rows]
+        assert value.tolist() == [w.value for _, w in rows]
+        stacked += len(rows) > 1
+    assert stacked > 10
+
+
+def test_row_bisection_follows_searchsorted_where_weights_dip():
+    # sorted integers with dips of 1e-3; rows padded past their length
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        n = int(rng.integers(1, 30))
+        arr = np.sort(rng.integers(0, 10, n)) - rng.choice([0, 0, 1e-3], n)
+        key = float(rng.integers(-1, 11)) + rng.choice([0.0, 0.5])
+        padded = np.concatenate([arr, np.full(4, 99.0)])[None]
+        for side in ("left", "right"):
+            got = _bisect(padded, np.array([n]), np.array([key]),
+                          right=side == "right")
+            assert got[0] == np.searchsorted(arr, key, side=side)

@@ -76,7 +76,6 @@ def test_haar_mean_zero_and_orthogonality():
     hs = haar(CASC, LEB, tree)
     for key in [(0, 0), (2, 1), (4, 9)]:
         I = STANDARD.interval(*key)
-        mid = 0.5 * (I.a + I.b)
         cp, cm = hs.cplus[key], hs.cminus[key]
         mean = cp * hs.mu_mass(STANDARD.interval(I.j + 1, 2 * I.k + 1)) \
             - cm * hs.mu_mass(STANDARD.interval(I.j + 1, 2 * I.k))
