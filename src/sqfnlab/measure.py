@@ -401,8 +401,9 @@ def cdf_left_values(m: Measure, xs):
     """Vectorized F(x-) = m([0, x)) at the given points."""
     xs = np.asarray(xs, dtype=float)
     acum, bx, bv = m._tables
+    # no clamp: bx starts at 0 with bv 0, and np.interp already returns
+    # bv[0] left of bx[0] and bv[-1] at or right of bx[-1]
     cont = np.interp(xs, bx, bv)
-    cont = np.where(xs <= bx[0], 0.0, np.where(xs >= bx[-1], bv[-1], cont))
     if m.atom_x.size:
         idx = np.searchsorted(m.atom_x, xs, side="left")
         cont = cont + acum[idx]

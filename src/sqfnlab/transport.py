@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import (
-    Measure,
-    PiecewiseLinearFn,
-    cdf_difference,
-    cdf_left_values,
-)
+from .measure import Measure, PiecewiseLinearFn, cdf_difference
 
 __all__ = ["W1Result", "w1_supported", "w1_rows", "w1_unrestricted",
            "w1_oracle"]
@@ -319,16 +314,42 @@ def w1_unrestricted(m1: Measure, m2: Measure) -> W1Result:
     return W1Result(float(_abs_integral(x0, x1, g0, g1, 0.0)), 0.0, None)
 
 
-def w1_oracle(m1: Measure, m2: Measure, grid_n=1 << 14):
+# the oracle's uniform grid: 2^14 cells, sampled at their midpoints
+_GRID_N = 1 << 14
+_GRID_H = 1.0 / _GRID_N
+# scaled in place: freeing a 128 KB temporary at import raises glibc's
+# dynamic mmap threshold, which raised the peak RSS of later runs
+_MIDS = np.arange(0.5, _GRID_N)
+_MIDS *= _GRID_H
+_MIDS.setflags(write=False)
+
+
+def _grid_cdf(m: Measure):
+    """F(x-) = m([0, x)) at the sorted grid midpoints, == cdf_left_values.
+
+    The atom part is a step function, so each atom's cumulative weight is
+    repeated up to the first midpoint right of it; "right" leaves out an
+    atom sitting exactly on a midpoint, as F(x-) must.
+    """
+    acum, bx, bv = m._tables
+    cuts = np.searchsorted(_MIDS, m.atom_x, "right")
+    F = np.repeat(acum, np.diff(cuts, prepend=0, append=_GRID_N))
+    if m.piece_l.size:
+        F = np.interp(_MIDS, bx, bv) + F
+    return F
+
+
+def w1_oracle(m1: Measure, m2: Measure):
     """Independent check of the supported distance on a midpoint grid.
 
-    Samples G at the midpoints of a uniform grid straight from the two
-    CDFs, takes the sample median as the shift, and sums |G - c| * h.  The
+    Samples G at the midpoints of a uniform grid of 2^14 cells straight
+    from the two CDFs, takes the sample median as the shift, and sums
+    |G - c| * h.  Each CDF is read in one pass over the sorted midpoints:
+    one np.interp of its piece breakpoints, plus one np.repeat of its
+    cumulative atom weights, == cdf_left_values at the midpoints.  The
     quadrature error is at most h times the total variation of G, so for
     probability measures it is below 2 * h.
     """
-    h = 1.0 / grid_n
-    mids = (np.arange(grid_n) + 0.5) * h
-    G = cdf_left_values(m1, mids) - cdf_left_values(m2, mids)
+    G = _grid_cdf(m1) - _grid_cdf(m2)
     c = float(np.median(G))
-    return float(np.sum(np.abs(G - c)) * h)
+    return float(np.sum(np.abs(G - c)) * _GRID_H)

@@ -97,7 +97,7 @@ def test_criterion_01_transport_oracle_gate(line):
     for _ in range(1000):
         m1, m2 = _random_measure(rng), _random_measure(rng)
         worst = max(worst, abs(w1_supported(m1, m2).value
-                               - w1_oracle(m1, m2, grid_n=1 << 14)))
+                               - w1_oracle(m1, m2)))
     elapsed = time.monotonic() - t0
     ok = worst <= 2.0 ** -12 and elapsed <= 60.0
     line(1, ok, f"transport oracle gate: worst gap {worst:.3e} <= 2^-12, "

@@ -103,6 +103,30 @@ def test_cdf_left_values_piecewise():
     np.testing.assert_allclose(cdf_left_values(m, xs), [0.0, 0.25, 1.0, 1.0])
 
 
+def _cdf_left_clamped(m, xs):
+    # cdf_left_values with its former clamps at the ends of the breakpoints
+    xs = np.asarray(xs, dtype=float)
+    acum, bx, bv = m._tables
+    cont = np.interp(xs, bx, bv)
+    cont = np.where(xs <= bx[0], 0.0, np.where(xs >= bx[-1], bv[-1], cont))
+    if m.atom_x.size:
+        cont = cont + acum[np.searchsorted(m.atom_x, xs, side="left")]
+    return cont
+
+
+def test_cdf_left_values_needs_no_clamp():
+    xs = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 1 + 5e-16, 1 + 1e-15, 2.0,
+                   np.nan])
+    for m in [generate({"type": "lebesgue"}),
+              generate({"type": "histogram", "cells": [0.1, 0.2, 0.3, 0.4]}),
+              Measure.make(atoms=[(0.0, 0.2), (0.5, 0.3), (1.0, 0.5)]),
+              Measure.make(pieces=[(0.25, 0.5, 0.6), (0.625, 0.75, 0.4)]),
+              Measure.make(pieces=[(0.0, 1 + 1e-15, 1.0)])]:
+        got = cdf_left_values(m, xs)
+        assert np.array_equal(got, _cdf_left_clamped(m, xs), equal_nan=True)
+        assert np.isnan(got[-1])
+
+
 def test_cascade_cell_masses():
     m = generate({"type": "cascade", "p": 0.7, "depth": 2})
     cells = dyadic_cell_masses(m, 2)

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 
 from sqfnlab.cli import _random_measure
-from sqfnlab.measure import Measure, cdf_difference, generate
+from sqfnlab.measure import (
+    ZERO,
+    Measure,
+    cdf_difference,
+    cdf_left_values,
+    generate,
+)
 from sqfnlab.transport import (
+    _MIDS,
     _bisect,
+    _grid_cdf,
     w1_oracle,
     w1_rows,
     w1_supported,
@@ -115,3 +123,46 @@ def test_row_bisection_follows_searchsorted_where_weights_dip():
             got = _bisect(padded, np.array([n]), np.array([key]),
                           right=side == "right")
             assert got[0] == np.searchsorted(arr, key, side=side)
+
+
+def _mixed_measure(rng):
+    """A random measure with both atoms and pieces."""
+    cells = rng.uniform(0.05, 1.0, 8)
+    atoms = rng.uniform(0.0, 1.0, int(rng.integers(1, 6)))
+    return Measure.make(
+        atoms=[(float(x), 0.1) for x in atoms],
+        pieces=[(k / 8, (k + 1) / 8, float(w)) for k, w in enumerate(cells)])
+
+
+def test_grid_cdf_lockstep_with_cdf_left_values():
+    rng = np.random.default_rng(14)
+    mids = _MIDS
+    measures = [_random_measure(rng) for _ in range(2000)]
+    measures += [_mixed_measure(rng) for _ in range(100)]
+    measures += [
+        Measure.make(atoms=[(0.3, 0.2), (mids[7], 0.1)],
+                     pieces=[(0.0, 0.5, 0.4), (0.5, 1.0, 0.3)]),
+        Measure.make(atoms=[(mids[0], 0.5), (mids[9], 0.2), (mids[9], 0.3)]),
+        Measure.make(atoms=[(0.0, 0.25), (1.0, 0.75)]),
+        Measure.make(pieces=[(0.25, 0.75, 1.0)]),
+        ZERO,
+    ]
+    for m in measures:
+        assert np.array_equal(_grid_cdf(m), cdf_left_values(m, mids)), m
+
+
+def _oracle_sampled(m1, m2):
+    # the oracle as first written: both CDFs sampled point by point
+    h = 1.0 / (1 << 14)
+    mids = (np.arange(1 << 14) + 0.5) * h
+    G = cdf_left_values(m1, mids) - cdf_left_values(m2, mids)
+    c = float(np.median(G))
+    return float(np.sum(np.abs(G - c)) * h)
+
+
+def test_oracle_equals_the_sampled_formula():
+    rng = np.random.default_rng(15)
+    for i in range(1000):
+        pick = _mixed_measure if i % 4 == 0 else _random_measure
+        m1, m2 = pick(rng), _random_measure(rng)
+        assert w1_oracle(m1, m2) == _oracle_sampled(m1, m2)
