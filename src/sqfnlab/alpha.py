@@ -101,20 +101,19 @@ class AlphaTable:
         key = _interval_bounds(I)
         e = self._entries.get(key)
         if e is None:
-            alphas = self._level(I)
-            if alphas is not None:  # filled cells are never flagged
-                return AlphaEntry(float(alphas[I.k]), False)
+            if (isinstance(I, DyadicInterval) and I.system.shift == 0.0
+                    and 0 <= I.k < 1 << I.j):
+                alphas = self.level(I.j)
+                if alphas is not None:  # filled cells are never flagged
+                    return AlphaEntry(float(alphas[I.k]), False)
             e = self._entries[key] = _compute_entry(self._mu(), self.nu, *key)
         return e
 
-    def _level(self, I):
-        """The filled alphas of I's level, or None for a per-entry read."""
-        if not (isinstance(I, DyadicInterval) and I.system.shift == 0.0
-                and 0 <= I.k < 1 << I.j):
-            return None
-        if I.j not in self._levels:
-            self._levels[I.j] = _alpha_level(self._mu(), self.nu, I.j)
-        return self._levels[I.j]
+    def level(self, j):
+        """The filled alphas of standard level j, or None: read per entry."""
+        if j not in self._levels:
+            self._levels[j] = _alpha_level(self._mu(), self.nu, j)
+        return self._levels[j]
 
     def alpha(self, I):
         return self.entry(I).alpha

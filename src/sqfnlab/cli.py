@@ -154,6 +154,11 @@ def load_config(path):
         raise ValueError(f"depth must be a nonnegative integer, not {depth!r}")
     if depth > DEPTH_CAP:
         raise ValueError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    eps = merged["epsilon"]
+    if eps != "auto" and not (
+            (_is_int(eps) or isinstance(eps, float)) and 0 < eps < math.inf):
+        raise ValueError(
+            f"epsilon must be 'auto' or a finite number > 0, not {eps!r}")
     tols = merged["tolerances"]
     if not isinstance(tols, dict) or not all(
             (_is_int(v) or isinstance(v, float)) and 0 <= v < math.inf
@@ -196,12 +201,10 @@ def _suite_checks(cfg, mu, nu, tols):
 
     forest = stopping_forest(mu, nu, eps, max_depth=min(depth, 12))
     extras["trees"] = len(forest.trees)
-    ratios = []
     for tree in forest.trees:
         tree.check_structure()
-        cc = carleson_comparison(mu, nu, tree)
-        if cc.sum_alpha + cc.top_mass > 0:
-            ratios.append(cc.ratio)
+    ratios = [cc.ratio for cc in carleson_comparison(mu, nu, forest.trees)
+              if cc.sum_alpha + cc.top_mass > 0]
     if ratios:
         fleet = max(ratios)
         extras["carleson_ratio_max"] = fleet

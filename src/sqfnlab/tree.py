@@ -7,11 +7,17 @@ off, which is recorded).  The stopping forest splits [0, 1) into trees by
 accumulating squared alpha-numbers along chains; leaves are the first
 intervals where the inclusive sum reaches the threshold, and their children
 start new trees.
+
+The forest and carleson_comparison both work one dyadic level at a time on
+arrays of cells, reading the per-level cell masses and filled alpha levels;
+the Carleson sums add each tree's terms in (level, index) order, so they
+equal a member-by-member loop's.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +25,20 @@ import numpy as np
 from .measure import (
     Measure,
     PiecewiseLinearFn,
+    _is_int,
+    dyadic_cell_masses,
     integrate,
     mass,
     normalized_blowup,
 )
-from .dyadic import STANDARD, DyadicInterval, cell_mass, delta, navigate
+from .dyadic import (
+    MAX_LEVEL,
+    STANDARD,
+    DyadicInterval,
+    cell_mass,
+    delta,
+    navigate,
+)
 from .alpha import _interval_bounds, alpha_table
 from .alpha import alpha as _interval_alpha
 
@@ -68,17 +83,6 @@ class Tree:
             return (self.top.j <= I.j <= self.max_depth
                     and (I.k >> (I.j - self.top.j)) == self.top.k)
         return (I.j, I.k) in self.members
-
-    def member_intervals(self):
-        sys = self.top.system
-        if self.lazy_full:
-            for j in range(self.top.j, self.max_depth + 1):
-                base = self.top.k << (j - self.top.j)
-                for k in range(base, base + (1 << (j - self.top.j))):
-                    yield DyadicInterval(sys, j, k)
-            return
-        for j, k in sorted(self.members):
-            yield DyadicInterval(sys, j, k)
 
     def internal_members(self):
         """Members whose both children are members (Haar carriers)."""
@@ -133,39 +137,81 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
     An interval becomes a leaf of its tree as soon as the inclusive sum of
     alpha^2 over the chain from the tree top reaches epsilon^2; its children
     become tops of new trees.  Tops without mu-mass carry full non-stopping
-    (lazy) subtrees.
+    (lazy) subtrees.  Trees come out sorted by their tops' (level, index).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(
+            f"epsilon must be finite and positive, not {epsilon!r}")
+    if not (_is_int(max_depth) and 0 <= max_depth <= MAX_LEVEL):
+        raise ValueError(f"max_depth must be an integer in 0..{MAX_LEVEL}, "
+                         f"not {max_depth!r}")
     table = alpha_table(mu, nu)
     eps2 = epsilon * epsilon
+    tops = []  # (j, k, lazy) by tree id: ids follow the tops' (j, k) order
+    # (j, k, tree id, leaf) of each level's members, after an empty entry
+    # for a forest that is one lazy tree
+    levels = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=bool),)]
+    # the level's cells of non-lazy trees: index, chain sum above, tree id,
+    # and whether the cell tops a new tree
+    k = np.zeros(1, dtype=np.int64)
+    s = np.zeros(1)
+    tid = np.zeros(1, dtype=np.int64)
+    new = np.ones(1, dtype=bool)
+    for j in range(max_depth + 1):
+        if new.any():
+            kt = k[new]
+            lazy = dyadic_cell_masses(mu, j)[kt] == 0.0
+            tid[new] = len(tops) + np.arange(kt.size)
+            tops.extend(zip([j] * kt.size, kt.tolist(), lazy.tolist()))
+            keep = np.ones(k.size, dtype=bool)
+            keep[new] = ~lazy
+            k, s, tid = k[keep], s[keep], tid[keep]
+            if k.size == 0:
+                break
+        bare = np.flatnonzero(dyadic_cell_masses(nu, j)[k] == 0.0)
+        if bare.size:
+            I = STANDARD.interval(j, k[bare[0]])
+            raise ValueError(f"nu vanishes on {I}: doubling violation")
+        a = table.level(j)
+        if a is None:
+            a = np.array([table.alpha(STANDARD.interval(j, c))
+                          for c in k.tolist()])
+        else:
+            a = a[k]
+        s2 = s + a * a
+        leaf = s2 >= eps2
+        levels.append((np.full(k.size, j), k, tid, leaf))
+        if j == max_depth:
+            break
+        k = np.stack([2 * k, 2 * k + 1], axis=1).ravel()
+        s = np.repeat(np.where(leaf, 0.0, s2), 2)
+        tid = np.repeat(tid, 2)
+        new = np.repeat(leaf, 2)
+
+    # members grouped by tree, each tree's in (j, k) order
+    js, ks, tids, leafs = (np.concatenate(v) for v in zip(*levels))
+    order = np.argsort(tids, kind="stable")
+    js, ks, leafs = js[order], ks[order], leafs[order]
+    ends = np.cumsum(np.bincount(tids, minlength=len(tops)))
+    leaf_ends = np.concatenate([[0], np.cumsum(leafs)])[ends].tolist()
+    ends = ends.tolist()
+    cells = list(zip(js.tolist(), ks.tolist()))
+    leaf_cells = [DyadicInterval(STANDARD, *c)
+                  for c in zip(js[leafs].tolist(), ks[leafs].tolist())]
     trees = []
-    queue = [STANDARD.root()]
-    while queue:
-        top = queue.pop()
-        if cell_mass(mu, top) == 0.0:
-            trees.append(Tree(top, None, (), max_depth, lazy_full=True))
+    start = leaf_start = 0
+    for (j, k, lazy), end, leaf_end in zip(tops, ends, leaf_ends):
+        if lazy:
+            trees.append(Tree(DyadicInterval(STANDARD, j, k), None, (),
+                              max_depth, lazy_full=True))
             continue
-        members = set()
-        leaves = []
-        stack = [(top, 0.0)]
-        while stack:
-            I, s = stack.pop()
-            if cell_mass(nu, I) == 0.0:
-                raise ValueError(f"nu vanishes on {I}: doubling violation")
-            a_val = table.alpha(I)
-            s2 = s + a_val * a_val
-            members.add((I.j, I.k))
-            if s2 >= eps2:
-                leaves.append(I)
-                if I.j < max_depth:
-                    queue.append(navigate(I, "left"))
-                    queue.append(navigate(I, "right"))
-            elif I.j < max_depth:
-                stack.append((navigate(I, "left"), s2))
-                stack.append((navigate(I, "right"), s2))
-        trees.append(Tree(top, frozenset(members), tuple(leaves), max_depth))
-    trees.sort(key=lambda t: (t.top.j, t.top.k))
+        leaves = tuple(leaf_cells[leaf_start:leaf_end])
+        # a top that is a leaf is its tree's first leaf, and shares it
+        top = leaves[0] if leaves and leaves[0].j == j \
+            else DyadicInterval(STANDARD, j, k)
+        trees.append(Tree(top, frozenset(cells[start:end]), leaves,
+                          max_depth))
+        start, leaf_start = end, leaf_end
     return Forest(tuple(trees), epsilon, max_depth)
 
 
@@ -472,24 +518,76 @@ class CarlesonComparison:
     ratio: float
 
 
-def carleson_comparison(mu: Measure, nu: Measure,
-                        tree: Tree) -> CarlesonComparison:
-    """Sum of Delta^2 mu over the tree against alpha^2 mu plus top mass."""
-    top_mass = cell_mass(mu, tree.top)
-    if tree.lazy_full:
-        return CarlesonComparison(0.0, 0.0, top_mass, 0.0)
-    sum_delta = 0.0
-    sum_alpha = 0.0
-    leafset = {(L.j, L.k) for L in tree.leaves}
-    for I in tree.member_intervals():
-        mI = cell_mass(mu, I)
-        if mI == 0.0:
+def carleson_comparison(mu: Measure, nu: Measure, trees) -> list:
+    """Per tree, Delta^2 mu summed over it against alpha^2 mu plus top mass.
+
+    Takes an iterable of trees (forest.trees, or [tree]) and returns one
+    CarlesonComparison each.  alpha^2 mu runs over the non-leaf members;
+    members without mu-mass add nothing.  The members of all trees are read
+    a level at a time, from the cell masses of the level and the next, and
+    np.add.at adds each tree's terms in (j, k) order, as a member-by-member
+    loop would.
+    """
+    trees = list(trees)
+    table = alpha_table(mu, nu)
+    full = [(i, t) for i, t in enumerate(trees) if not t.lazy_full]
+    owner, js, ks, code = _coded((i, t.members) for i, t in full)
+    order = np.argsort(code)
+    owner, js, ks, code = owner[order], js[order], ks[order], code[order]
+    # leaves are members, so each leaf code is found among the sorted codes
+    leaves = _coded((i, [(L.j, L.k) for L in t.leaves]) for i, t in full)
+    inner = np.ones(code.size, dtype=bool)
+    inner[np.searchsorted(code, leaves[3])] = False
+
+    d_terms = np.zeros(owner.size)
+    a_terms = np.zeros(owner.size)
+    for j in np.flatnonzero(np.bincount(js)).tolist():
+        at = np.flatnonzero(js == j)
+        mI = dyadic_cell_masses(mu, j)[ks[at]]
+        at, mI = at[mI != 0.0], mI[mI != 0.0]
+        if at.size == 0:
             continue
-        d = delta(mu, nu, I)
-        sum_delta += d * d * mI
-        if (I.j, I.k) not in leafset:
-            a_val = _interval_alpha(mu, nu, I)
-            sum_alpha += a_val * a_val * mI
+        k, left = ks[at], 2 * ks[at]
+        nI = dyadic_cell_masses(nu, j)[k]
+        mL = dyadic_cell_masses(mu, j + 1)[left]
+        nL = dyadic_cell_masses(nu, j + 1)[left]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(nI == 0.0, 0.0, np.abs(mL / mI - nL / nI))
+        d_terms[at] = d * d * mI
+        inside = inner[at]
+        if inside.any():
+            a = table.level(j)
+            if a is None:
+                a = np.array([table.alpha(STANDARD.interval(j, c))
+                              for c in k[inside].tolist()])
+            else:
+                a = a[k[inside]]
+            a_terms[at[inside]] = a * a * mI[inside]
+    sum_delta = np.zeros(len(trees))
+    sum_alpha = np.zeros(len(trees))
+    np.add.at(sum_delta, owner, d_terms)
+    np.add.at(sum_alpha, owner, a_terms)
+
+    top_mass = np.array([dyadic_cell_masses(mu, t.top.j)[t.top.k]
+                         for t in trees])
     denom = sum_alpha + top_mass
-    ratio = sum_delta / denom if denom > 0 else 0.0
-    return CarlesonComparison(sum_delta, sum_alpha, top_mass, ratio)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(denom > 0, sum_delta / denom, 0.0)
+    return [CarlesonComparison(*v) for v in zip(
+        sum_delta.tolist(), sum_alpha.tolist(), top_mass.tolist(),
+        ratio.tolist())]
+
+
+def _coded(owned):
+    """(owner, j, k, code) arrays of the cells of (owner, (j, k) pairs) items.
+
+    code sorts by owner, then (j, k): the heap index 2^j + k of a cell sorts
+    by level, then by index.
+    """
+    owned = list(owned)
+    owner = np.repeat([i for i, _ in owned],
+                      [len(c) for _, c in owned]).astype(np.int64)
+    jk = np.fromiter(chain.from_iterable(chain.from_iterable(
+        c for _, c in owned)), dtype=np.int64, count=2 * owner.size)
+    js, ks = jk[0::2], jk[1::2]
+    return owner, js, ks, owner << 32 | (np.int64(1) << js) + ks

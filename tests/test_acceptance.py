@@ -226,8 +226,7 @@ def test_criterion_06_representation_and_carleson(fleet_forests, line):
         best = 0.0
         for name, (mu, nu, f10, f14) in fleet_forests.items():
             forest = f10 if depth_key == 10 else f14
-            for tree in forest.trees:
-                cc = carleson_comparison(mu, nu, tree)
+            for cc in carleson_comparison(mu, nu, forest.trees):
                 if cc.sum_alpha + cc.top_mass > 0:
                     best = max(best, cc.ratio)
         return best

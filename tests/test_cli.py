@@ -43,6 +43,14 @@ def test_depth_cap_is_enforced(tmp_path):
          "mu_spec": {"type": "finite-haar", "levels": -1}},
         {"scenario": "identity",
          "mu_spec": {"type": "histogram", "cells": [0.5, float("nan")]}},
+        # epsilon is "auto" or a finite number > 0; NaN and infinity
+        # would build forests that never stop
+        {"scenario": "identity", "epsilon": float("nan")},
+        {"scenario": "identity", "epsilon": float("inf")},
+        {"scenario": "identity", "epsilon": -1},
+        {"scenario": "identity", "epsilon": "abc"},
+        {"scenario": "identity", "epsilon": 0},
+        {"scenario": "identity", "epsilon": True},
     ]:
         cfg = _write_cfg(tmp_path, bad)
         with pytest.raises(ValueError):
@@ -61,6 +69,19 @@ def test_precondition_violation_is_input_error(tmp_path, capsys):
     assert main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "nu vanishes" in err
+    # the message names the first such cell in (level, index) order:
+    # [0.25, 0.5) at level 2 before [0.875, 1) at level 3, and [0.125, 0.25)
+    # before [0.75, 0.875) on one level
+    for cells, first in [([0.5, 0.5, 0, 0, 0.5, 0.5, 0.5, 0], "[0.25, 0.5)"),
+                         ([0.5, 0, 0.5, 0.5, 0.5, 0.5, 0, 0.5],
+                          "[0.125, 0.25)")]:
+        cfg = _write_cfg(tmp_path, {
+            "scenario": "identity",
+            "nu_spec": {"type": "histogram", "cells": cells},
+        })
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: nu vanishes on {first}@std")
 
 
 def test_validate_warns_on_boundary_atoms(tmp_path, capsys):

@@ -3,9 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from sqfnlab.dyadic import STANDARD
+from sqfnlab.alpha import alpha, alpha_table, epsilon_for_doubling
+from sqfnlab.cli import SCENARIOS, _random_measure
+from sqfnlab.dyadic import (
+    MAX_LEVEL,
+    STANDARD,
+    cell_mass,
+    delta,
+    doubling_constant,
+    navigate,
+)
 from sqfnlab.measure import generate, mass
 from sqfnlab.tree import (
+    CarlesonComparison,
+    Tree,
     carleson_comparison,
     coefficient_identity_gap,
     g_cell_values,
@@ -50,6 +61,15 @@ def test_forest_requires_positive_reference_measure():
     holes = generate({"type": "histogram", "cells": [0.5, 0.0, 0.0, 0.5]})
     with pytest.raises(ValueError):
         stopping_forest(LEB, holes, 0.25, max_depth=4)
+
+
+def test_forest_rejects_bad_epsilon_and_depth():
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon"):
+            stopping_forest(LEB, LEB, eps, max_depth=4)
+    for depth in (-3, MAX_LEVEL + 1, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="max_depth"):
+            stopping_forest(LEB, LEB, 0.25, max_depth=depth)
 
 
 def test_zero_mass_top_becomes_lazy_full_tree():
@@ -140,7 +160,7 @@ def test_tailtip_bounds_delta_general_and_degenerate():
 def test_carleson_comparison_cascade_ratio():
     forest = stopping_forest(CASC, LEB, 1.0 / 128.0, max_depth=6)
     t0 = next(t for t in forest.trees if t.top.bounds() == (0.0, 1.0))
-    cc = carleson_comparison(CASC, LEB, t0)
+    cc, = carleson_comparison(CASC, LEB, [t0])
     # singleton tree: one Delta^2 mu term over mu(top) alone
     assert cc.sum_alpha == 0.0
     assert cc.ratio == pytest.approx(0.04, abs=1e-12)
@@ -148,6 +168,127 @@ def test_carleson_comparison_cascade_ratio():
 
 def test_carleson_sum_grows_linearly_on_full_cascade_tree():
     tree = _full_tree(8)
-    cc = carleson_comparison(CASC, LEB, tree)
+    cc, = carleson_comparison(CASC, LEB, [tree])
     # Delta = 0.2 at every cell and masses telescope: 0.04 per level
     assert cc.sum_delta == pytest.approx(0.04 * 9, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the level sweeps against the depth-first walk and the per-tree loop
+
+
+def _dfs_forest(mu, nu, epsilon, max_depth):
+    """The trees of the depth-first stopping walk, sorted by top."""
+    table = alpha_table(mu, nu)
+    eps2 = epsilon * epsilon
+    trees = []
+    queue = [STANDARD.root()]
+    while queue:
+        top = queue.pop()
+        if cell_mass(mu, top) == 0.0:
+            trees.append(Tree(top, None, (), max_depth, lazy_full=True))
+            continue
+        members = set()
+        leaves = []
+        stack = [(top, 0.0)]
+        while stack:
+            I, s = stack.pop()
+            if cell_mass(nu, I) == 0.0:
+                raise ValueError(f"nu vanishes on {I}: doubling violation")
+            a_val = table.alpha(I)
+            s2 = s + a_val * a_val
+            members.add((I.j, I.k))
+            if s2 >= eps2:
+                leaves.append(I)
+                if I.j < max_depth:
+                    queue.append(navigate(I, "left"))
+                    queue.append(navigate(I, "right"))
+            elif I.j < max_depth:
+                stack.append((navigate(I, "left"), s2))
+                stack.append((navigate(I, "right"), s2))
+        trees.append(Tree(top, frozenset(members), tuple(leaves), max_depth))
+    trees.sort(key=lambda t: (t.top.j, t.top.k))
+    return trees
+
+
+def _tree_carleson(mu, nu, tree):
+    """One tree's Carleson comparison, member by member."""
+    top_mass = cell_mass(mu, tree.top)
+    if tree.lazy_full:
+        return CarlesonComparison(0.0, 0.0, top_mass, 0.0)
+    sum_delta = 0.0
+    sum_alpha = 0.0
+    leafset = {(L.j, L.k) for L in tree.leaves}
+    for j, k in sorted(tree.members):
+        I = STANDARD.interval(j, k)
+        mI = cell_mass(mu, I)
+        if mI == 0.0:
+            continue
+        d = delta(mu, nu, I)
+        sum_delta += d * d * mI
+        if (I.j, I.k) not in leafset:
+            a_val = alpha(mu, nu, I)
+            sum_alpha += a_val * a_val * mI
+    denom = sum_alpha + top_mass
+    ratio = sum_delta / denom if denom > 0 else 0.0
+    return CarlesonComparison(sum_delta, sum_alpha, top_mass, ratio)
+
+
+@pytest.fixture(scope="module")
+def forest_cases():
+    """(name, mu, nu, epsilon, depth): the suite's forests and a fleet."""
+    cascade16 = generate({"type": "cascade", "p": 0.7, "depth": 16})
+    cases = [("cascade-16", cascade16, LEB, 1.0 / 128.0, 12)]
+    for name in ("cantor", "example22", "example52", "example53",
+                 "finite-haar-ainfty", "ac-density", "identity"):
+        cfg = SCENARIOS[name]
+        mu, nu = generate(cfg["mu_spec"]), generate(cfg["nu_spec"])
+        D = doubling_constant(nu, depth=min(cfg["depth"], 10)).constant
+        eps = epsilon_for_doubling(max(D, 1.0))[0] if math.isfinite(D) \
+            else 1.0 / 128.0
+        cases.append((name, mu, nu, eps, min(cfg["depth"], 12)))
+    rng = np.random.default_rng(10)
+    for i in range(20):
+        mu = _random_measure(rng)
+        cells = rng.uniform(0.05, 1.0, 16)
+        nu = generate({"type": "histogram",
+                       "cells": (cells / cells.sum()).tolist()})
+        cases.append((f"random-{i}", mu, nu, 1.0 / 64.0, 6))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_level_forest_equals_the_dfs(forest_cases):
+    lazies = 0
+    for name, mu, nu, eps, depth in forest_cases:
+        forest = stopping_forest(mu, nu, eps, max_depth=depth)
+        want = _dfs_forest(mu, nu, eps, depth)
+        assert len(forest.trees) == len(want), name
+        lazies += sum(t.lazy_full for t in forest.trees)
+        for got, ref in zip(forest.trees, want):
+            assert got.top == ref.top, name
+            assert got.lazy_full == ref.lazy_full, (name, ref.top)
+            assert got.members == ref.members, (name, ref.top)
+            assert set(got.leaves) == set(ref.leaves), (name, ref.top)
+            assert got.max_depth == ref.max_depth, (name, ref.top)
+    assert lazies > 0
+
+
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_carleson_comparison_equals_the_per_tree_sums(forest_cases):
+    # a full tree and a lazy tree from other pairs' forests, whose tops carry
+    # mu-mass under the pair they are compared on
+    full = _full_tree(8)
+    cantor = generate({"type": "cantor", "depth": 10})
+    lazy = next(t for t in stopping_forest(cantor, LEB, 1.0 / 16.0,
+                                           max_depth=6).trees if t.lazy_full)
+    for name, mu, nu, eps, depth in forest_cases:
+        trees = stopping_forest(mu, nu, eps, max_depth=depth).trees
+        got = carleson_comparison(mu, nu, trees)
+        assert got == [_tree_carleson(mu, nu, t) for t in trees], name
+    for mu in (CASC, LEB):
+        trees = [full, lazy, full]
+        got = carleson_comparison(mu, LEB, trees)
+        assert got == [_tree_carleson(mu, LEB, t) for t in trees]
+    assert got[1].top_mass > 0.0 and got[1].ratio == 0.0
+    assert carleson_comparison(CASC, LEB, []) == []
