@@ -36,7 +36,7 @@ from .measure import (
     phi_tent,
     scale,
 )
-from .dyadic import DyadicInterval
+from .dyadic import STANDARD, DyadicInterval
 from .transport import w1_rows, w1_supported
 
 __all__ = [
@@ -114,6 +114,14 @@ class AlphaTable:
         if j not in self._levels:
             self._levels[j] = _alpha_level(self._mu(), self.nu, j)
         return self._levels[j]
+
+    def alphas(self, j, k):
+        """Alphas of the standard level-j cells k: filled, else per entry."""
+        a = self.level(j)
+        if a is None:
+            return np.array([self.alpha(STANDARD.interval(j, c))
+                             for c in k.tolist()])
+        return a[k]
 
     def alpha(self, I):
         return self.entry(I).alpha

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .measure import _is_int, generate, validate_spec
+from .measure import _is_int, dyadic_cell_masses, generate, validate_spec
 from .dyadic import STANDARD, cell_mass, delta, doubling_constant
 from .alpha import (
     alpha,
@@ -201,8 +201,7 @@ def _suite_checks(cfg, mu, nu, tols):
 
     forest = stopping_forest(mu, nu, eps, max_depth=min(depth, 12))
     extras["trees"] = len(forest.trees)
-    for tree in forest.trees:
-        tree.check_structure()
+    forest.check_structure()
     ratios = [cc.ratio for cc in carleson_comparison(mu, nu, forest.trees)
               if cc.sum_alpha + cc.top_mass > 0]
     if ratios:
@@ -214,8 +213,9 @@ def _suite_checks(cfg, mu, nu, tols):
     # Haar identities on the largest tree with internal members
     big = None
     for tree in forest.trees:
-        if tree.members and len(tree.members) > 1 and \
-                cell_mass(mu, tree.top) > 0 and cell_mass(nu, tree.top) > 0:
+        top = tree.top
+        if tree.members and len(tree.members) > 1 and min(
+                dyadic_cell_masses(m, top.j)[top.k] for m in (mu, nu)) > 0:
             if big is None or len(tree.members) > len(big.members):
                 big = tree
     if big is not None:
@@ -224,16 +224,15 @@ def _suite_checks(cfg, mu, nu, tols):
         members = sorted(big.members)
         idx = rng.choice(len(members), size=min(20, len(members)),
                          replace=False)
-        internal = {(I.j, I.k) for I in big.internal_members()}
         worst_prod = 0.0
         worst_coef = 0.0
         for i in idx:
             I = big.top.system.interval(*members[i])
-            if cell_mass(mu, I) == 0:
+            if dyadic_cell_masses(mu, I.j)[I.k] == 0:
                 continue
             lhs, rhs = product_check(hs, I)
             worst_prod = max(worst_prod, abs(lhs - rhs))
-            if (I.j, I.k) in internal:
+            if (I.j, I.k) in hs.coeff:  # an internal member
                 worst_coef = max(worst_coef,
                                  coefficient_identity_gap(hs, I))
         checks.append(_check("haar_product_identity", worst_prod, 0.0,
@@ -288,7 +287,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
         checks.append(_check("slope_matches_alpha_cell",
                              abs(slope - a0 * a0), tol_stat * a0 * a0,
                              note="mean S^2 slope vs alpha_cell^2"))
-        _, subtree, _ = delta_level_sums(mu, nu, depth)
+        _, subtree = delta_level_sums(mu, nu, depth)
         checks.append(_check("delta_carleson_growth", 0.03 * depth,
                              float(subtree[0][0]),
                              note="Delta-Carleson sum >= 0.03 * depth"))
@@ -343,10 +342,9 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
             cells /= cells.sum()
             m2 = generate({"type": "histogram", "cells": cells.tolist()})
             forest = stopping_forest(m1, m2, 1.0 / 64.0, max_depth=6)
-            for tree in forest.trees:
-                tree.check_structure()
-            I = STANDARD.interval(2, int(rng.integers(0, 4)))
-            if cell_mass(m1, I) > 0 and cell_mass(m2, I) > 0:
+            forest.check_structure()
+            k = int(rng.integers(0, 4))
+            if min(dyadic_cell_masses(m, 2)[k] for m in (m1, m2)) > 0:
                 hs_tree = forest.trees[0]
                 if hs_tree.members and len(hs_tree.members) > 1:
                     hs = haar(m1, m2, hs_tree)

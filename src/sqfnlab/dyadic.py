@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Measure, dyadic_cell_masses, mass
+from .measure import Measure, _is_int, dyadic_cell_masses, mass
 
 __all__ = [
     "DyadicSystem",
@@ -32,6 +32,12 @@ __all__ = [
 
 
 MAX_LEVEL = 30  # the finest level of every grid
+
+
+def _check_depth(depth, name="depth"):
+    if not (_is_int(depth) and 0 <= depth <= MAX_LEVEL):
+        raise ValueError(f"{name} must be an integer in 0..{MAX_LEVEL}, "
+                         f"not {depth!r}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,6 @@ def navigate(I: DyadicInterval, step):
 
 def containing_interval(system: DyadicSystem, x, level):
     """The unique level-`level` interval of the system containing x."""
-    if level > MAX_LEVEL:
-        raise ValueError("level overflow")
     k = math.floor((x - system.shift) * (1 << level))
     return DyadicInterval(system, level, k)
 
@@ -121,6 +125,14 @@ def cell_mass(m: Measure, I: DyadicInterval):
     if I.system.shift != 0.0 or not 0 <= I.k < 1 << I.j:
         raise ValueError(f"{I} is not a standard dyadic cell")
     return float(dyadic_cell_masses(m, I.j)[I.k])
+
+
+def _require_charged(nu: Measure, j, k):
+    """Raise on the first standard level-j cell of k that nu leaves bare."""
+    bare = k[dyadic_cell_masses(nu, j)[k] == 0.0]
+    if bare.size:
+        I = STANDARD.interval(j, bare[0])
+        raise ValueError(f"nu vanishes on {I}: doubling violation")
 
 
 def delta(mu: Measure, nu: Measure, I):

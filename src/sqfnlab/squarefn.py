@@ -4,6 +4,9 @@ The dyadic square function accumulates squared alpha-numbers along each
 point's chain of dyadic intervals; the continuous variant integrates
 squared smooth alpha-numbers of balls over scales.  Linear growth in depth
 flags singular parts; converging partial sums flag absolute continuity.
+
+Every dyadic walk here is a level sweep over dyadic_cell_masses and
+AlphaTable.alphas, the one fallback to per-entry alphas on unfilled levels.
 """
 
 from __future__ import annotations
@@ -19,18 +22,16 @@ from .measure import (
     BoundaryAtomWarning,
     Measure,
     dyadic_cell_masses,
-    is_uniform_on,
     mass,
     restrict,
     scale,
     combine,
 )
 from .dyadic import (
-    MAX_LEVEL,
     STANDARD,
-    cell_mass,
+    _check_depth,
+    _require_charged,
     containing_interval,
-    navigate,
 )
 from .alpha import Ball, _nu_tent_mass, alpha_smooth, alpha_table
 
@@ -104,23 +105,20 @@ def mu_sampled_points(mu: Measure, n, depth, seed=0):
 
 def dyadic_square_profile(mu: Measure, nu: Measure, points=(), depth=12):
     """Partial sums of alpha^2 along each point's standard dyadic chain."""
-    if depth > MAX_LEVEL:
-        raise ValueError("depth exceeds the grid's max level")
-    table = alpha_table(mu, nu)
+    _check_depth(depth)
     pts = np.asarray(points, dtype=float)
+    if not np.all((pts >= 0.0) & (pts < 1.0)):
+        raise ValueError("sample points must be finite and lie in [0, 1)")
+    table = alpha_table(mu, nu)
     scaled = pts * (1 << depth)
     if np.any(scaled == np.floor(scaled)):
         warnings.warn("sample point on a dyadic boundary",
                       BoundaryAtomWarning)
-    sums = np.zeros((pts.size, depth + 1))
-    for i, x in enumerate(pts):
-        acc = 0.0
-        for j in range(depth + 1):
-            I = containing_interval(STANDARD, float(x), j)
-            a = table.alpha(I)
-            acc += a * a
-            sums[i, j] = acc
-    return SquareFunctionProfile(pts, np.arange(depth + 1), sums, "dyadic")
+    a = np.stack([table.alphas(j, np.floor(pts * (1 << j)).astype(np.int64))
+                  for j in range(depth + 1)], axis=1)
+    # np.cumsum adds along each row in sequence, as a running sum does
+    return SquareFunctionProfile(pts, np.arange(depth + 1),
+                                 np.cumsum(a * a, axis=1), "dyadic")
 
 
 def continuous_square_profile(mu: Measure, nu: Measure, points, r_min):
@@ -169,36 +167,23 @@ def continuous_square_profile(mu: Measure, nu: Measure, points, r_min):
 # Carleson sums and the Buckley ratio
 
 
-def _both_uniform(mu, nu, a, b):
-    cu = is_uniform_on(mu, a, b)
-    if cu is None:
-        return False
-    return is_uniform_on(nu, a, b) is not None
-
-
 def _pruned_terms(mu, nu, depth):
     """Per-level alpha(I)^2 mu(I) over the standard cells to the depth.
 
-    Entry j lists the 2^j cells of level j.  A cell where mu vanishes or
-    both measures are uniform contributes nothing and its descendants are
-    not visited, so no alpha is computed below it.
+    Entry j lists the 2^j cells of level j.  Alphas are read only where mu
+    charges the cell, and nu must charge those cells too.  Cells where both
+    measures are uniform read exactly 0.0, as do all cells below them.
     """
     table = alpha_table(mu, nu)
     terms = []
-    live = [0]
     for j in range(depth + 1):
         mI = dyadic_cell_masses(mu, j)
+        k = np.flatnonzero(mI)
+        _require_charged(nu, j, k)
+        a = table.alphas(j, k)
         t = np.zeros(1 << j)
-        below = []
-        for k in live:
-            I = STANDARD.interval(j, k)
-            if mI[k] == 0.0 or _both_uniform(mu, nu, I.a, I.b):
-                continue
-            a = table.alpha(I)
-            t[k] = a * a * mI[k]
-            below += (2 * k, 2 * k + 1)
+        t[k] = a * a * mI[k]
         terms.append(t)
-        live = below
     return terms
 
 
@@ -214,9 +199,10 @@ def _subtree_sums(terms):
 def delta_level_sums(mu: Measure, nu: Measure, depth):
     """Per-level arrays of Delta^2(I) mu(I) and subtree sums, vectorized.
 
-    Returns (contrib, subtree, mu_levels): contrib[j][k] is the term of the
+    Returns (contrib, subtree): contrib[j][k] is the term of the
     level-j cell, subtree[j][k] the full truncated Carleson sum below it.
     """
+    _check_depth(depth)
     contrib = []
     for j in range(depth + 1):
         mI, nI = dyadic_cell_masses(mu, j), dyadic_cell_masses(nu, j)
@@ -226,8 +212,7 @@ def delta_level_sums(mu: Measure, nu: Measure, depth):
         d = np.zeros_like(mI)
         d[ok] = np.abs(mL[ok] / mI[ok] - nL[ok] / nI[ok])
         contrib.append(d * d * mI)
-    mu_levels = [dyadic_cell_masses(mu, j) for j in range(depth + 1)]
-    return contrib, _subtree_sums(contrib), mu_levels
+    return contrib, _subtree_sums(contrib)
 
 
 def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):
@@ -235,10 +220,13 @@ def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):
 
     I runs down to the depth; which picks Delta- or alpha-numbers as coef.
     """
+    _check_depth(depth)
     if which == "delta":
-        _, subtree, _ = delta_level_sums(mu, nu, depth)
-    else:
+        _, subtree = delta_level_sums(mu, nu, depth)
+    elif which == "alpha":
         subtree = _subtree_sums(_pruned_terms(mu, nu, depth))
+    else:
+        raise ValueError(f"which must be 'delta' or 'alpha', not {which!r}")
     best = 0.0
     for j in range(depth // 2 + 1):
         mI = dyadic_cell_masses(mu, j)
@@ -258,7 +246,10 @@ def tolsa_l2(gdensity: Measure, nu: Measure, depth=8):
     gdensity is mu = g dnu with g piecewise constant on the dyadic cells of
     level ceil(log2(pieces)), read from its piece count.  lhs sums
     alpha^2(I) mu(I)^2 / nu(I) over levels <= depth; l2norm is int g^2 dnu.
+    lhs adds its terms in depth-first preorder, as level order rounds
+    differently; cells without mu- or nu-mass add nothing.
     """
+    _check_depth(depth)
     mu = gdensity
     if mu.atom_x.size:
         raise ValueError("density measure cannot carry atoms")
@@ -271,23 +262,15 @@ def tolsa_l2(gdensity: Measure, nu: Measure, depth=8):
     ok = nu_cells > 0
     l2 = float(np.sum(mu_cells[ok] ** 2 / nu_cells[ok]))
     table = alpha_table(mu, nu)
-    lhs = 0.0
-
-    def rec(I):
-        nonlocal lhs
-        nI = cell_mass(nu, I)
-        if nI == 0.0:
-            return
-        if _both_uniform(mu, nu, I.a, I.b):
-            return
-        mI = cell_mass(mu, I)
-        a = table.alpha(I)
-        lhs += a * a * mI * mI / nI
-        if I.j < depth:
-            rec(navigate(I, "left"))
-            rec(navigate(I, "right"))
-
-    rec(STANDARD.root())
+    terms, keys = [], []
+    for j in range(depth + 1):
+        mI, nI = dyadic_cell_masses(mu, j), dyadic_cell_masses(nu, j)
+        k = np.flatnonzero((mI != 0.0) & (nI != 0.0))
+        a = table.alphas(j, k)
+        terms.append(a * a * mI[k] * mI[k] / nI[k])
+        keys.append(k << (depth - j) << 5 | j)  # left end, then level
+    terms = np.concatenate(terms)[np.argsort(np.concatenate(keys))]
+    lhs = float(np.cumsum(np.append(0.0, terms))[-1])
     ratio = lhs / l2 if l2 > 0 else 0.0
     return lhs, l2, ratio
 
@@ -305,7 +288,7 @@ class CZDecomposition:
     depth: int
 
     def bad_union_nu(self, nu: Measure):
-        return sum(cell_mass(nu, I) for I in self.bad)
+        return sum(float(dyadic_cell_masses(nu, I.j)[I.k]) for I in self.bad)
 
 
 def cz_decompose(mu: Measure, nu: Measure, lam, depth=10) -> CZDecomposition:
@@ -314,26 +297,22 @@ def cz_decompose(mu: Measure, nu: Measure, lam, depth=10) -> CZDecomposition:
     Maximal dyadic intervals with mu(I) > lam nu(I) become the bad set;
     the good part is mu off their union plus (mu(I)/nu(I)) nu on each bad
     interval.  Bad parts b_I = mu|_I - (mu(I)/nu(I)) nu|_I have zero mass
-    by construction.
+    by construction.  Bad intervals are listed by left end.
     """
-    if lam < 1:
-        raise ValueError("lambda must be at least 1")
-    bad = []
-    ratios = []
-
-    def scan(I):
-        mI = cell_mass(mu, I)
-        nI = cell_mass(nu, I)
-        if nI > 0 and mI > lam * nI:
-            bad.append(I)
-            ratios.append(mI / nI)
-            return
-        if I.j < depth and mI > 0:
-            scan(navigate(I, "left"))
-            scan(navigate(I, "right"))
-
-    scan(STANDARD.root())
-    # the scan visits left before right, so the bad intervals come sorted
+    _check_depth(depth)
+    if not 1 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and at least 1, not {lam!r}")
+    found = []  # (levels, indices, ratios) of each level's bad cells
+    k = np.zeros(1, dtype=np.int64)  # the level's cells still scanned
+    for j in range(depth + 1):
+        mI, nI = dyadic_cell_masses(mu, j)[k], dyadic_cell_masses(nu, j)[k]
+        over = (nI > 0) & (mI > lam * nI)
+        found.append((np.full(over.sum(), j), k[over], mI[over] / nI[over]))
+        k = (2 * k[~over & (mI > 0)][:, None] + [0, 1]).ravel()  # children
+    js, ks, ratios = (np.concatenate(v) for v in zip(*found))
+    order = np.argsort(ks << (depth - js))  # by left end
+    bad = list(map(STANDARD.interval, js[order].tolist(), ks[order].tolist()))
+    ratios = ratios[order].tolist()
     parts = []
     cursor = 0.0
     for I, r in zip(bad, ratios):

@@ -8,10 +8,10 @@ accumulating squared alpha-numbers along chains; leaves are the first
 intervals where the inclusive sum reaches the threshold, and their children
 start new trees.
 
-The forest and carleson_comparison both work one dyadic level at a time on
-arrays of cells, reading the per-level cell masses and filled alpha levels;
-the Carleson sums add each tree's terms in (level, index) order, so they
-equal a member-by-member loop's.
+Every walk over trees here is a level sweep on arrays of cells, reading the
+per-level cell masses and AlphaTable.alphas; Forest.check_structure reads
+the member codes of all trees at once.  Sums and dicts fill in (level,
+index) order, so they equal a member-by-member loop's.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .measure import (
     Measure,
     PiecewiseLinearFn,
-    _is_int,
     dyadic_cell_masses,
     integrate,
     mass,
@@ -35,6 +34,8 @@ from .dyadic import (
     MAX_LEVEL,
     STANDARD,
     DyadicInterval,
+    _check_depth,
+    _require_charged,
     cell_mass,
     delta,
     navigate,
@@ -86,42 +87,20 @@ class Tree:
 
     def internal_members(self):
         """Members whose both children are members (Haar carriers)."""
-        sys = self.top.system
-        if self.lazy_full:
-            for j in range(self.top.j, self.max_depth):
-                base = self.top.k << (j - self.top.j)
-                for k in range(base, base + (1 << (j - self.top.j))):
-                    yield DyadicInterval(sys, j, k)
-            return
-        leafset = {(L.j, L.k) for L in self.leaves}
-        for j, k in sorted(self.members):
-            if (j, k) in leafset:
-                continue
-            if (j + 1, 2 * k) in self.members:
-                yield DyadicInterval(sys, j, k)
+        return [DyadicInterval(self.top.system, j, k)
+                for j, k in zip(*(v.tolist() for v in self._internal_cells()))]
 
-    def check_structure(self):
-        """Coherence and child-count invariants, exhaustively."""
-        if self.lazy_full:
-            return True
-        leafset = {(L.j, L.k) for L in self.leaves}
-        for j, k in self.members:
-            if j > self.top.j and (j - 1, k >> 1) not in self.members:
-                raise AssertionError("orphan member")
-            has_l = (j + 1, 2 * k) in self.members
-            has_r = (j + 1, 2 * k + 1) in self.members
-            if has_l != has_r:
-                raise AssertionError("single-child member")
-            if (j, k) in leafset and has_l:
-                raise AssertionError("leaf with children")
-            if not has_l and (j, k) not in leafset and j < self.max_depth:
-                raise AssertionError("childless non-leaf above depth cap")
-        # leaves pairwise disjoint
-        spans = sorted((L.a, L.b) for L in self.leaves)
-        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-            if a2 < b1:
-                raise AssertionError("overlapping leaves")
-        return True
+    def _internal_cells(self):
+        """(levels, indices) of the internal members, in (j, k) order."""
+        if self.lazy_full:  # every cell of the subtree above max_depth
+            d = np.arange(self.max_depth - self.top.j)
+            d = np.repeat(d, 1 << d)  # depth below the top, per cell
+            return (self.top.j + d,
+                    (self.top.k << d) + np.arange(d.size) - (1 << d) + 1)
+        _, js, ks, code = _coded([(0, self.members)])
+        leaf = _coded([(0, [(L.j, L.k) for L in self.leaves])])[3]
+        inner = ~_among(leaf, code) & _among(code, 2 * code)
+        return js[inner], ks[inner]
 
 
 @dataclass(frozen=True)
@@ -129,6 +108,34 @@ class Forest:
     trees: tuple
     epsilon: float
     max_depth: int
+
+    def check_structure(self):
+        """Coherence and child-count invariants of every tree, in one pass
+        over the member codes of all trees (lazy trees have no members)."""
+        trees = list(enumerate(self.trees))
+        owner, js, _, code = _coded((i, t.members or ()) for i, t in trees)
+        lowner, ljs, lks, lcode = _coded(
+            (i, [(L.j, L.k) for L in t.leaves]) for i, t in trees)
+        top_j, cap = np.reshape([(t.top.j, t.max_depth) for t in self.trees],
+                                (-1, 2)).T.astype(np.int64)
+        base, heap = owner << 32, code & 0xFFFFFFFF
+        has_l, leaf = _among(code, base | 2 * heap), _among(lcode, code)
+        # each tree's leaves, by left end, must be pairwise disjoint
+        a, b = lks << (MAX_LEVEL - ljs), (lks + 1) << (MAX_LEVEL - ljs)
+        order = np.lexsort((a, lowner))
+        lowner, a, b = lowner[order], a[order], b[order]
+        for message, bad in (
+                ("orphan member",
+                 (js > top_j[owner]) & ~_among(code, base | heap >> 1)),
+                ("single-child member",
+                 has_l != _among(code, base | 2 * heap + 1)),
+                ("leaf with children", leaf & has_l),
+                ("childless non-leaf above depth cap",
+                 ~has_l & ~leaf & (js < cap[owner])),
+                ("overlapping leaves",
+                 (lowner[1:] == lowner[:-1]) & (a[1:] < b[:-1]))):
+            if bad.any():
+                raise AssertionError(message)
 
 
 def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
@@ -142,9 +149,7 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
     if not 0.0 < epsilon < math.inf:
         raise ValueError(
             f"epsilon must be finite and positive, not {epsilon!r}")
-    if not (_is_int(max_depth) and 0 <= max_depth <= MAX_LEVEL):
-        raise ValueError(f"max_depth must be an integer in 0..{MAX_LEVEL}, "
-                         f"not {max_depth!r}")
+    _check_depth(max_depth, "max_depth")
     table = alpha_table(mu, nu)
     eps2 = epsilon * epsilon
     tops = []  # (j, k, lazy) by tree id: ids follow the tops' (j, k) order
@@ -168,16 +173,8 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
             k, s, tid = k[keep], s[keep], tid[keep]
             if k.size == 0:
                 break
-        bare = np.flatnonzero(dyadic_cell_masses(nu, j)[k] == 0.0)
-        if bare.size:
-            I = STANDARD.interval(j, k[bare[0]])
-            raise ValueError(f"nu vanishes on {I}: doubling violation")
-        a = table.level(j)
-        if a is None:
-            a = np.array([table.alpha(STANDARD.interval(j, c))
-                          for c in k.tolist()])
-        else:
-            a = a[k]
+        _require_charged(nu, j, k)
+        a = table.alphas(j, k)
         s2 = s + a * a
         leaf = s2 >= eps2
         levels.append((np.full(k.size, j), k, tid, leaf))
@@ -258,25 +255,31 @@ class HaarSystem:
 
 
 def haar(mu: Measure, nu: Measure, tree: Tree) -> HaarSystem:
+    """The Haar system of the tree's internal members, read a level at a
+    time; its dicts are filled, and a bad member named, in (j, k) order."""
     mu_top = cell_mass(mu, tree.top)
     nu_top = cell_mass(nu, tree.top)
     if mu_top == 0.0 or nu_top == 0.0:
         raise ValueError("tree top must carry mass for both measures")
-    coeff, cplus, cminus = {}, {}, {}
-    for I in tree.internal_members():
-        mI = cell_mass(mu, I)
-        nI = cell_mass(nu, I)
-        if mI == 0.0 or nI == 0.0:
+    js, ks = tree._internal_cells()
+    mI, nI, mL, nL = (np.empty(js.size) for _ in range(4))
+    for j in np.flatnonzero(np.bincount(js)).tolist():
+        at = js == j
+        k = ks[at]
+        mI[at], nI[at] = (dyadic_cell_masses(m, j)[k] for m in (mu, nu))
+        mL[at], nL[at] = (dyadic_cell_masses(m, j + 1)[2 * k]
+                          for m in (mu, nu))
+    zero = (mI == 0.0) | (nI == 0.0)
+    bad = np.flatnonzero(zero | (mL == 0.0) | (mL == mI))
+    if bad.size:
+        I = tree.top.system.interval(js[bad[0]], ks[bad[0]])
+        if zero[bad[0]]:
             raise ValueError(f"zero mass on tree member {I}")
-        L = navigate(I, "left")
-        mL = cell_mass(mu, L)
-        nL = cell_mass(nu, L)
-        if mL == 0.0 or mL == mI:
-            raise ValueError(f"mu vanishes on a child of {I}")
-        key = (I.j, I.k)
-        coeff[key] = mL / mI - nL / nI
-        cplus[key] = mI / (mI - mL)
-        cminus[key] = mI / mL
+        raise ValueError(f"mu vanishes on a child of {I}")
+    keys = list(zip(js.tolist(), ks.tolist()))
+    coeff = dict(zip(keys, (mL / mI - nL / nI).tolist()))
+    cplus = dict(zip(keys, (mI / (mI - mL)).tolist()))
+    cminus = dict(zip(keys, (mI / mL).tolist()))
     return HaarSystem(tree, mu, nu, coeff, cplus, cminus, mu_top, nu_top)
 
 
@@ -532,12 +535,8 @@ def carleson_comparison(mu: Measure, nu: Measure, trees) -> list:
     table = alpha_table(mu, nu)
     full = [(i, t) for i, t in enumerate(trees) if not t.lazy_full]
     owner, js, ks, code = _coded((i, t.members) for i, t in full)
-    order = np.argsort(code)
-    owner, js, ks, code = owner[order], js[order], ks[order], code[order]
-    # leaves are members, so each leaf code is found among the sorted codes
     leaves = _coded((i, [(L.j, L.k) for L in t.leaves]) for i, t in full)
-    inner = np.ones(code.size, dtype=bool)
-    inner[np.searchsorted(code, leaves[3])] = False
+    inner = ~_among(leaves[3], code)
 
     d_terms = np.zeros(owner.size)
     a_terms = np.zeros(owner.size)
@@ -556,12 +555,7 @@ def carleson_comparison(mu: Measure, nu: Measure, trees) -> list:
         d_terms[at] = d * d * mI
         inside = inner[at]
         if inside.any():
-            a = table.level(j)
-            if a is None:
-                a = np.array([table.alpha(STANDARD.interval(j, c))
-                              for c in k[inside].tolist()])
-            else:
-                a = a[k[inside]]
+            a = table.alphas(j, k[inside])
             a_terms[at[inside]] = a * a * mI[inside]
     sum_delta = np.zeros(len(trees))
     sum_alpha = np.zeros(len(trees))
@@ -579,7 +573,8 @@ def carleson_comparison(mu: Measure, nu: Measure, trees) -> list:
 
 
 def _coded(owned):
-    """(owner, j, k, code) arrays of the cells of (owner, (j, k) pairs) items.
+    """(owner, j, k, code) arrays of the cells of (owner, (j, k) pairs) items,
+    sorted by code.
 
     code sorts by owner, then (j, k): the heap index 2^j + k of a cell sorts
     by level, then by index.
@@ -590,4 +585,11 @@ def _coded(owned):
     jk = np.fromiter(chain.from_iterable(chain.from_iterable(
         c for _, c in owned)), dtype=np.int64, count=2 * owner.size)
     js, ks = jk[0::2], jk[1::2]
-    return owner, js, ks, owner << 32 | (np.int64(1) << js) + ks
+    code = owner << 32 | (np.int64(1) << js) + ks
+    order = np.argsort(code)
+    return owner[order], js[order], ks[order], code[order]
+
+
+def _among(codes, q):
+    """Whether each value of q is in the sorted array codes."""
+    return np.append(codes, -1)[np.searchsorted(codes, q)] == q

@@ -299,7 +299,7 @@ def test_criterion_09_buckley_surrogates(line):
               and abs(ba12 - ba10) <= 1e-9 * max(ba10, 1.0))
     growth_ok = True
     for depth in (10, 14):
-        _, subtree, _ = delta_level_sums(CASC, LEB, depth)
+        _, subtree = delta_level_sums(CASC, LEB, depth)
         growth_ok &= subtree[0][0] >= 0.03 * depth
     ok = stable and growth_ok
     line(9, ok, f"Buckley ratios stable after depth 10 (delta {bd10:.4f}, "

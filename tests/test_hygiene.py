@@ -1,7 +1,8 @@
-"""Static checks: every export resolves, no import or local goes unused.
+"""Static checks: every export resolves, no import or local goes unused,
+and the package reads no single dyadic cell inside a loop.
 
-Both scans cover the sources of the imported sqfnlab (installed or from
-src/) and this tests directory.
+The unused-name scans cover the sources of the imported sqfnlab (installed
+or from src/) and this tests directory; the loop scan covers the package.
 """
 
 import ast
@@ -105,4 +106,32 @@ def _unused_locals(path):
 def test_no_unused_locals():
     found = [f"{path.name}:{line}: {name} in {func}"
              for path in FILES for line, func, name in _unused_locals(path)]
+    assert found == []
+
+
+# scalar reads of one dyadic cell; a loop over cells reads level arrays
+PER_CELL = {"cell_mass", "is_uniform_on"}
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def _called_name(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def _per_cell_reads_in_loops(path):
+    """(line, name) of calls to a PER_CELL function inside a for or while
+    loop or a comprehension."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({(call.lineno, _called_name(call))
+                   for loop in ast.walk(tree) if isinstance(loop, LOOPS)
+                   for call in ast.walk(loop) if isinstance(call, ast.Call)
+                   and _called_name(call) in PER_CELL})
+
+
+def test_no_per_cell_reads_in_loops():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for line, name in _per_cell_reads_in_loops(path)]
     assert found == []

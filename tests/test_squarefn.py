@@ -170,3 +170,44 @@ def test_domination_by_covering_intervals():
         rep = domination_check(CASC, LEB, x, r, systems)
         assert rep.ok and math.isfinite(rep.bound)
         assert rep.covering  # at least one system supplied an interval
+
+
+def test_alpha_terms_reject_nu_vanishing_under_mu():
+    # nu leaves [1/2, 1) bare where Lebesgue charges it, and alpha there is
+    # 1/4: the cell must not be skipped as if both were uniform
+    holes = generate({"type": "histogram", "cells": [0.3, 0.7, 0.0, 0.0]})
+    with pytest.raises(ValueError,
+                       match=r"nu vanishes on \[0\.5, 1\)@std: doubling"):
+        buckley_ratio(LEB, holes, 3, which="alpha")
+
+
+def test_buckley_ratio_rejects_an_unknown_flavor():
+    with pytest.raises(ValueError, match="which"):
+        buckley_ratio(CASC, LEB, 4, which="bogus")
+
+
+@pytest.mark.parametrize("depth", [-1, 31, 4.0, True, "4", None])
+def test_dyadic_entry_points_reject_a_bad_depth(depth):
+    calls = [
+        lambda: buckley_ratio(CASC, LEB, depth),
+        lambda: buckley_ratio(CASC, LEB, depth, which="alpha"),
+        lambda: delta_level_sums(CASC, LEB, depth),
+        lambda: tolsa_l2(CASC, LEB, depth=depth),
+        lambda: cz_decompose(CASC, LEB, 2.0, depth=depth),
+        lambda: dyadic_square_profile(CASC, LEB, [0.3], depth=depth),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            call()
+
+
+def test_cz_rejects_a_non_finite_lambda():
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda"):
+            cz_decompose(CASC, LEB, lam, depth=4)
+
+
+def test_dyadic_profile_rejects_points_outside_the_unit_interval():
+    for x in (math.inf, -math.inf, math.nan, -0.25, 1.0, 1.5):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            dyadic_square_profile(CASC, LEB, [0.3, x], depth=4)

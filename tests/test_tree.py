@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from sqfnlab.dyadic import (
 from sqfnlab.measure import generate, mass
 from sqfnlab.tree import (
     CarlesonComparison,
+    Forest,
     Tree,
     carleson_comparison,
     coefficient_identity_gap,
@@ -46,7 +48,30 @@ def test_identity_forest_is_one_full_tree():
     assert tree.top.bounds() == (0.0, 1.0)
     assert len(tree.members) == 2 ** 7 - 1
     assert tree.leaves == ()
-    assert tree.check_structure()
+    Forest((tree,), 0.25, 6).check_structure()
+
+
+def test_check_structure_names_each_defect():
+    # a healthy forest of many trees passes: leaves of different trees nest
+    stopping_forest(CASC, LEB, 1.0 / 128.0, max_depth=6).check_structure()
+    stopping_forest(generate({"type": "cantor", "depth": 10}), LEB,
+                    1.0 / 16.0, max_depth=6).check_structure()
+    tree = _full_tree(2)
+    cells = tree.members
+    cell = STANDARD.interval
+    broken = {
+        "orphan member": dict(members=cells | {(4, 0)}),
+        "single-child member": dict(members=cells | {(3, 0)}),
+        "leaf with children": dict(leaves=(cell(1, 0),)),
+        "childless non-leaf above depth cap": dict(max_depth=3),
+        "overlapping leaves": dict(leaves=(cell(2, 0), cell(3, 1))),
+    }
+    lazy = Tree(cell(1, 1), None, (), 2, lazy_full=True)
+    for message, change in broken.items():
+        bad = dataclasses.replace(tree, **change)
+        forest = Forest((_full_tree(1), bad, lazy), 0.25, 2)
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            forest.check_structure()
 
 
 def test_cascade_forest_stops_immediately_at_small_epsilon():
