@@ -12,8 +12,9 @@ The first read of a standard dyadic cell fills its whole level, in numpy
 passes over many cells at once, when both measures are aligned there
 (measure._cell_width: no atoms, and every cell holds the same run of whole
 pieces or lies inside one piece), at most one of them holds several pieces
-per cell, both charge every cell, and neither a cell's pieces nor the
-level's cells exceed 2^14.  Such a level, as on histogram, cascade and
+per cell, both charge every cell, and the level has at most 2^14 cells.
+Each distinct row of a level, keyed on the exact bytes of its kernel
+input, is computed once.  Such a level, as on histogram, cascade and
 Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
 Every other level, and balls, tuples and shifted cells, stay per entry.
 """
@@ -51,8 +52,8 @@ __all__ = [
 ]
 
 _PHI = phi_tent()
-# segments per numpy pass of a level fill, and cells of the finest level
-# filled whole
+# segments per numpy pass of a level fill (a wider row is a pass of its
+# own), and cells of the finest level filled whole
 _CHUNK = 1 << 14
 
 
@@ -181,17 +182,22 @@ def _alpha_level(mu, nu, j):
     The rows follow _compute_entry step by step: the uniform shortcut, the
     blow-up totals, the scaled masses and their CDFs on the finer side's
     grid, where a one-piece side is np.interp's line through (0, 0) and
-    (1, F(1)).  None where that needs more: a zero-mass cell (ZERO), two
-    sides of several pieces per cell (the union of two grids), a row wider
-    than a chunk or a level of more cells than a chunk.
+    (1, F(1)).  Each distinct row, keyed on the exact bytes of its grid and
+    CDF difference, goes through w1_rows once: the kernel works along each
+    row alone, and a level's rows share one length, so equal rows give
+    equal alphas.  A row wider than a chunk is a chunk of its own.  None
+    where that needs more: a zero-mass cell (ZERO), two sides of several
+    pieces per cell (the union of two grids) or a level of more cells than
+    a chunk.
     """
     n = 1 << j
     sizes = mu.piece_l.size, nu.piece_l.size
-    width = max(max(sizes) >> j, 1)  # segments per row, if aligned
-    if n > _CHUNK or width > _CHUNK or min(sizes) > n:
+    if n > _CHUNK or min(sizes) > n:
         return None
-    rows = _CHUNK // width
+    width = max(max(sizes) >> j, 1)  # segments per row, if aligned
+    rows = max(_CHUNK // width, 1)
     out = np.zeros(n)
+    known = {}  # kernel input bytes -> alpha, for the whole level
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         pu = _level_pieces(mu, j, start, stop)
@@ -207,8 +213,15 @@ def _alpha_level(mu, nu, j):
         if Fu is None or Fv is None:
             return None
         G = Fu - Fv
-        out[start:stop][todo] = w1_rows(grid[:, :-1], grid[:, 1:],
-                                        G[:, :-1], G[:, 1:])[1]
+        keys = [x.tobytes() + g.tobytes() for x, g in zip(grid, G)]
+        fresh = {key: i for i, key in enumerate(keys) if key not in known}
+        if fresh:
+            if len(fresh) < len(keys):  # one copy of the fresh rows
+                i = list(fresh.values())
+                grid, G = grid[i], G[i]
+            known.update(zip(fresh, w1_rows(grid[:, :-1], grid[:, 1:],
+                                            G[:, :-1], G[:, 1:])[1]))
+        out[start:stop][todo] = [known[key] for key in keys]
     out.setflags(write=False)
     return out
 

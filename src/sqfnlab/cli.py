@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .measure import _is_int, dyadic_cell_masses, generate, validate_spec
-from .dyadic import STANDARD, cell_mass, delta, doubling_constant
+from .dyadic import DEPTH_CAP, STANDARD, cell_mass, delta, doubling_constant
 from .alpha import (
     alpha,
     alpha_smooth,
@@ -53,8 +53,6 @@ from .squarefn import (
 TOL_EXACT = 1e-12       # identities that hold in exact arithmetic
 TOL_ACCUM = 1e-9        # identities subject to floating accumulation
 TOL_STAT = 0.05         # statistical / asymptotic comparisons
-
-DEPTH_CAP = 24
 
 
 def _random_measure(rng, max_cells=32):

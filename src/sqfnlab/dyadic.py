@@ -20,6 +20,7 @@ __all__ = [
     "DyadicSystem",
     "DyadicInterval",
     "DoublingReport",
+    "DEPTH_CAP",
     "MAX_LEVEL",
     "STANDARD",
     "navigate",
@@ -32,11 +33,14 @@ __all__ = [
 
 
 MAX_LEVEL = 30  # the finest level of every grid
+# the deepest level a sweep may reach: level j's cell arrays hold 2^j floats,
+# and delta_level_sums reads one level below its depth
+DEPTH_CAP = 24
 
 
 def _check_depth(depth, name="depth"):
-    if not (_is_int(depth) and 0 <= depth <= MAX_LEVEL):
-        raise ValueError(f"{name} must be an integer in 0..{MAX_LEVEL}, "
+    if not (_is_int(depth) and 0 <= depth <= DEPTH_CAP):
+        raise ValueError(f"{name} must be an integer in 0..{DEPTH_CAP}, "
                          f"not {depth!r}")
 
 

@@ -26,7 +26,7 @@ from sqfnlab.measure import (
     scale,
 )
 from sqfnlab.squarefn import buckley_ratio
-from sqfnlab.transport import w1_supported
+from sqfnlab.transport import w1_rows, w1_supported
 from sqfnlab.tree import stopping_forest
 
 
@@ -256,7 +256,7 @@ def test_level_fill_equals_the_entries():
               _histogram(rng.uniform(0.05, 1.0, 16))) for _ in range(3)]
     pairs = [
         ("cascade-16", generate({"type": "cascade", "p": 0.7, "depth": 16}),
-         LEB, every - {0, 1}),  # rows of 2^16 and 2^15 pieces: too wide
+         LEB, every),  # rows of 2^16 and 2^15 segments: one chunk each
         ("finite-haar", generate({"type": "finite-haar"}), LEB, every),
         ("ac-density 5", generate({"type": "ac-density", "seed": 5}), LEB,
          every),
@@ -303,3 +303,37 @@ def test_level_fill_equals_the_entries():
             I = STANDARD.interval(j, k)
             assert alpha(mu, nu, I) == _compute_entry(
                 mu, nu, *_interval_bounds(I)).alpha
+
+
+def test_level_fill_computes_each_distinct_row_once(monkeypatch):
+    rows = []
+
+    def counted(x0, x1, g0, g1):
+        rows.append(x0.shape[0])
+        return w1_rows(x0, x1, g0, g1)
+
+    entries = []
+
+    def counted_w1(m1, m2, **kw):
+        entries.append(1)
+        return w1_supported(m1, m2, **kw)
+
+    monkeypatch.setattr(alpha_module, "w1_rows", counted)
+    monkeypatch.setattr(alpha_module, "w1_supported", counted_w1)
+    # the cascade's blow-ups onto one level's cells are few distinct rows
+    casc = generate({"type": "cascade", "p": 0.7, "depth": 16})
+    stopping_forest(casc, LEB, 1.0 / 128.0, max_depth=12)
+    assert sum(rows) < 100 and entries == []
+
+    # halves that differ by one rounding step in one mass are two rows,
+    # and each gets its own alpha; equal quarters are one row
+    half = [0.1, 0.15, 0.05, 0.2]
+    masses = half + [np.nextafter(half[0], 1.0)] + half[1:]
+    mu = Measure.make(pieces=[(k / 8, (k + 1) / 8, m)
+                              for k, m in enumerate(masses)])
+    table = alpha_table(mu, LEB)
+    for j, count in enumerate([1, 2, 3]):
+        rows.clear()
+        want = [_compute_entry(mu, LEB, *_interval_bounds(
+            STANDARD.interval(j, k))).alpha for k in range(1 << j)]
+        assert np.array_equal(table.level(j), want) and rows == [count], j

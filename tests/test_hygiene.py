@@ -1,5 +1,6 @@
 """Static checks: every export resolves, no import or local goes unused,
-and the package reads no single dyadic cell inside a loop.
+the package reads no single dyadic cell inside a loop, and a level fill
+calls no np.unique.
 
 The unused-name scans cover the sources of the imported sqfnlab (installed
 or from src/) and this tests directory; the loop scan covers the package.
@@ -134,4 +135,34 @@ def test_no_per_cell_reads_in_loops():
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(PACKAGE_DIR.glob("*.py"))
              for line, name in _per_cell_reads_in_loops(path)]
+    assert found == []
+
+
+# a level fill's functions; the first np.unique of a process imports
+# numpy.ma, which raises peak RSS
+LEVEL_FILL = {"alpha.py": {"_alpha_level", "_cdf_rows"},
+              "measure.py": {"_level_pieces", "_cell_width"},
+              "transport.py": {"w1_rows", "_row_medians", "_row_values",
+                               "_bisect", "_abs_integral"}}
+
+
+def _unique_calls(path, names):
+    """(line, function) of np.unique / numpy.unique calls in the named
+    top-level functions."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    funcs = [f for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name in names]
+    assert {f.name for f in funcs} == names, path.name
+    return sorted((call.lineno, func.name) for func in funcs
+                  for call in ast.walk(func) if isinstance(call, ast.Call)
+                  and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "unique"
+                  and isinstance(call.func.value, ast.Name)
+                  and call.func.value.id in ("np", "numpy"))
+
+
+def test_no_unique_in_the_level_fill():
+    found = [f"{name}:{line}: {func}"
+             for name, funcs in sorted(LEVEL_FILL.items())
+             for line, func in _unique_calls(PACKAGE_DIR / name, funcs)]
     assert found == []

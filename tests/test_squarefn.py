@@ -186,7 +186,7 @@ def test_buckley_ratio_rejects_an_unknown_flavor():
         buckley_ratio(CASC, LEB, 4, which="bogus")
 
 
-@pytest.mark.parametrize("depth", [-1, 31, 4.0, True, "4", None])
+@pytest.mark.parametrize("depth", [-1, 25, 31, 4.0, True, "4", None])
 def test_dyadic_entry_points_reject_a_bad_depth(depth):
     calls = [
         lambda: buckley_ratio(CASC, LEB, depth),

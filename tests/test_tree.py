@@ -7,6 +7,7 @@ import pytest
 from sqfnlab.alpha import alpha, alpha_table, epsilon_for_doubling
 from sqfnlab.cli import SCENARIOS, _random_measure
 from sqfnlab.dyadic import (
+    DEPTH_CAP,
     MAX_LEVEL,
     STANDARD,
     cell_mass,
@@ -92,7 +93,7 @@ def test_forest_rejects_bad_epsilon_and_depth():
     for eps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="epsilon"):
             stopping_forest(LEB, LEB, eps, max_depth=4)
-    for depth in (-3, MAX_LEVEL + 1, 4.0, True, "4"):
+    for depth in (-3, DEPTH_CAP + 1, MAX_LEVEL + 1, 4.0, True, "4"):
         with pytest.raises(ValueError, match="max_depth"):
             stopping_forest(LEB, LEB, 0.25, max_depth=depth)
 
