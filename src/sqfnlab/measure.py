@@ -319,8 +319,7 @@ _FINEST_LEVEL = 30
 
 
 def _on_dyadic_boundary(x):
-    v = x * (1 << _FINEST_LEVEL)
-    return v == np.floor(v)
+    return float(x * (1 << _FINEST_LEVEL)).is_integer()
 
 
 def generate(spec):

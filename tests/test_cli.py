@@ -51,6 +51,14 @@ def test_depth_cap_is_enforced(tmp_path):
         {"scenario": "identity", "epsilon": "abc"},
         {"scenario": "identity", "epsilon": 0},
         {"scenario": "identity", "epsilon": True},
+        # pairs is an integer >= 1: zero or negative counts passed the
+        # oracle gate with no pair checked
+        {"scenario": "oracle-crossval", "pairs": -5},
+        {"scenario": "oracle-crossval", "pairs": 0},
+        {"scenario": "oracle-crossval", "pairs": 2.7},
+        {"scenario": "oracle-crossval", "pairs": True},
+        {"scenario": "oracle-crossval", "pairs": "3"},
+        {"scenario": "random-histogram-fleet", "pairs": 0},
     ]:
         cfg = _write_cfg(tmp_path, bad)
         with pytest.raises(ValueError):
@@ -136,11 +144,12 @@ def test_ac_density_classification_and_outputs(tmp_path):
 
 
 def test_oracle_crossval_scenario(tmp_path):
-    cfg = load_config(_write_cfg(tmp_path, {"scenario": "oracle-crossval",
-                                            "pairs": 50}))
-    report = run_experiment(cfg)
-    assert report["passed"]
-    assert report["stats"]["worst_oracle_gap"] <= 2.0 ** -12
+    for pairs in (1, 50):
+        cfg = load_config(_write_cfg(tmp_path, {"scenario": "oracle-crossval",
+                                                "pairs": pairs}))
+        report = run_experiment(cfg)
+        assert report["passed"]
+        assert 0.0 < report["stats"]["worst_oracle_gap"] <= 2.0 ** -12
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -1,6 +1,6 @@
 """Static checks: every export resolves, no import or local goes unused,
-the package reads no single dyadic cell inside a loop, and a level fill
-calls no np.unique.
+the package reads no single dyadic cell and computes no single-pair W1
+inside a loop, and a level fill calls no np.unique.
 
 The unused-name scans cover the sources of the imported sqfnlab (installed
 or from src/) and this tests directory; the loop scan covers the package.
@@ -110,8 +110,9 @@ def test_no_unused_locals():
     assert found == []
 
 
-# scalar reads of one dyadic cell; a loop over cells reads level arrays
-PER_CELL = {"cell_mass", "is_uniform_on"}
+# scalar reads of one dyadic cell, and the W1 of one pair; a loop over
+# cells reads level arrays, and a loop over pairs batches through w1_values
+PER_CELL = {"cell_mass", "is_uniform_on", "w1_supported"}
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 

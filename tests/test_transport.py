@@ -17,6 +17,7 @@ from sqfnlab.transport import (
     w1_rows,
     w1_supported,
     w1_unrestricted,
+    w1_values,
 )
 
 
@@ -111,6 +112,62 @@ def test_w1_rows_lockstep_with_w1_supported():
     assert stacked > 10
 
 
+def test_w1_values_lockstep_with_w1_supported():
+    # segment counts mixed in input order, one of them held by one graph
+    rng = np.random.default_rng(16)
+    pairs = [(_random_measure(rng), _random_measure(rng)) for _ in range(300)]
+    pairs.append((Measure.make(atoms=[(k / 200, 0.005) for k in range(200)]),
+                  generate({"type": "lebesgue"})))
+    graphs = [cdf_difference(m1, m2) for m1, m2 in pairs]
+    counts = [g[0].size for g in graphs]
+    assert counts.count(counts[-1]) == 1 and len(set(counts)) > 10
+    got = w1_values(graphs)
+    assert got.tolist() == [w1_supported(m1, m2).value for m1, m2 in pairs]
+    assert w1_values([]).tolist() == []
+
+
+def _lp_w1(m1, m2):
+    """The supported distance of two atomic measures as a linear program.
+
+    Maximise sum psi(t_i) d_i over the values psi(t_i) at the sorted atom
+    positions plus 0 and 1, where d_i is m1's minus m2's mass at t_i,
+    subject to |psi_{i+1} - psi_i| <= t_{i+1} - t_i and psi(0) = psi(1) = 0.
+    """
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    t = np.unique(np.concatenate([[0.0, 1.0], m1.atom_x, m2.atom_x]))
+    d = np.zeros(t.size)
+    np.add.at(d, np.searchsorted(t, m1.atom_x), m1.atom_w)
+    np.subtract.at(d, np.searchsorted(t, m2.atom_x), m2.atom_w)
+    step = np.diff(np.eye(t.size), axis=0)  # row i: psi_{i+1} - psi_i
+    gaps = np.diff(t)
+    bounds = [(0.0, 0.0)] + [(None, None)] * (t.size - 2) + [(0.0, 0.0)]
+    res = linprog(-d, A_ub=np.vstack([step, -step]),
+                  b_ub=np.concatenate([gaps, gaps]), bounds=bounds,
+                  method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_atomic_pairs_match_an_exact_linear_program():
+    # unequal total masses, and atoms at 0 and 1 in a third of the pairs
+    rng = np.random.default_rng(17)
+    pairs = []
+    for i in range(300):
+        sides = []
+        for _ in range(2):
+            xs = rng.uniform(0.0, 1.0, int(rng.integers(1, 12)))
+            if i % 3 == 0:
+                xs[:2] = rng.choice([0.0, 1.0], min(2, xs.size))
+            ws = rng.uniform(0.05, 1.0, xs.size) * rng.uniform(0.2, 2.0)
+            sides.append(Measure.make(atoms=list(zip(xs, ws))))
+        pairs.append(tuple(sides))
+    want = np.array([_lp_w1(m1, m2) for m1, m2 in pairs])
+    closed = np.array([w1_supported(m1, m2).value for m1, m2 in pairs])
+    batched = w1_values([cdf_difference(m1, m2) for m1, m2 in pairs])
+    assert np.max(np.abs(closed - want)) <= 1e-12
+    assert np.max(np.abs(batched - want)) <= 1e-12
+
+
 def test_row_bisection_follows_searchsorted_where_weights_dip():
     # sorted integers with dips of 1e-3; rows padded past their length
     rng = np.random.default_rng(13)
@@ -145,6 +202,9 @@ def test_grid_cdf_lockstep_with_cdf_left_values():
         Measure.make(atoms=[(mids[0], 0.5), (mids[9], 0.2), (mids[9], 0.3)]),
         Measure.make(atoms=[(0.0, 0.25), (1.0, 0.75)]),
         Measure.make(pieces=[(0.25, 0.75, 1.0)]),
+        # pieces overlapping by roundoff around a midpoint: np.interp's path
+        Measure.make(pieces=[(0.0, mids[50] + 4e-16, 0.5),
+                             (mids[50] - 4e-16, 1.0, 0.5)]),
         ZERO,
     ]
     for m in measures:
