@@ -60,7 +60,11 @@ TOL_EXACT = 1e-12       # identities that hold in exact arithmetic
 TOL_ACCUM = 1e-9        # identities subject to floating accumulation
 TOL_STAT = 0.05         # statistical / asymptotic comparisons
 
-# oracle-crossval holds the measures of this many pairs at a time
+# oracle-crossval runs each step over a block of this many pairs before
+# the next step.  One pair at a time, with an oracle's 2^14-point grids
+# between any two generator or cdf_difference calls, those calls ran
+# 25-40% slower and the scenario 17% slower (BENCH_13.json, "ablation").
+# A block bounds the measures held at once
 ORACLE_BLOCK = 256
 
 
@@ -140,6 +144,18 @@ SCENARIOS = {
 }
 
 
+def _pair_count(cfg):
+    """The config's pair count, an integer >= 1 (a bool is not one).
+
+    Checked when a scenario reads it, not in load_config, so a batch that
+    loads all its configs first counts a bad count as one failed run.
+    """
+    pairs = cfg.get("pairs", 1)
+    if not _is_int(pairs) or pairs < 1:
+        raise ValueError(f"pairs must be an integer >= 1, not {pairs!r}")
+    return pairs
+
+
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
@@ -156,9 +172,6 @@ def load_config(path):
     merged.setdefault("systems", "standard")
     merged.setdefault("outputs", {})
     merged.setdefault("tolerances", {})
-    pairs = merged.get("pairs", 1)
-    if not _is_int(pairs) or pairs < 1:
-        raise ValueError(f"pairs must be an integer >= 1, not {pairs!r}")
     depth = merged["depth"]
     if not _is_int(depth) or depth < 0:
         raise ValueError(f"depth must be a nonnegative integer, not {depth!r}")
@@ -345,7 +358,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
     elif name == "random-histogram-fleet":
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for _ in range(int(cfg.get("pairs", 10))):
+        for _ in range(_pair_count(cfg)):
             m1 = _random_measure(rng)
             # reference measure must charge every cell for the forest
             cells = rng.uniform(0.05, 1.0, 16)
@@ -365,7 +378,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
 
     elif name == "oracle-crossval":
         rng = np.random.default_rng(seed)
-        n = cfg["pairs"]
+        n = _pair_count(cfg)
         graphs, oracle = [], []
         for start in range(0, n, ORACLE_BLOCK):
             block = [(_random_measure(rng), _random_measure(rng))
@@ -463,6 +476,7 @@ def cmd_list(args):
 def cmd_validate(args):
     try:
         cfg = load_config(args.config)
+        _pair_count(cfg)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

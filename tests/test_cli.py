@@ -51,18 +51,30 @@ def test_depth_cap_is_enforced(tmp_path):
         {"scenario": "identity", "epsilon": "abc"},
         {"scenario": "identity", "epsilon": 0},
         {"scenario": "identity", "epsilon": True},
-        # pairs is an integer >= 1: zero or negative counts passed the
-        # oracle gate with no pair checked
+    ]:
+        cfg = _write_cfg(tmp_path, bad)
+        with pytest.raises(ValueError):
+            load_config(cfg)
+        assert main(["validate", "--config", cfg]) == 2, bad
+        assert main(["run", "--config", cfg]) == 2, bad
+
+
+def test_bad_pair_count_is_rejected_when_run(tmp_path):
+    # pairs is an integer >= 1: zero or negative counts passed the oracle
+    # gate with no pair checked.  The config still loads, so a batch that
+    # loads every config first fails only this run
+    for bad in [
         {"scenario": "oracle-crossval", "pairs": -5},
         {"scenario": "oracle-crossval", "pairs": 0},
         {"scenario": "oracle-crossval", "pairs": 2.7},
         {"scenario": "oracle-crossval", "pairs": True},
         {"scenario": "oracle-crossval", "pairs": "3"},
         {"scenario": "random-histogram-fleet", "pairs": 0},
+        {"scenario": "random-histogram-fleet", "pairs": "many"},
     ]:
         cfg = _write_cfg(tmp_path, bad)
-        with pytest.raises(ValueError):
-            load_config(cfg)
+        with pytest.raises(ValueError, match="pairs must be"):
+            run_experiment(load_config(cfg))
         assert main(["validate", "--config", cfg]) == 2, bad
         assert main(["run", "--config", cfg]) == 2, bad
 
