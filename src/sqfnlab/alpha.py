@@ -16,7 +16,9 @@ per cell, both charge every cell, and the level has at most 2^14 cells.
 Each distinct row of a level, keyed on the exact bytes of its kernel
 input, is computed once.  Such a level, as on histogram, cascade and
 Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
-Every other level, and balls, tuples and shifted cells, stay per entry.
+Every other level keeps entries: AlphaTable.alphas sends the graphs of
+the cells it reads there through one w1_values call, and a single read of
+a cell, ball or tuple is a one-row w1_rows call, with == results.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .measure import (
     ZERO,
     _level_pieces,
     blowup,
+    cdf_difference,
     integrate,
     is_uniform_on,
     mass,
@@ -38,7 +41,7 @@ from .measure import (
     scale,
 )
 from .dyadic import STANDARD, DyadicInterval
-from .transport import w1_rows, w1_supported
+from .transport import w1_rows, w1_values
 
 __all__ = [
     "Ball",
@@ -107,7 +110,8 @@ class AlphaTable:
                 alphas = self.level(I.j)
                 if alphas is not None:  # filled cells are never flagged
                     return AlphaEntry(float(alphas[I.k]), False)
-            e = self._entries[key] = _compute_entry(self._mu(), self.nu, *key)
+            graph, flag = _graph(self._mu(), self.nu, *key)
+            e = self._entries[key] = AlphaEntry(_w1(graph), flag)
         return e
 
     def level(self, j):
@@ -117,12 +121,21 @@ class AlphaTable:
         return self._levels[j]
 
     def alphas(self, j, k):
-        """Alphas of the standard level-j cells k: filled, else per entry."""
+        """Alphas of the standard level-j cells k: filled, else entries made
+        in one w1_values call, in the order of k, as one read at a time."""
         a = self.level(j)
-        if a is None:
-            return np.array([self.alpha(STANDARD.interval(j, c))
-                             for c in k.tolist()])
-        return a[k]
+        if a is not None:
+            return a[k]
+        keys = [_interval_bounds(STANDARD.interval(j, c)) for c in k.tolist()]
+        mu = self._mu()
+        todo = {key: _graph(mu, self.nu, *key) for key in dict.fromkeys(keys)
+                if key not in self._entries}
+        values = iter(w1_values([g for g, _ in todo.values()
+                                 if g is not None]).tolist())
+        for key, (graph, flag) in todo.items():
+            self._entries[key] = AlphaEntry(
+                0.0 if graph is None else next(values), flag)
+        return np.array([self._entries[key].alpha for key in keys])
 
     def alpha(self, I):
         return self.entry(I).alpha
@@ -155,31 +168,37 @@ def _uniform_densities(mu, nu, a, b, closed):
     return None
 
 
-def _w1_normalized(bu, cu, bv, cv):
-    """Supported W1 of bu / cu and bv / cv, a zero divisor giving ZERO."""
-    return w1_supported(scale(bu, 1.0 / cu) if cu > 0 else ZERO,
-                        scale(bv, 1.0 / cv) if cv > 0 else ZERO).value
-
-
 def _tent_null(bm):
     """Whether bm(phi) == 0 for a blow-up bm: phi vanishes only at 0 and 1."""
     return bm.piece_l.size == 0 and bool(
         np.all((bm.atom_x == 0.0) | (bm.atom_x == 1.0)))
 
 
-def _compute_entry(mu, nu, a, b, closed):
+def _graph(mu, nu, a, b, closed, norm=lambda bm: bm.total):
+    """(graph, one-sided flag) of the blow-ups onto [a, b) or [a, b]: the
+    cdf_difference of each over its norm (a zero norm giving ZERO), or None
+    where both measures are uniform and alpha is 0.0 without a W1."""
     if _uniform_densities(mu, nu, a, b, closed) is not None:
-        return AlphaEntry(0.0, False)
+        return None, False
     bu = blowup(mu, a, b, closed_right=closed)
     bv = blowup(nu, a, b, closed_right=closed)
     flag = bu.total > 0 and bv.total > 0 and _tent_null(bu) != _tent_null(bv)
-    return AlphaEntry(_w1_normalized(bu, bu.total, bv, bv.total), flag)
+    cu, cv = norm(bu), norm(bv)
+    return cdf_difference(scale(bu, 1.0 / cu) if cu > 0 else ZERO,
+                          scale(bv, 1.0 / cv) if cv > 0 else ZERO), flag
+
+
+def _w1(graph):
+    """Supported W1 of one graph, a one-row w1_rows call; 0.0 for None."""
+    if graph is None:
+        return 0.0
+    return float(w1_rows(*(v[None] for v in graph))[1][0])
 
 
 def _alpha_level(mu, nu, j):
     """Plain alphas of the 2^j standard level-j cells, or None.
 
-    The rows follow _compute_entry step by step: the uniform shortcut, the
+    The rows follow _graph step by step: the uniform shortcut, the
     blow-up totals, the scaled masses and their CDFs on the finer side's
     grid, where a one-piece side is np.interp's line through (0, 0) and
     (1, F(1)).  Each distinct row, keyed on the exact bytes of its grid and
@@ -260,13 +279,9 @@ def alpha(mu: Measure, nu: Measure, I):
 
 def alpha_smooth(mu: Measure, nu: Measure, I):
     """W1 of the tent-normalized blow-ups onto I, computed on every call."""
-    a, b, closed = _interval_bounds(I)
     alpha_table(mu, nu).entry(I)  # memoized and flagged as a plain read
-    if _uniform_densities(mu, nu, a, b, closed) is not None:
-        return 0.0
-    bu = blowup(mu, a, b, closed_right=closed)
-    bv = blowup(nu, a, b, closed_right=closed)
-    return _w1_normalized(bu, integrate(bu, _PHI), bv, integrate(bv, _PHI))
+    return _w1(_graph(mu, nu, *_interval_bounds(I),
+                      norm=lambda bm: integrate(bm, _PHI))[0])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ import numpy as np
 
 from . import __version__
 from .measure import (
+    Measure,
+    _histogram,
     _is_int,
     cdf_difference,
     dyadic_cell_masses,
@@ -74,13 +76,12 @@ def _random_measure(rng, max_cells=32):
         n = int(2 ** rng.integers(1, int(math.log2(max_cells)) + 1))
         cells = rng.uniform(0.05, 1.0, n)
         cells /= cells.sum()
-        return generate({"type": "histogram", "cells": cells.tolist()})
+        return _histogram(cells)
     n = int(rng.integers(1, max_cells + 1))
     xs = rng.uniform(0.0, 1.0, n)
     ws = rng.uniform(0.1, 1.0, n)
     ws /= ws.sum()
-    return generate({"type": "atomic",
-                     "atoms": [(float(x), float(w)) for x, w in zip(xs, ws)]})
+    return Measure.from_arrays(xs, ws, (), (), ())
 
 
 SCENARIOS = {
@@ -271,7 +272,7 @@ def _suite_checks(cfg, mu, nu, tols):
 
     # square function profile and classification
     if cell_mass(mu, STANDARD.root()) > 0 and mu.piece_l.size:
-        pts = mu_sampled_points(mu, 16, depth + 4, seed=seed)
+        pts = mu_sampled_points(mu, 16, min(depth + 4, DEPTH_CAP), seed=seed)
         prof = dyadic_square_profile(mu, nu, pts, depth=depth)
         profiles["square_dyadic"] = prof
         slopes = prof.slopes()
@@ -363,7 +364,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
             # reference measure must charge every cell for the forest
             cells = rng.uniform(0.05, 1.0, 16)
             cells /= cells.sum()
-            m2 = generate({"type": "histogram", "cells": cells.tolist()})
+            m2 = _histogram(cells)
             forest = stopping_forest(m1, m2, 1.0 / 64.0, max_depth=6)
             forest.check_structure()
             k = int(rng.integers(0, 4))

@@ -177,6 +177,7 @@ def doubling_constant(nu: Measure, depth=10) -> DoublingReport:
     which violates the precondition) yields an infinite constant with the
     offending interval as witness.
     """
+    _check_depth(depth)
     worst = 1.0
     witness = None
     prev = dyadic_cell_masses(nu, 0)

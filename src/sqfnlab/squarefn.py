@@ -94,6 +94,7 @@ class SquareFunctionProfile:
 
 def mu_sampled_points(mu: Measure, n, depth, seed=0):
     """Cell centers at the working depth, drawn with probability ~ mass."""
+    _check_depth(depth)
     rng = np.random.default_rng(seed)
     cells = dyadic_cell_masses(mu, depth)
     total = cells.sum()

@@ -12,7 +12,11 @@ distribution functions:
   requires equal total masses and equals int_0^1 |G| dx.
 
 All integrals are evaluated segment by segment in closed form, so results
-are exact up to floating-point accumulation.
+are exact up to floating-point accumulation.  One kernel computes the
+supported variant: w1_rows takes a stack of segment graphs of one length
+and works along each row alone.  w1_supported is a one-row call of it, and
+w1_values sends graphs through it in stacks of one segment count, so a
+graph gets the same c* and value whichever way it is read.
 """
 
 from __future__ import annotations
@@ -41,77 +45,23 @@ class W1Result:
     witness: PiecewiseLinearFn | None = None
 
 
-def _value_median(x0, x1, g0, g1):
-    """Weighted median of the value distribution of the segment graph.
-
-    Each segment contributes its length as weight, spread uniformly between
-    its endpoint values (a point mass when flat).  Any c with
-    weight{G <= c} >= total/2 and weight{G >= c} >= total/2 minimizes
-    int |G - c|; ties are broken by the midpoint of the median interval.
-    """
-    L = x1 - x0
-    total = L.sum()
-    half = total / 2.0
-    lo = np.minimum(g0, g1)
-    hi = np.maximum(g0, g1)
-    span = hi - lo
-    flat = span == 0.0
-    vals = np.unique(np.concatenate([lo, hi]))
-    if vals.size == 1:
-        return float(vals[0])
-    tol = 1e-12 * max(total, 1.0)
-
-    # event sweep: point masses at flat-segment values, plus a piecewise
-    # constant density from sloped segments, accumulated over the sorted
-    # candidate values in one pass
-    point = np.zeros(vals.size)
-    if np.any(flat):
-        np.add.at(point, np.searchsorted(vals, lo[flat]), L[flat])
-    dens = np.zeros(vals.size)
-    if np.any(~flat):
-        d = L[~flat] / span[~flat]
-        np.add.at(dens, np.searchsorted(vals, lo[~flat]), d)
-        np.add.at(dens, np.searchsorted(vals, hi[~flat]), -d)
-    dens_cum = np.cumsum(dens)
-    slope_mass = np.concatenate(
-        [[0.0], np.cumsum(dens_cum[:-1] * np.diff(vals))])
-    wle = slope_mass + np.cumsum(point)
-    wlt = wle - point
-
-    # lower end: smallest c with weight{G <= c} >= half
-    i = int(np.searchsorted(wle, half - tol))
-    i = min(i, vals.size - 1)
-    c_lo = vals[i]
-    if i > 0 and wle[i - 1] < half - tol:
-        # between vals[i-1] and vals[i] the weight grows linearly from
-        # wle[i-1] to wlt[i]; the quantile may sit strictly inside
-        rise = wlt[i] - wle[i - 1]
-        if rise > tol and wlt[i] >= half - tol:
-            c_lo = vals[i - 1] + (half - wle[i - 1]) / rise * (vals[i] - vals[i - 1])
-            c_lo = min(c_lo, vals[i])
-
-    # upper end: largest c with weight{G < c} <= half
-    j = int(np.searchsorted(wlt, half + tol, side="right")) - 1
-    j = max(j, 0)
-    c_hi = vals[j]
-    if j + 1 < vals.size:
-        rise = wlt[j + 1] - wle[j]
-        if rise > tol and wle[j] < half - tol:
-            c_hi = vals[j] + (half - wle[j]) / rise * (vals[j + 1] - vals[j])
-            c_hi = min(c_hi, vals[j + 1])
-        elif rise <= tol and wle[j] <= half + tol and wlt[j + 1] <= half + tol:
-            c_hi = vals[j + 1]
-    c_hi = max(c_hi, c_lo)
-    return float(0.5 * (c_lo + c_hi))
+# segments per w1_rows call of w1_values, so that a call's temporaries stay
+# near 1 MB: with whole levels of the cantor scenario in one call, a
+# small-suite pass faulted in 25,000 fresh pages instead of 10,000
+_STACK = 1 << 12
 
 
 def _bisect(arr, n, key, right=False):
     """np.searchsorted(arr[r, :n[r]], key[r]) for each row r.
 
-    It repeats numpy's bisection step for step: the weight arrays it
-    searches can dip by one rounding step, and there a count of the
-    entries below the key would land elsewhere.
+    One row calls np.searchsorted itself; several repeat numpy's bisection
+    step for step: the weight arrays it searches can dip by one rounding
+    step, and there a count of the entries below the key would land
+    elsewhere.
     """
+    side = "right" if right else "left"
+    if arr.shape[0] == 1:
+        return np.array([np.searchsorted(arr[0, :n[0]], key[0], side)])
     rows = np.arange(arr.shape[0])
     lo = np.zeros_like(n)
     hi = n.copy()
@@ -136,23 +86,28 @@ def _row_values(lo, hi):
     """
     both = np.concatenate([lo, hi], axis=1)
     k, W = both.shape
+    base = np.arange(0, k * W, W)[:, None]  # flat index of each row's start
     order = np.argsort(both, axis=1, kind="stable")
-    srt = np.take_along_axis(both, order, axis=1)
+    order += base
+    srt = both.ravel()[order]
     run = np.zeros((k, W), np.intp)
     np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=run[:, 1:])
+    nv = run[:, -1] + 1
+    run += base
     vals = np.repeat(srt[:, -1:], W, axis=1)
-    rows = np.arange(k)[:, None]
-    vals[rows, run] = srt
-    run += rows * W
+    vals.ravel()[run] = srt
     idx = np.empty_like(run)
-    np.put_along_axis(idx, order, run, axis=1)
-    return vals, run[:, -1] % W + 1, idx
+    idx.ravel()[order] = run
+    return vals, nv, idx
 
 
 def _row_medians(L, g0, g1, total):
-    """_value_median of each row, with the same operations in the same order.
+    """Weighted median c* of the value distribution of each row's graph.
 
-    The bincounts add in segment order, as np.add.at does.
+    Each segment weighs its length L, spread uniformly between its end
+    values g0 and g1 (a point mass when flat).  Any c with weight{G <= c}
+    >= total/2 and weight{G >= c} >= total/2 minimizes int |G - c|; ties
+    are broken at the midpoint of the median interval.
     """
     k, S = L.shape
     lo = np.minimum(g0, g1)
@@ -183,34 +138,34 @@ def _row_medians(L, g0, g1, total):
     tol = 1e-12 * np.where(1.0 > total, 1.0, total)
     r = np.arange(k)
 
-    def at(a, i):
-        return a[r, np.clip(i, 0, W - 1)]
-
     def py_min(x, y):  # Python's min(x, y): x unless y < x
         return np.where(y < x, y, x)
 
+    # the bracketing values, each gathered once; a gather at i - 1 = -1 or
+    # past nv is only read where a mask throws it away
+    i = np.minimum(_bisect(wle, nv, half - tol), nv - 1)
+    i0 = i - 1
+    j = np.maximum(_bisect(wlt, nv, half + tol, right=True) - 1, 0)
+    j1 = np.minimum(j + 1, W - 1)
+    v_i, v_ip, wle_ip, wlt_i = vals[r, i], vals[r, i0], wle[r, i0], wlt[r, i]
+    v_j, v_jn, wle_j, wlt_jn = vals[r, j], vals[r, j1], wle[r, j], wlt[r, j1]
     with np.errstate(divide="ignore", invalid="ignore"):
         # lower end: smallest c with weight{G <= c} >= half
-        i = np.minimum(_bisect(wle, nv, half - tol), nv - 1)
-        c_lo = at(vals, i)
-        rise = at(wlt, i) - at(wle, i - 1)
-        inner = ((i > 0) & (at(wle, i - 1) < half - tol) & (rise > tol)
-                 & (at(wlt, i) >= half - tol))
-        c_in = at(vals, i - 1) + (half - at(wle, i - 1)) / rise * (
-            c_lo - at(vals, i - 1))
-        c_lo = np.where(inner, py_min(c_in, c_lo), c_lo)
+        rise = wlt_i - wle_ip
+        inner = ((i > 0) & (wle_ip < half - tol) & (rise > tol)
+                 & (wlt_i >= half - tol))
+        c_in = v_ip + (half - wle_ip) / rise * (v_i - v_ip)
+        c_lo = np.where(inner, py_min(c_in, v_i), v_i)
 
         # upper end: largest c with weight{G < c} <= half
-        j = np.maximum(_bisect(wlt, nv, half + tol, right=True) - 1, 0)
-        c_hi = at(vals, j)
         nxt = j + 1 < nv
-        rise = at(wlt, j + 1) - at(wle, j)
-        inner = nxt & (rise > tol) & (at(wle, j) < half - tol)
-        c_in = c_hi + (half - at(wle, j)) / rise * (at(vals, j + 1) - c_hi)
-        top = (nxt & ~inner & (rise <= tol) & (at(wle, j) <= half + tol)
-               & (at(wlt, j + 1) <= half + tol))
-        c_hi = np.where(inner, py_min(c_in, at(vals, j + 1)),
-                        np.where(top, at(vals, j + 1), c_hi))
+        rise = wlt_jn - wle_j
+        inner = nxt & (rise > tol) & (wle_j < half - tol)
+        c_in = v_j + (half - wle_j) / rise * (v_jn - v_j)
+        top = (nxt & ~inner & (rise <= tol) & (wle_j <= half + tol)
+               & (wlt_jn <= half + tol))
+        c_hi = np.where(inner, py_min(c_in, v_jn),
+                        np.where(top, v_jn, v_j))
     c_hi = np.where(c_lo > c_hi, c_lo, c_hi)  # max(c_hi, c_lo)
     return np.where(nv == 1, vals[:, 0], 0.5 * (c_lo + c_hi))
 
@@ -219,7 +174,8 @@ def w1_rows(x0, x1, g0, g1):
     """(c*, value) of the supported distance for each row of 2-D arrays.
 
     Row r holds a segment graph as cdf_difference returns it, all rows of
-    one length; each result is == what w1_supported computes for that row.
+    one length.  Every operation runs along its own row, so a row's result
+    does not depend on the rows stacked with it.
     """
     L = x1 - x0
     c = _row_medians(L, g0, g1, L.sum(axis=1))
@@ -229,16 +185,20 @@ def w1_rows(x0, x1, g0, g1):
 def w1_values(graphs):
     """Supported distance of each cdf_difference graph, in input order.
 
-    The graphs of one segment count go through w1_rows as one stack, so
-    each value is == what w1_supported computes for that graph.
+    The graphs of one segment count go through w1_rows in stacks of at
+    most _STACK segments (a wider graph is a stack of its own); each value
+    is == what w1_supported computes for that graph alone.
     """
     groups = {}
     for i, graph in enumerate(graphs):
         groups.setdefault(graph[0].size, []).append(i)
     out = np.empty(len(graphs))
-    for rows in groups.values():
-        _, out[rows] = w1_rows(*map(np.stack,
-                                     zip(*(graphs[i] for i in rows))))
+    for size, rows in groups.items():
+        step = max(_STACK // size, 1)
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            _, out[part] = w1_rows(*map(np.stack,
+                                        zip(*(graphs[i] for i in part))))
     return out
 
 
@@ -316,8 +276,8 @@ def w1_supported(m1: Measure, m2: Measure, want_witness=False) -> W1Result:
     need not agree.
     """
     x0, x1, g0, g1 = cdf_difference(m1, m2)
-    c = _value_median(x0, x1, g0, g1)
-    val = float(_abs_integral(x0, x1, g0, g1, c))
+    c, val = (float(v[0]) for v in w1_rows(x0[None], x1[None], g0[None],
+                                            g1[None]))
     wit = _witness(x0, x1, g0, g1, c) if want_witness else None
     return W1Result(val, c, wit)
 

@@ -329,21 +329,29 @@ def partial_sum_g(hs: HaarSystem, x, N):
 
 
 def g_cell_values(hs: HaarSystem, N):
-    """(intervals, values, mu masses) of g_N on the level-N cells of the top."""
-    cells, values, weights = [], [], []
-
-    def walk(I, acc):
-        key = (I.j, I.k)
-        if I.j == N or key not in hs.coeff:
-            cells.append(I)
-            values.append(acc)
-            weights.append(hs.mu_mass(I))
-            return
-        walk(navigate(I, "left"), acc + hs.coeff[key] * -hs.cminus[key])
-        walk(navigate(I, "right"), acc + hs.coeff[key] * hs.cplus[key])
-
-    walk(hs.tree.top, 0.0)
-    return cells, np.asarray(values), np.asarray(weights)
+    """(intervals, values, mu masses) of g_N on the level-N cells of the top,
+    by left end: a level sweep, where a cell's chain stops at level N or
+    where it carries no Haar function."""
+    top = hs.tree.top
+    done = []  # (levels, indices, values) of each level's finished cells
+    j, k, acc = top.j, np.array([top.k]), np.zeros(1)
+    while k.size:
+        keys = list(zip([j] * k.size, k.tolist()))
+        go = np.array([j != N and key in hs.coeff for key in keys], dtype=bool)
+        done.append((np.full(k.size - go.sum(), j), k[~go], acc[~go]))
+        a, cm, cp = (np.array([d[key] for key, g in zip(keys, go) if g])
+                     for d in (hs.coeff, hs.cminus, hs.cplus))
+        acc = np.stack([acc[go] + a * -cm, acc[go] + a * cp], axis=1).ravel()
+        j, k = j + 1, np.stack([2 * k[go], 2 * k[go] + 1], axis=1).ravel()
+    js, ks, values = (np.concatenate(v) for v in zip(*done))
+    order = np.argsort(ks << (js.max() - js))  # left ends, all distinct
+    js, ks, values = js[order], ks[order], values[order]
+    weights = np.empty(js.size)
+    for lev in np.flatnonzero(np.bincount(js)).tolist():
+        at = js == lev
+        weights[at] = dyadic_cell_masses(hs.mu, lev)[ks[at]] / hs.mu_top
+    return ([DyadicInterval(top.system, j, k)
+             for j, k in zip(js.tolist(), ks.tolist())], values, weights)
 
 
 def g_l2_norm(hs: HaarSystem, N):

@@ -1,13 +1,14 @@
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import sqfnlab.alpha as alpha_module
+import sqfnlab.transport as transport_module
 from sqfnlab.alpha import (
     AlphaTable,
     Ball,
-    _compute_entry,
     _interval_bounds,
     alpha,
     alpha_smooth,
@@ -26,7 +27,7 @@ from sqfnlab.measure import (
     scale,
 )
 from sqfnlab.squarefn import buckley_ratio
-from sqfnlab.transport import w1_rows, w1_supported
+from sqfnlab.transport import _STACK, w1_rows, w1_supported
 from sqfnlab.tree import stopping_forest
 
 
@@ -131,6 +132,25 @@ def test_small_alpha_forces_comparable_children():
     assert hits > 100
 
 
+def _count_rows(monkeypatch):
+    """The row counts of the W1 kernel's calls from alpha and transport."""
+    rows = []
+
+    def counted(x0, x1, g0, g1):
+        rows.append(x0.shape[0])
+        return w1_rows(x0, x1, g0, g1)
+
+    monkeypatch.setattr(alpha_module, "w1_rows", counted)
+    monkeypatch.setattr(transport_module, "w1_rows", counted)
+    return rows
+
+
+def _entry(mu, nu, I):
+    """The entry a fresh table computes for I alone, as a tuple read."""
+    a, b, closed = _interval_bounds(I)
+    return AlphaTable(mu, nu).entry((a, b, closed))
+
+
 def test_alpha_table_memoizes(monkeypatch):
     casc = generate({"type": "cascade", "p": 0.7, "depth": 10})
     leb = generate({"type": "lebesgue"})
@@ -151,23 +171,18 @@ def test_alpha_table_memoizes(monkeypatch):
     buckley_ratio(casc, leb, 8, which="alpha")
     assert len(table) == n
 
-    # a plain read of a new non-uniform interval costs one W1 and no tent
-    # mass
-    calls = []
+    # a plain read of a new non-uniform interval hands one row to the W1
+    # kernel and reads no tent mass
+    rows = _count_rows(monkeypatch)
     tents = []
-
-    def counted(m1, m2, **kw):
-        calls.append(1)
-        return w1_supported(m1, m2, **kw)
 
     def counted_integrate(m, f):
         tents.append(1)
         return integrate(m, f)
 
-    monkeypatch.setattr(alpha_module, "w1_supported", counted)
     monkeypatch.setattr(alpha_module, "integrate", counted_integrate)
     alpha(casc, leb, (0.1, 0.7))
-    assert len(calls) == 1 and len(table) == n + 1
+    assert rows == [1] and len(table) == n + 1
     assert tents == []
     monkeypatch.undo()
 
@@ -293,37 +308,24 @@ def test_level_fill_equals_the_entries():
         got = {j for j, alphas in levels.items() if alphas is not None}
         assert set(levels) == every and got == filled, name
         for j in got:
-            want = [_compute_entry(mu, nu, *_interval_bounds(
-                STANDARD.interval(j, k))).alpha for k in range(1 << j)]
+            want = [_entry(mu, nu, STANDARD.interval(j, k)).alpha
+                    for k in range(1 << j)]
             assert np.array_equal(levels[j], want), (name, j)
     # reads through the table take the filled value of the right cell
     mu, nu = fleet[0]
     for j in range(6):
         for k in range(1 << j):
             I = STANDARD.interval(j, k)
-            assert alpha(mu, nu, I) == _compute_entry(
-                mu, nu, *_interval_bounds(I)).alpha
+            assert alpha(mu, nu, I) == _entry(mu, nu, I).alpha
 
 
 def test_level_fill_computes_each_distinct_row_once(monkeypatch):
-    rows = []
-
-    def counted(x0, x1, g0, g1):
-        rows.append(x0.shape[0])
-        return w1_rows(x0, x1, g0, g1)
-
-    entries = []
-
-    def counted_w1(m1, m2, **kw):
-        entries.append(1)
-        return w1_supported(m1, m2, **kw)
-
-    monkeypatch.setattr(alpha_module, "w1_rows", counted)
-    monkeypatch.setattr(alpha_module, "w1_supported", counted_w1)
-    # the cascade's blow-ups onto one level's cells are few distinct rows
+    rows = _count_rows(monkeypatch)
+    # the cascade's blow-ups onto one level's cells are few distinct rows,
+    # and no level is read per entry
     casc = generate({"type": "cascade", "p": 0.7, "depth": 16})
     stopping_forest(casc, LEB, 1.0 / 128.0, max_depth=12)
-    assert sum(rows) < 100 and entries == []
+    assert sum(rows) < 100 and len(alpha_table(casc, LEB)._entries) == 0
 
     # halves that differ by one rounding step in one mass are two rows,
     # and each gets its own alpha; equal quarters are one row
@@ -333,7 +335,54 @@ def test_level_fill_computes_each_distinct_row_once(monkeypatch):
                               for k, m in enumerate(masses)])
     table = alpha_table(mu, LEB)
     for j, count in enumerate([1, 2, 3]):
-        rows.clear()
-        want = [_compute_entry(mu, LEB, *_interval_bounds(
-            STANDARD.interval(j, k))).alpha for k in range(1 << j)]
+        monkeypatch.undo()
+        want = [_entry(mu, LEB, STANDARD.interval(j, k)).alpha
+                for k in range(1 << j)]
+        rows = _count_rows(monkeypatch)
         assert np.array_equal(table.level(j), want) and rows == [count], j
+
+
+# the example53 atoms sit on dyadic boundaries by construction
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
+    # one alphas(j, k) read of an unfilled level makes one kernel call per
+    # distinct segment count (per stack of _STACK segments); each value,
+    # flag and the order of flagged() are those of one read at a time
+    rng = np.random.default_rng(9)
+    xs, ws = rng.uniform(0.0, 1.0, 24), rng.uniform(0.1, 1.0, 24)
+    pairs = [
+        ("cantor-14", generate({"type": "cantor", "depth": 14}), LEB),
+        ("atoms-24", Measure.from_arrays(xs, ws / ws.sum(), (), (), ()),
+         generate({"type": "histogram", "cells": [0.25] * 4})),
+        ("example53", generate({"type": "example53", "eps": 0.01,
+                                "role": "mu"}),
+         generate({"type": "example53", "eps": 0.01, "role": "nu"})),
+    ]
+    batched, flagged = set(), 0
+    for name, mu, nu in pairs:
+        table, single = AlphaTable(mu, nu), AlphaTable(mu, nu)
+        for j in range(7):
+            assert table.level(j) is None, (name, j)
+            # every cell, some twice, in a scrambled order
+            k = np.concatenate([rng.permutation(1 << j), [0, (1 << j) - 1]])
+            monkeypatch.undo()
+            want = [single.entry((c / (1 << j), (c + 1) / (1 << j))).alpha
+                    for c in k.tolist()]
+            graphs = [alpha_module._graph(mu, nu, c / (1 << j),
+                                          (c + 1) / (1 << j), False)[0]
+                      for c in dict.fromkeys(k.tolist())]
+            sizes = Counter(g[0].size for g in graphs if g is not None)
+            calls = sum(-(-n // max(_STACK // size, 1))
+                        for size, n in sizes.items())
+            rows = _count_rows(monkeypatch)
+            got = table.alphas(j, k)
+            assert got.tolist() == want, (name, j)
+            assert len(rows) == calls, (name, j)
+            batched.add(max(rows, default=0) > 1)
+            # a second read computes nothing
+            table.alphas(j, k)
+            assert len(rows) == calls, (name, j)
+        assert table.flagged() == single.flagged(), name
+        assert table._entries == single._entries, name
+        flagged += len(table.flagged())
+    assert batched == {False, True} and flagged > 0

@@ -1,6 +1,7 @@
 """Static checks: every export resolves, no import or local goes unused,
 the package reads no single dyadic cell and computes no single-pair W1
-inside a loop, and a level fill calls no np.unique.
+inside a loop, no function of it calls itself, and a level fill calls no
+np.unique.
 
 The unused-name scans cover the sources of the imported sqfnlab (installed
 or from src/) and this tests directory; the loop scan covers the package.
@@ -136,6 +137,40 @@ def test_no_per_cell_reads_in_loops():
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(PACKAGE_DIR.glob("*.py"))
              for line, name in _per_cell_reads_in_loops(path)]
+    assert found == []
+
+
+def _self_calls(path):
+    """(line, function) of calls a function makes to itself: by its name,
+    or as self.name inside a method; nested functions count as their own.
+    """
+    found = set()
+
+    def visit(body, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    f = getattr(call, "func", None)
+                    if (isinstance(f, ast.Name) and not in_class
+                            and f.id == node.name) or (
+                            isinstance(f, ast.Attribute) and in_class
+                            and f.attr == node.name
+                            and isinstance(f.value, ast.Name)
+                            and f.value.id == "self"):
+                        found.add((call.lineno, node.name))
+                visit(node.body, False)
+
+    visit(ast.parse(path.read_text(), filename=str(path)).body, False)
+    return sorted(found)
+
+
+def test_no_recursion():
+    # a walk over cells is a level sweep; recursion hides from the loop scan
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for line, name in _self_calls(path)]
     assert found == []
 
 

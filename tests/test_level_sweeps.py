@@ -1,8 +1,9 @@
 """The level sweeps against the per-cell walks they replaced.
 
 The reference functions below are the recursive and per-point versions of
-tolsa_l2, cz_decompose, _pruned_terms, haar and dyadic_square_profile,
-kept as written before every dyadic walk became a level sweep.  The sweeps
+tolsa_l2, cz_decompose, _pruned_terms, haar, g_cell_values and
+dyadic_square_profile, kept as written before every dyadic walk became a
+level sweep.  The sweeps
 must give == results, not approximately equal ones, on a pair whose alpha
 levels are filled and on pairs whose levels stay per entry.
 """
@@ -26,7 +27,7 @@ from sqfnlab.squarefn import (
     mu_sampled_points,
     tolsa_l2,
 )
-from sqfnlab.tree import haar, stopping_forest
+from sqfnlab.tree import g_cell_values, haar, stopping_forest
 
 LEB = generate({"type": "lebesgue"})
 CASC = generate({"type": "cascade", "p": 0.7, "depth": 16})
@@ -157,6 +158,23 @@ def _haar_items(mu, nu, tree):
     return [list(d.items()) for d in (hs.coeff, hs.cplus, hs.cminus)]
 
 
+def _ref_g_cell_values(hs, N):
+    cells, values, weights = [], [], []
+
+    def walk(I, acc):
+        key = (I.j, I.k)
+        if I.j == N or key not in hs.coeff:
+            cells.append(I)
+            values.append(acc)
+            weights.append(hs.mu_mass(I))
+            return
+        walk(navigate(I, "left"), acc + hs.coeff[key] * -hs.cminus[key])
+        walk(navigate(I, "right"), acc + hs.coeff[key] * hs.cplus[key])
+
+    walk(hs.tree.top, 0.0)
+    return cells, np.asarray(values), np.asarray(weights)
+
+
 def _atomic(seed, n=24):
     rng = np.random.default_rng(seed)
     xs, ws = rng.uniform(0.0, 1.0, n), rng.uniform(0.1, 1.0, n)
@@ -251,3 +269,24 @@ def test_haar_equals_the_member_loop(pairs):
             outcomes.append((tree.lazy_full, isinstance(got, str)))
     # systems of full and lazy trees, and errors, were all compared
     assert {(False, False), (True, False), (False, True)} <= set(outcomes)
+
+
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_g_cell_values_equal_the_recursion(pairs):
+    # cells in left-end order, as the CLI's Parseval sum reads them
+    full = stopping_forest(LEB, LEB, 10.0, max_depth=8).trees[0]
+    compared = 0
+    for name, mu, nu in pairs:
+        trees = stopping_forest(mu, nu, 1.0 / 64.0, max_depth=8).trees
+        for tree in [t for t in trees if t.members] + [full]:
+            try:
+                hs = haar(mu, nu, tree)
+            except ValueError:
+                continue
+            for N in (tree.top.j, tree.top.j + 3, tree.top.j + 8, 12):
+                got, want = g_cell_values(hs, N), _ref_g_cell_values(hs, N)
+                assert got[0] == want[0], (name, tree.top, N)
+                assert np.array_equal(got[1], want[1]), (name, tree.top, N)
+                assert np.array_equal(got[2], want[2]), (name, tree.top, N)
+                compared += len(got[0]) > 1
+    assert compared > 10

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import sqfnlab.dyadic as dyadic_module
+import sqfnlab.squarefn as squarefn_module
 from sqfnlab.alpha import alpha
 from sqfnlab.dyadic import STANDARD, doubling_constant, shifted_systems
 from sqfnlab.measure import (
@@ -197,6 +199,21 @@ def test_dyadic_entry_points_reject_a_bad_depth(depth):
         lambda: dyadic_square_profile(CASC, LEB, [0.3], depth=depth),
     ]
     for call in calls:
+        with pytest.raises(ValueError, match="depth must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("depth", [25, True, -1])
+def test_sampling_and_doubling_check_depth_before_reading_a_level(
+        depth, monkeypatch):
+    # level 25 alone would be an array of 2^25 floats
+    def read(m, j):
+        raise AssertionError(f"level {j} read")
+
+    monkeypatch.setattr(squarefn_module, "dyadic_cell_masses", read)
+    monkeypatch.setattr(dyadic_module, "dyadic_cell_masses", read)
+    for call in (lambda: mu_sampled_points(CASC, 16, depth),
+                 lambda: doubling_constant(LEB, depth)):
         with pytest.raises(ValueError, match="depth must be an integer"):
             call()
 

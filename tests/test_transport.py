@@ -5,12 +5,15 @@ from sqfnlab.cli import _random_measure
 from sqfnlab.measure import (
     ZERO,
     Measure,
+    _histogram,
     cdf_difference,
     cdf_left_values,
     generate,
 )
 from sqfnlab.transport import (
     _MIDS,
+    _STACK,
+    _abs_integral,
     _bisect,
     _grid_cdf,
     w1_oracle,
@@ -92,37 +95,118 @@ def test_identical_measures_give_zero():
     assert w1_unrestricted(m, m).value == 0.0
 
 
+def _value_median(x0, x1, g0, g1):
+    """Weighted median of the value distribution of the segment graph.
+
+    Each segment contributes its length as weight, spread uniformly between
+    its endpoint values (a point mass when flat).  Any c with
+    weight{G <= c} >= total/2 and weight{G >= c} >= total/2 minimizes
+    int |G - c|; ties are broken by the midpoint of the median interval.
+    """
+    L = x1 - x0
+    total = L.sum()
+    half = total / 2.0
+    lo = np.minimum(g0, g1)
+    hi = np.maximum(g0, g1)
+    span = hi - lo
+    flat = span == 0.0
+    vals = np.unique(np.concatenate([lo, hi]))
+    if vals.size == 1:
+        return float(vals[0])
+    tol = 1e-12 * max(total, 1.0)
+
+    # event sweep: point masses at flat-segment values, plus a piecewise
+    # constant density from sloped segments, accumulated over the sorted
+    # candidate values in one pass
+    point = np.zeros(vals.size)
+    if np.any(flat):
+        np.add.at(point, np.searchsorted(vals, lo[flat]), L[flat])
+    dens = np.zeros(vals.size)
+    if np.any(~flat):
+        d = L[~flat] / span[~flat]
+        np.add.at(dens, np.searchsorted(vals, lo[~flat]), d)
+        np.add.at(dens, np.searchsorted(vals, hi[~flat]), -d)
+    dens_cum = np.cumsum(dens)
+    slope_mass = np.concatenate(
+        [[0.0], np.cumsum(dens_cum[:-1] * np.diff(vals))])
+    wle = slope_mass + np.cumsum(point)
+    wlt = wle - point
+
+    # lower end: smallest c with weight{G <= c} >= half
+    i = int(np.searchsorted(wle, half - tol))
+    i = min(i, vals.size - 1)
+    c_lo = vals[i]
+    if i > 0 and wle[i - 1] < half - tol:
+        # between vals[i-1] and vals[i] the weight grows linearly from
+        # wle[i-1] to wlt[i]; the quantile may sit strictly inside
+        rise = wlt[i] - wle[i - 1]
+        if rise > tol and wlt[i] >= half - tol:
+            c_lo = vals[i - 1] + (half - wle[i - 1]) / rise * (vals[i] - vals[i - 1])
+            c_lo = min(c_lo, vals[i])
+
+    # upper end: largest c with weight{G < c} <= half
+    j = int(np.searchsorted(wlt, half + tol, side="right")) - 1
+    j = max(j, 0)
+    c_hi = vals[j]
+    if j + 1 < vals.size:
+        rise = wlt[j + 1] - wle[j]
+        if rise > tol and wle[j] < half - tol:
+            c_hi = vals[j] + (half - wle[j]) / rise * (vals[j + 1] - vals[j])
+            c_hi = min(c_hi, vals[j + 1])
+        elif rise <= tol and wle[j] <= half + tol and wlt[j + 1] <= half + tol:
+            c_hi = vals[j + 1]
+    c_hi = max(c_hi, c_lo)
+    return float(0.5 * (c_lo + c_hi))
+
+
+def _reference(graph):
+    """(c*, value) of one graph by the scalar median above."""
+    c = _value_median(*graph)
+    return c, float(_abs_integral(*graph, c))
+
+
 def test_w1_rows_lockstep_with_w1_supported():
-    # one row at a time, then every segment count's rows stacked in one call
+    # one row at a time, then every segment count's rows stacked in one
+    # call, against the scalar median
     rng = np.random.default_rng(12)
     by_length = {}
     for _ in range(1000):
         m1, m2 = _random_measure(rng), _random_measure(rng)
-        want = w1_supported(m1, m2)
         graph = cdf_difference(m1, m2)
+        want = _reference(graph)
+        got = w1_supported(m1, m2)
+        assert (got.optimal_shift, got.value) == want
         c, value = w1_rows(*(v[None] for v in graph))
-        assert (c[0], value[0]) == (want.optimal_shift, want.value)
+        assert (c[0], value[0]) == want
         by_length.setdefault(graph[0].size, []).append((graph, want))
     stacked = 0
     for rows in by_length.values():
         c, value = w1_rows(*(np.stack(v) for v in zip(*(g for g, _ in rows))))
-        assert c.tolist() == [w.optimal_shift for _, w in rows]
-        assert value.tolist() == [w.value for _, w in rows]
+        assert c.tolist() == [w[0] for _, w in rows]
+        assert value.tolist() == [w[1] for _, w in rows]
         stacked += len(rows) > 1
     assert stacked > 10
 
 
 def test_w1_values_lockstep_with_w1_supported():
-    # segment counts mixed in input order, one of them held by one graph
+    # segment counts mixed in input order, one of them held by one graph,
+    # and one count held by more graphs than one stack takes
     rng = np.random.default_rng(16)
     pairs = [(_random_measure(rng), _random_measure(rng)) for _ in range(300)]
     pairs.append((Measure.make(atoms=[(k / 200, 0.005) for k in range(200)]),
                   generate({"type": "lebesgue"})))
+    pairs += [(_histogram(rng.uniform(0.05, 1.0, 64)),
+               generate({"type": "lebesgue"})) for _ in range(200)]
     graphs = [cdf_difference(m1, m2) for m1, m2 in pairs]
     counts = [g[0].size for g in graphs]
-    assert counts.count(counts[-1]) == 1 and len(set(counts)) > 10
+    assert counts.count(counts[300]) == 1 and len(set(counts)) > 10
+    assert counts.count(64) * 64 > _STACK
     got = w1_values(graphs)
-    assert got.tolist() == [w1_supported(m1, m2).value for m1, m2 in pairs]
+    want = [_reference(g) for g in graphs]
+    assert got.tolist() == [w[1] for w in want]
+    for (m1, m2), w in zip(pairs, want):
+        res = w1_supported(m1, m2)
+        assert (res.optimal_shift, res.value) == w
     assert w1_values([]).tolist() == []
 
 
@@ -169,17 +253,25 @@ def test_atomic_pairs_match_an_exact_linear_program():
 
 
 def test_row_bisection_follows_searchsorted_where_weights_dip():
-    # sorted integers with dips of 1e-3; rows padded past their length
+    # sorted integers with dips of 1e-3; rows padded past their length and
+    # searched one at a time and 50 at once
     rng = np.random.default_rng(13)
-    for _ in range(500):
-        n = int(rng.integers(1, 30))
-        arr = np.sort(rng.integers(0, 10, n)) - rng.choice([0, 0, 1e-3], n)
-        key = float(rng.integers(-1, 11)) + rng.choice([0.0, 0.5])
-        padded = np.concatenate([arr, np.full(4, 99.0)])[None]
+    for _ in range(10):
+        n = rng.integers(1, 30, 50)
+        arrs = [np.sort(rng.integers(0, 10, m)) - rng.choice([0, 0, 1e-3], m)
+                for m in n.tolist()]
+        keys = rng.integers(-1, 11, 50) + rng.choice([0.0, 0.5], 50)
+        padded = np.full((50, 34), 99.0)
+        for r, arr in enumerate(arrs):
+            padded[r, :arr.size] = arr
         for side in ("left", "right"):
-            got = _bisect(padded, np.array([n]), np.array([key]),
-                          right=side == "right")
-            assert got[0] == np.searchsorted(arr, key, side=side)
+            want = [np.searchsorted(arr, key, side=side)
+                    for arr, key in zip(arrs, keys)]
+            got = _bisect(padded, n, keys, right=side == "right")
+            assert got.tolist() == want
+            assert [_bisect(padded[r:r + 1], n[r:r + 1], keys[r:r + 1],
+                            right=side == "right")[0]
+                    for r in range(50)] == want
 
 
 def _mixed_measure(rng):
