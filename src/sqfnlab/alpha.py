@@ -18,7 +18,7 @@ input, is computed once.  Such a level, as on histogram, cascade and
 Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
 Every other level keeps entries: AlphaTable.alphas sends the graphs of
 the cells it reads there through one w1_values call, and a single read of
-a cell, ball or tuple is a one-row w1_rows call, with == results.
+a cell, ball or tuple is a one-graph w1_values call, with == results.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .measure import (
     Measure,
     ZERO,
     _level_pieces,
+    _ro,
     blowup,
     cdf_difference,
     integrate,
@@ -111,7 +112,8 @@ class AlphaTable:
                 if alphas is not None:  # filled cells are never flagged
                     return AlphaEntry(float(alphas[I.k]), False)
             graph, flag = _graph(self._mu(), self.nu, *key)
-            e = self._entries[key] = AlphaEntry(_w1(graph), flag)
+            e = self._entries[key] = AlphaEntry(
+                float(w1_values([graph])[0]), flag)
         return e
 
     def level(self, j):
@@ -130,11 +132,9 @@ class AlphaTable:
         mu = self._mu()
         todo = {key: _graph(mu, self.nu, *key) for key in dict.fromkeys(keys)
                 if key not in self._entries}
-        values = iter(w1_values([g for g, _ in todo.values()
-                                 if g is not None]).tolist())
-        for key, (graph, flag) in todo.items():
-            self._entries[key] = AlphaEntry(
-                0.0 if graph is None else next(values), flag)
+        values = w1_values([g for g, _ in todo.values()]).tolist()
+        for (key, (_, flag)), value in zip(todo.items(), values):
+            self._entries[key] = AlphaEntry(value, flag)
         return np.array([self._entries[key].alpha for key in keys])
 
     def alpha(self, I):
@@ -174,25 +174,22 @@ def _tent_null(bm):
         np.all((bm.atom_x == 0.0) | (bm.atom_x == 1.0)))
 
 
+# G = 0 on [0, 1], one segment: its supported W1 is exactly 0.0
+_ZERO_GRAPH = tuple(_ro([v]) for v in (0.0, 1.0, 0.0, 0.0))
+
+
 def _graph(mu, nu, a, b, closed, norm=lambda bm: bm.total):
     """(graph, one-sided flag) of the blow-ups onto [a, b) or [a, b]: the
-    cdf_difference of each over its norm (a zero norm giving ZERO), or None
-    where both measures are uniform and alpha is 0.0 without a W1."""
+    cdf_difference of each over its norm (a zero norm giving ZERO), or the
+    zero graph where both measures are uniform, without a blow-up."""
     if _uniform_densities(mu, nu, a, b, closed) is not None:
-        return None, False
+        return _ZERO_GRAPH, False
     bu = blowup(mu, a, b, closed_right=closed)
     bv = blowup(nu, a, b, closed_right=closed)
     flag = bu.total > 0 and bv.total > 0 and _tent_null(bu) != _tent_null(bv)
     cu, cv = norm(bu), norm(bv)
     return cdf_difference(scale(bu, 1.0 / cu) if cu > 0 else ZERO,
                           scale(bv, 1.0 / cv) if cv > 0 else ZERO), flag
-
-
-def _w1(graph):
-    """Supported W1 of one graph, a one-row w1_rows call; 0.0 for None."""
-    if graph is None:
-        return 0.0
-    return float(w1_rows(*(v[None] for v in graph))[1][0])
 
 
 def _alpha_level(mu, nu, j):
@@ -280,8 +277,9 @@ def alpha(mu: Measure, nu: Measure, I):
 def alpha_smooth(mu: Measure, nu: Measure, I):
     """W1 of the tent-normalized blow-ups onto I, computed on every call."""
     alpha_table(mu, nu).entry(I)  # memoized and flagged as a plain read
-    return _w1(_graph(mu, nu, *_interval_bounds(I),
-                      norm=lambda bm: integrate(bm, _PHI))[0])
+    graph, _ = _graph(mu, nu, *_interval_bounds(I),
+                      norm=lambda bm: integrate(bm, _PHI))
+    return float(w1_values([graph])[0])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .measure import (
     Measure,
     _histogram,
     _is_int,
+    _is_real,
     cdf_difference,
     dyadic_cell_masses,
     generate,
@@ -160,10 +161,10 @@ def _pair_count(cfg):
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
-    if "scenario" not in cfg:
+    if not isinstance(cfg, dict) or "scenario" not in cfg:
         raise ValueError("config needs a 'scenario' key")
     name = cfg["scenario"]
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
     merged = dict(SCENARIOS[name])
     merged.pop("summary", None)
@@ -178,19 +179,26 @@ def load_config(path):
         raise ValueError(f"depth must be a nonnegative integer, not {depth!r}")
     if depth > DEPTH_CAP:
         raise ValueError(f"depth {depth} exceeds cap {DEPTH_CAP}")
+    seed = merged["seed"]
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
     eps = merged["epsilon"]
-    if eps != "auto" and not (
-            (_is_int(eps) or isinstance(eps, float)) and 0 < eps < math.inf):
+    if eps != "auto" and not (_is_real(eps) and 0 < eps < math.inf):
         raise ValueError(
             f"epsilon must be 'auto' or a finite number > 0, not {eps!r}")
     tols = merged["tolerances"]
     if not isinstance(tols, dict) or not all(
-            (_is_int(v) or isinstance(v, float)) and 0 <= v < math.inf
-            for v in tols.values()):
+            _is_real(v) and 0 <= v < math.inf for v in tols.values()):
         raise ValueError("tolerances must map names to finite numbers >= 0")
+    outputs = merged["outputs"]
+    if not isinstance(outputs, dict) or not all(
+            isinstance(v, str) for v in outputs.values()):
+        raise ValueError("outputs must map names to file paths")
     for key in ("mu_spec", "nu_spec"):
-        if merged.get(key) is not None:
+        if merged[key] is not None:
             validate_spec(merged[key])
+        elif SCENARIOS[name][key] is not None:
+            raise ValueError(f"scenario {name} needs a {key}")
     return merged
 
 

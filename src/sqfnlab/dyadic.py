@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Measure, _is_int, dyadic_cell_masses, mass
+from .measure import MAX_LEVEL, Measure, _is_int, dyadic_cell_masses, mass
 
 __all__ = [
     "DyadicSystem",
@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 
-MAX_LEVEL = 30  # the finest level of every grid
 # the deepest level a sweep may reach: level j's cell arrays hold 2^j floats,
 # and delta_level_sums reads one level below its depth
 DEPTH_CAP = 24

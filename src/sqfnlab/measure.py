@@ -24,7 +24,6 @@ __all__ = [
     "generate",
     "validate_spec",
     "mass",
-    "cdf_left",
     "cdf_left_values",
     "cdf_difference",
     "blowup",
@@ -249,9 +248,12 @@ def validate_spec(spec):
         pass
     elif t == "atomic":
         atoms = spec.get("atoms")
-        if not atoms:
+        if not isinstance(atoms, (list, tuple)) or not atoms:
             raise ValueError("atomic spec needs a nonempty 'atoms' list")
-        for x, w in atoms:
+        for atom in atoms:
+            if not _is_pair(atom):
+                raise ValueError(f"atom {atom!r} is not a number pair (x, w)")
+            x, w = atom
             if not (0.0 <= x <= 1.0) or not (0.0 <= w < math.inf):
                 raise ValueError("atom out of range")
             if _on_dyadic_boundary(x):
@@ -260,28 +262,30 @@ def validate_spec(spec):
                     "experiments assume boundaries carry no mass")
     elif t == "histogram":
         cells = spec.get("cells")
-        if cells is None or len(cells) == 0 or len(cells) & (len(cells) - 1):
+        if not isinstance(cells, (list, tuple)) or len(cells) == 0 \
+                or len(cells) & (len(cells) - 1):
             raise ValueError("histogram needs 2^L cell masses")
-        if not all(0.0 <= c < math.inf for c in cells):
+        if not all(_is_real(c) and 0.0 <= c < math.inf for c in cells):
             raise ValueError("histogram masses must be finite and "
                              "nonnegative")
     elif t == "cascade":
         p = spec.get("p")
         L = spec.get("depth")
-        if p is None or not (0.0 < p < 1.0):
+        if not _is_real(p) or not (0.0 < p < 1.0):
             raise ValueError("cascade needs left fraction p in (0, 1)")
-        if L is None or not (1 <= L <= 30):
+        if not _is_int(L) or not (1 <= L <= 30):
             raise ValueError("cascade depth must be in 1..30")
     elif t == "cantor":
         L = spec.get("depth")
-        rl, rr = spec.get("ratios", (0.5, 0.5))
+        ratios = spec.get("ratios", (0.5, 0.5))
+        rl, rr = ratios if _is_pair(ratios) else (0.0, 0.0)
         if not (0 < rl < 1 and 0 < rr < 1 and abs(rl + rr - 1.0) < 1e-12):
             raise ValueError("cantor ratios must be positive and sum to 1")
-        if L is None or not (1 <= L <= 14):
+        if not _is_int(L) or not (1 <= L <= 14):
             raise ValueError("cantor depth must be in 1..14")
     elif t in ("example22", "example52"):
         n = spec.get("n")
-        if n is None or not (2 <= n <= 30):
+        if not _is_int(n) or not (2 <= n <= 30):
             raise ValueError("perturbed-density parameter n must be in 2..30")
     elif t in ("finite-haar", "ac-density"):
         seed = spec.get("seed", 0)
@@ -298,14 +302,17 @@ def validate_spec(spec):
                                  "up to 2^30")
     elif t == "example53":
         eps = spec.get("eps")
-        if eps is None or not (0.0 < eps < 0.25):
+        if not _is_real(eps) or not (0.0 < eps < 0.25):
             raise ValueError("two-atom example needs eps in (0, 0.25)")
+        if spec.get("role", "mu") not in ("mu", "nu"):
+            raise ValueError("two-atom example role must be 'mu' or 'nu'")
         notes.append("atoms of this example sit on dyadic boundaries by "
                      "construction; use it only for interval/ball alpha checks")
     else:
         raise ValueError(f"unknown generator type {t!r}")
-    if spec.get("depth", 0) and spec["depth"] > 30:
-        raise ValueError("depth capped at 30")
+    depth = spec.get("depth")
+    if depth is not None and not (_is_int(depth) and depth <= 30):
+        raise ValueError(f"depth must be an integer up to 30, not {depth!r}")
     return notes
 
 
@@ -313,13 +320,21 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-# dyadic.MAX_LEVEL, the finest level of every grid; dyadic imports this
-# module, so the value is repeated here
-_FINEST_LEVEL = 30
+def _is_real(v):
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_pair(v):
+    """Whether v is a list or tuple of two numbers."""
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(
+        map(_is_real, v))
+
+
+MAX_LEVEL = 30  # the finest level of every grid; dyadic re-exports it
 
 
 def _on_dyadic_boundary(x):
-    return float(x * (1 << _FINEST_LEVEL)).is_integer()
+    return float(x * (1 << MAX_LEVEL)).is_integer()
 
 
 def generate(spec):
@@ -351,9 +366,7 @@ def generate(spec):
         masses = np.array([1.0])
         for _ in range(L):
             masses = np.stack([masses * p, masses * (1.0 - p)], axis=-1).reshape(-1)
-        n = masses.size
-        edges = np.arange(n + 1) / n
-        return Measure.from_arrays([], [], edges[:-1], edges[1:], masses)
+        return _histogram(masses)
     if t == "cantor":
         rl, rr = spec.get("ratios", (0.5, 0.5))
         L = int(spec["depth"])
@@ -409,10 +422,6 @@ def cdf_left_values(m: Measure, xs):
     return cont
 
 
-def cdf_left(m: Measure, x):
-    return float(cdf_left_values(m, np.asarray([x]))[0])
-
-
 def _atoms_at(m: Measure, x):
     lo = np.searchsorted(m.atom_x, x, side="left")
     hi = np.searchsorted(m.atom_x, x, side="right")
@@ -425,7 +434,7 @@ def mass(m: Measure, a, b, closed_right=False):
         raise ValueError("need a <= b")
     lo = max(a, 0.0)
     hi = min(b, 1.0)
-    out = cdf_left(m, hi) - cdf_left(m, lo) if hi > lo else 0.0
+    out = np.subtract(*cdf_left_values(m, [hi, lo])) if hi > lo else 0.0
     if b >= 1.0:
         out += _atoms_at(m, 1.0)
         if not closed_right and b == 1.0:

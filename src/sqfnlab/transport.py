@@ -54,26 +54,14 @@ _STACK = 1 << 12
 def _bisect(arr, n, key, right=False):
     """np.searchsorted(arr[r, :n[r]], key[r]) for each row r.
 
-    One row calls np.searchsorted itself; several repeat numpy's bisection
-    step for step: the weight arrays it searches can dip by one rounding
-    step, and there a count of the entries below the key would land
-    elsewhere.
+    A search per row: the weight rows can dip by one rounding step, where
+    a vectorised count of the entries below the key would land elsewhere,
+    and a call holds few rows.
     """
     side = "right" if right else "left"
-    if arr.shape[0] == 1:
-        return np.array([np.searchsorted(arr[0, :n[0]], key[0], side)])
-    rows = np.arange(arr.shape[0])
-    lo = np.zeros_like(n)
-    hi = n.copy()
-    while True:
-        live = lo < hi
-        if not live.any():
-            return lo
-        mid = lo + ((hi - lo) >> 1)
-        v = arr[rows, np.minimum(mid, arr.shape[1] - 1)]
-        up = live & ((v <= key) if right else (v < key))
-        lo = np.where(up, mid + 1, lo)
-        hi = np.where(live & ~up, mid, hi)
+    return np.fromiter((np.searchsorted(a[:m], x, side)
+                        for a, m, x in zip(arr, n.tolist(), key.tolist())),
+                       np.intp, len(n))
 
 
 def _row_values(lo, hi):

@@ -17,7 +17,7 @@ index) order, so they equal a member-by-member loop's.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, compress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,9 +68,9 @@ __all__ = [
 class Tree:
     """A coherent dyadic family with a single top.
 
-    members holds (level, index) pairs including the top; lazy_full trees
-    (tops carrying no mu-mass) represent the complete non-stopping subtree
-    down to max_depth without materializing it.
+    members and leaves hold (level, index) pairs, members including the
+    top; lazy_full trees (tops carrying no mu-mass) represent the complete
+    non-stopping subtree down to max_depth without materializing it.
     """
 
     top: DyadicInterval
@@ -98,7 +98,7 @@ class Tree:
             return (self.top.j + d,
                     (self.top.k << d) + np.arange(d.size) - (1 << d) + 1)
         _, js, ks, code = _coded([(0, self.members)])
-        leaf = _coded([(0, [(L.j, L.k) for L in self.leaves])])[3]
+        leaf = _coded([(0, self.leaves)])[3]
         inner = ~_among(leaf, code) & _among(code, 2 * code)
         return js[inner], ks[inner]
 
@@ -114,8 +114,7 @@ class Forest:
         over the member codes of all trees (lazy trees have no members)."""
         trees = list(enumerate(self.trees))
         owner, js, _, code = _coded((i, t.members or ()) for i, t in trees)
-        lowner, ljs, lks, lcode = _coded(
-            (i, [(L.j, L.k) for L in t.leaves]) for i, t in trees)
+        lowner, ljs, lks, lcode = _coded((i, t.leaves) for i, t in trees)
         top_j, cap = np.reshape([(t.top.j, t.max_depth) for t in self.trees],
                                 (-1, 2)).T.astype(np.int64)
         base, heap = owner << 32, code & 0xFFFFFFFF
@@ -193,21 +192,16 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
     leaf_ends = np.concatenate([[0], np.cumsum(leafs)])[ends].tolist()
     ends = ends.tolist()
     cells = list(zip(js.tolist(), ks.tolist()))
-    leaf_cells = [DyadicInterval(STANDARD, *c)
-                  for c in zip(js[leafs].tolist(), ks[leafs].tolist())]
+    leaf_cells = list(compress(cells, leafs.tolist()))  # shared with members
     trees = []
     start = leaf_start = 0
     for (j, k, lazy), end, leaf_end in zip(tops, ends, leaf_ends):
+        top = DyadicInterval(STANDARD, j, k)
         if lazy:
-            trees.append(Tree(DyadicInterval(STANDARD, j, k), None, (),
-                              max_depth, lazy_full=True))
+            trees.append(Tree(top, None, (), max_depth, lazy_full=True))
             continue
-        leaves = tuple(leaf_cells[leaf_start:leaf_end])
-        # a top that is a leaf is its tree's first leaf, and shares it
-        top = leaves[0] if leaves and leaves[0].j == j \
-            else DyadicInterval(STANDARD, j, k)
-        trees.append(Tree(top, frozenset(cells[start:end]), leaves,
-                          max_depth))
+        trees.append(Tree(top, frozenset(cells[start:end]),
+                          tuple(leaf_cells[leaf_start:leaf_end]), max_depth))
         start, leaf_start = end, leaf_end
     return Forest(tuple(trees), epsilon, max_depth)
 
@@ -543,7 +537,7 @@ def carleson_comparison(mu: Measure, nu: Measure, trees) -> list:
     table = alpha_table(mu, nu)
     full = [(i, t) for i, t in enumerate(trees) if not t.lazy_full]
     owner, js, ks, code = _coded((i, t.members) for i, t in full)
-    leaves = _coded((i, [(L.j, L.k) for L in t.leaves]) for i, t in full)
+    leaves = _coded((i, t.leaves) for i, t in full)
     inner = ~_among(leaves[3], code)
 
     d_terms = np.zeros(owner.size)

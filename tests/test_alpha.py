@@ -351,32 +351,42 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
     rng = np.random.default_rng(9)
     xs, ws = rng.uniform(0.0, 1.0, 24), rng.uniform(0.1, 1.0, 24)
     pairs = [
-        ("cantor-14", generate({"type": "cantor", "depth": 14}), LEB),
+        ("cantor-14", generate({"type": "cantor", "depth": 14}), LEB,
+         range(7)),
         ("atoms-24", Measure.from_arrays(xs, ws / ws.sum(), (), (), ()),
-         generate({"type": "histogram", "cells": [0.25] * 4})),
+         generate({"type": "histogram", "cells": [0.25] * 4}), range(7)),
         ("example53", generate({"type": "example53", "eps": 0.01,
                                 "role": "mu"}),
-         generate({"type": "example53", "eps": 0.01, "role": "nu"})),
+         generate({"type": "example53", "eps": 0.01, "role": "nu"}),
+         range(7)),
+        # 6 of the 8 cells are uniform: their zero graphs share a stack
+        ("example22", generate({"type": "example22", "n": 8}), LEB, [3]),
     ]
-    batched, flagged = set(), 0
-    for name, mu, nu in pairs:
+    batched, flagged, uniform = set(), 0, 0
+    for name, mu, nu, levels in pairs:
         table, single = AlphaTable(mu, nu), AlphaTable(mu, nu)
-        for j in range(7):
+        for j in levels:
             assert table.level(j) is None, (name, j)
             # every cell, some twice, in a scrambled order
             k = np.concatenate([rng.permutation(1 << j), [0, (1 << j) - 1]])
             monkeypatch.undo()
             want = [single.entry((c / (1 << j), (c + 1) / (1 << j))).alpha
                     for c in k.tolist()]
+            cells = list(dict.fromkeys(k.tolist()))
             graphs = [alpha_module._graph(mu, nu, c / (1 << j),
                                           (c + 1) / (1 << j), False)[0]
-                      for c in dict.fromkeys(k.tolist())]
-            sizes = Counter(g[0].size for g in graphs if g is not None)
+                      for c in cells]
+            zeros = [c for c, g in zip(cells, graphs)
+                     if g is alpha_module._ZERO_GRAPH]
+            sizes = Counter(g[0].size for g in graphs)
             calls = sum(-(-n // max(_STACK // size, 1))
                         for size, n in sizes.items())
             rows = _count_rows(monkeypatch)
             got = table.alphas(j, k)
             assert got.tolist() == want, (name, j)
+            at_zero = got[np.isin(k, zeros)]
+            assert np.all(at_zero == 0.0) and not np.signbit(at_zero).any()
+            uniform += len(zeros)
             assert len(rows) == calls, (name, j)
             batched.add(max(rows, default=0) > 1)
             # a second read computes nothing
@@ -385,4 +395,4 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
         assert table.flagged() == single.flagged(), name
         assert table._entries == single._entries, name
         flagged += len(table.flagged())
-    assert batched == {False, True} and flagged > 0
+    assert batched == {False, True} and flagged > 0 and uniform == 6

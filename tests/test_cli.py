@@ -51,6 +51,26 @@ def test_depth_cap_is_enforced(tmp_path):
         {"scenario": "identity", "epsilon": "abc"},
         {"scenario": "identity", "epsilon": 0},
         {"scenario": "identity", "epsilon": True},
+        # wrong types: a traceback, or silently truncated to an integer
+        {"scenario": ["x"]},
+        {"scenario": "identity", "seed": [1]},
+        {"scenario": "identity", "seed": 1.5},
+        {"scenario": "identity", "outputs": "x"},
+        {"scenario": "identity",
+         "mu_spec": {"type": "atomic", "atoms": [["a", 1]]}},
+        {"scenario": "identity", "mu_spec": {"type": "atomic", "atoms": 5}},
+        {"scenario": "identity",
+         "mu_spec": {"type": "cascade", "p": "0.5", "depth": 4}},
+        {"scenario": "identity",
+         "mu_spec": {"type": "cascade", "p": 0.5, "depth": 2.5}},
+        {"scenario": "identity",
+         "mu_spec": {"type": "histogram", "cells": [1, "x"]}},
+        {"scenario": "identity",
+         "mu_spec": {"type": "cantor", "depth": 4, "ratios": "ab"}},
+        {"scenario": "identity", "mu_spec": {"type": "example22", "n": 8.9}},
+        {"scenario": "identity", "mu_spec": None},
+        {"scenario": "example53",
+         "nu_spec": {"type": "example53", "eps": 0.01, "role": "x"}},
     ]:
         cfg = _write_cfg(tmp_path, bad)
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Static checks: every export resolves, no import or local goes unused,
 the package reads no single dyadic cell and computes no single-pair W1
-inside a loop, no function of it calls itself, and a level fill calls no
-np.unique.
+inside a loop, no function of it calls itself, a level fill calls no
+np.unique, and only transport.py and the level fill name the row kernel.
 
 The unused-name scans cover the sources of the imported sqfnlab (installed
 or from src/) and this tests directory; the loop scan covers the package.
@@ -201,4 +201,30 @@ def test_no_unique_in_the_level_fill():
     found = [f"{name}:{line}: {func}"
              for name, funcs in sorted(LEVEL_FILL.items())
              for line, func in _unique_calls(PACKAGE_DIR / name, funcs)]
+    assert found == []
+
+
+# the one caller of the row kernel outside transport.py: a level fill's rows
+# are stacked already, and w1_values would stack the widest again
+ROW_KERNEL_CALLERS = {"alpha.py": "_alpha_level"}
+
+
+def _row_kernel_names(path):
+    """Lines naming w1_rows outside the function ROW_KERNEL_CALLERS allows
+    in the file; imports do not count."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {node for func in tree.body if isinstance(func, ast.FunctionDef)
+               and func.name == ROW_KERNEL_CALLERS.get(path.name)
+               for node in ast.walk(func)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if node not in allowed and "w1_rows" in (
+                      getattr(node, "id", None), getattr(node, "attr", None)))
+
+
+def test_only_the_level_fill_names_the_row_kernel():
+    # every other W1 goes through w1_values, so a graph has one path in
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             if path.name != "transport.py"
+             for line in _row_kernel_names(path)]
     assert found == []

@@ -122,7 +122,7 @@ def _ref_internal_members(tree):
             for k in range(base, base + (1 << (j - tree.top.j))):
                 yield DyadicInterval(sys, j, k)
         return
-    leafset = {(L.j, L.k) for L in tree.leaves}
+    leafset = set(tree.leaves)
     for j, k in sorted(tree.members):
         if (j, k) in leafset:
             continue

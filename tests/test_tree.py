@@ -59,15 +59,14 @@ def test_check_structure_names_each_defect():
                     1.0 / 16.0, max_depth=6).check_structure()
     tree = _full_tree(2)
     cells = tree.members
-    cell = STANDARD.interval
     broken = {
         "orphan member": dict(members=cells | {(4, 0)}),
         "single-child member": dict(members=cells | {(3, 0)}),
-        "leaf with children": dict(leaves=(cell(1, 0),)),
+        "leaf with children": dict(leaves=((1, 0),)),
         "childless non-leaf above depth cap": dict(max_depth=3),
-        "overlapping leaves": dict(leaves=(cell(2, 0), cell(3, 1))),
+        "overlapping leaves": dict(leaves=((2, 0), (3, 1))),
     }
-    lazy = Tree(cell(1, 1), None, (), 2, lazy_full=True)
+    lazy = Tree(STANDARD.interval(1, 1), None, (), 2, lazy_full=True)
     for message, change in broken.items():
         bad = dataclasses.replace(tree, **change)
         forest = Forest((_full_tree(1), bad, lazy), 0.25, 2)
@@ -225,7 +224,7 @@ def _dfs_forest(mu, nu, epsilon, max_depth):
             s2 = s + a_val * a_val
             members.add((I.j, I.k))
             if s2 >= eps2:
-                leaves.append(I)
+                leaves.append((I.j, I.k))
                 if I.j < max_depth:
                     queue.append(navigate(I, "left"))
                     queue.append(navigate(I, "right"))
@@ -244,7 +243,7 @@ def _tree_carleson(mu, nu, tree):
         return CarlesonComparison(0.0, 0.0, top_mass, 0.0)
     sum_delta = 0.0
     sum_alpha = 0.0
-    leafset = {(L.j, L.k) for L in tree.leaves}
+    leafset = set(tree.leaves)
     for j, k in sorted(tree.members):
         I = STANDARD.interval(j, k)
         mI = cell_mass(mu, I)
@@ -252,7 +251,7 @@ def _tree_carleson(mu, nu, tree):
             continue
         d = delta(mu, nu, I)
         sum_delta += d * d * mI
-        if (I.j, I.k) not in leafset:
+        if (j, k) not in leafset:
             a_val = alpha(mu, nu, I)
             sum_alpha += a_val * a_val * mI
     denom = sum_alpha + top_mass
@@ -295,7 +294,7 @@ def test_level_forest_equals_the_dfs(forest_cases):
             assert got.top == ref.top, name
             assert got.lazy_full == ref.lazy_full, (name, ref.top)
             assert got.members == ref.members, (name, ref.top)
-            assert set(got.leaves) == set(ref.leaves), (name, ref.top)
+            assert got.leaves == tuple(sorted(ref.leaves)), (name, ref.top)
             assert got.max_depth == ref.max_depth, (name, ref.top)
     assert lazies > 0
 
