@@ -21,13 +21,15 @@ import numpy as np
 
 from . import __version__
 from .measure import (
+    Checked,
     Measure,
     _histogram,
-    _is_int,
     _is_real,
+    _nonneg,
     cdf_difference,
     dyadic_cell_masses,
     generate,
+    ints,
     validate_spec,
 )
 from .dyadic import DEPTH_CAP, STANDARD, cell_mass, delta, doubling_constant
@@ -146,59 +148,46 @@ SCENARIOS = {
 }
 
 
-def _pair_count(cfg):
-    """The config's pair count, an integer >= 1 (a bool is not one).
-
-    Checked when a scenario reads it, not in load_config, so a batch that
-    loads all its configs first counts a bad count as one failed run.
-    """
-    pairs = cfg.get("pairs", 1)
-    if not _is_int(pairs) or pairs < 1:
-        raise ValueError(f"pairs must be an integer >= 1, not {pairs!r}")
-    return pairs
+CONFIG = {
+    "depth": ints(0, DEPTH_CAP),
+    "seed": ints(0),
+    "epsilon": (lambda v: v == "auto" or _is_real(v) and 0 < v < math.inf,
+                "'auto' or a finite number > 0"),
+    "outputs": (lambda v: isinstance(v, dict) and all(
+        k in ("json", "csv") and isinstance(p, str) for k, p in v.items()),
+        "an object of json and csv file paths"),
+    "tolerances": (lambda v: isinstance(v, dict) and all(
+        k in ("exact", "accumulation", "statistical") and _nonneg(t)
+        for k, t in v.items()), "an object of exact, accumulation and "
+        "statistical tolerances, each a finite number >= 0"),
+}
+# pairs is checked when a scenario reads it, not in load_config, so a batch
+# that loads all its configs first counts a bad count as one failed run
+PAIRS = ints(1)
 
 
 def load_config(path):
     with open(path) as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict) or "scenario" not in cfg:
-        raise ValueError("config needs a 'scenario' key")
-    name = cfg["scenario"]
-    if not isinstance(name, str) or name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}")
-    merged = dict(SCENARIOS[name])
-    merged.pop("summary", None)
+    read = Checked(cfg, "config")
+    name = read.get("scenario", (lambda v: isinstance(v, str)
+                                 and v in SCENARIOS, "a scenario name"))
+    merged = {k: v for k, v in SCENARIOS[name].items() if k != "summary"}
+    merged.update(seed=0, epsilon="auto", systems="standard", outputs={},
+                  tolerances={})
+    for key, rule in CONFIG.items():
+        read.get(key, rule, merged[key])
+    read.done(also=merged)  # mu_spec, nu_spec, systems and a scenario's pairs
     merged.update(cfg)
-    merged.setdefault("seed", 0)
-    merged.setdefault("epsilon", "auto")
-    merged.setdefault("systems", "standard")
-    merged.setdefault("outputs", {})
-    merged.setdefault("tolerances", {})
-    depth = merged["depth"]
-    if not _is_int(depth) or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, not {depth!r}")
-    if depth > DEPTH_CAP:
-        raise ValueError(f"depth {depth} exceeds cap {DEPTH_CAP}")
-    seed = merged["seed"]
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, not {seed!r}")
-    eps = merged["epsilon"]
-    if eps != "auto" and not (_is_real(eps) and 0 < eps < math.inf):
-        raise ValueError(
-            f"epsilon must be 'auto' or a finite number > 0, not {eps!r}")
-    tols = merged["tolerances"]
-    if not isinstance(tols, dict) or not all(
-            _is_real(v) and 0 <= v < math.inf for v in tols.values()):
-        raise ValueError("tolerances must map names to finite numbers >= 0")
-    outputs = merged["outputs"]
-    if not isinstance(outputs, dict) or not all(
-            isinstance(v, str) for v in outputs.values()):
-        raise ValueError("outputs must map names to file paths")
     for key in ("mu_spec", "nu_spec"):
         if merged[key] is not None:
             validate_spec(merged[key])
         elif SCENARIOS[name][key] is not None:
             raise ValueError(f"scenario {name} needs a {key}")
+    if name == "example22" and "n" not in merged["mu_spec"]:
+        # its checks read the bump's n, which only these two specs carry
+        raise ValueError("scenario example22 needs an example22 or "
+                         "example52 mu_spec")
     return merged
 
 
@@ -367,7 +356,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
     elif name == "random-histogram-fleet":
         rng = np.random.default_rng(seed)
         worst = 0.0
-        for _ in range(_pair_count(cfg)):
+        for _ in range(Checked(cfg, "config").get("pairs", PAIRS, 1)):
             m1 = _random_measure(rng)
             # reference measure must charge every cell for the forest
             cells = rng.uniform(0.05, 1.0, 16)
@@ -387,7 +376,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
 
     elif name == "oracle-crossval":
         rng = np.random.default_rng(seed)
-        n = _pair_count(cfg)
+        n = Checked(cfg, "config").get("pairs", PAIRS, 1)
         graphs, oracle = [], []
         for start in range(0, n, ORACLE_BLOCK):
             block = [(_random_measure(rng), _random_measure(rng))
@@ -468,6 +457,9 @@ def cmd_run(args):
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report, sort_keys=True, indent=1))
     if report["passed"]:
         return 0
@@ -485,7 +477,7 @@ def cmd_list(args):
 def cmd_validate(args):
     try:
         cfg = load_config(args.config)
-        _pair_count(cfg)
+        Checked(cfg, "config").get("pairs", PAIRS, 1)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ cascades) stay cheap to restrict, blow up and integrate.
 from __future__ import annotations
 
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -238,82 +239,36 @@ def phi_tent():
 # generators
 
 
-def validate_spec(spec):
-    """Check a generator description; returns a list of warning strings."""
-    notes = []
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("spec must be a dict with a 'type' key")
-    t = spec["type"]
-    if t == "lebesgue":
-        pass
-    elif t == "atomic":
-        atoms = spec.get("atoms")
-        if not isinstance(atoms, (list, tuple)) or not atoms:
-            raise ValueError("atomic spec needs a nonempty 'atoms' list")
-        for atom in atoms:
-            if not _is_pair(atom):
-                raise ValueError(f"atom {atom!r} is not a number pair (x, w)")
-            x, w = atom
-            if not (0.0 <= x <= 1.0) or not (0.0 <= w < math.inf):
-                raise ValueError("atom out of range")
-            if _on_dyadic_boundary(x):
-                notes.append(
-                    f"atom at x={x} sits on a dyadic boundary; blow-up "
-                    "experiments assume boundaries carry no mass")
-    elif t == "histogram":
-        cells = spec.get("cells")
-        if not isinstance(cells, (list, tuple)) or len(cells) == 0 \
-                or len(cells) & (len(cells) - 1):
-            raise ValueError("histogram needs 2^L cell masses")
-        if not all(_is_real(c) and 0.0 <= c < math.inf for c in cells):
-            raise ValueError("histogram masses must be finite and "
-                             "nonnegative")
-    elif t == "cascade":
-        p = spec.get("p")
-        L = spec.get("depth")
-        if not _is_real(p) or not (0.0 < p < 1.0):
-            raise ValueError("cascade needs left fraction p in (0, 1)")
-        if not _is_int(L) or not (1 <= L <= 30):
-            raise ValueError("cascade depth must be in 1..30")
-    elif t == "cantor":
-        L = spec.get("depth")
-        ratios = spec.get("ratios", (0.5, 0.5))
-        rl, rr = ratios if _is_pair(ratios) else (0.0, 0.0)
-        if not (0 < rl < 1 and 0 < rr < 1 and abs(rl + rr - 1.0) < 1e-12):
-            raise ValueError("cantor ratios must be positive and sum to 1")
-        if not _is_int(L) or not (1 <= L <= 14):
-            raise ValueError("cantor depth must be in 1..14")
-    elif t in ("example22", "example52"):
-        n = spec.get("n")
-        if not _is_int(n) or not (2 <= n <= 30):
-            raise ValueError("perturbed-density parameter n must be in 2..30")
-    elif t in ("finite-haar", "ac-density"):
-        seed = spec.get("seed", 0)
-        if not _is_int(seed) or seed < 0:
-            raise ValueError(f"{t} seed must be a nonnegative integer")
-        if t == "finite-haar":
-            L = spec.get("levels", 5)
-            if not _is_int(L) or not (1 <= L <= 30):
-                raise ValueError("finite-haar levels must be in 1..30")
-        else:
-            n = spec.get("cells", 64)
-            if not _is_int(n) or n < 1 or n & (n - 1) or n > 1 << 30:
-                raise ValueError("ac-density cells must be a power of two "
-                                 "up to 2^30")
-    elif t == "example53":
-        eps = spec.get("eps")
-        if not _is_real(eps) or not (0.0 < eps < 0.25):
-            raise ValueError("two-atom example needs eps in (0, 0.25)")
-        if spec.get("role", "mu") not in ("mu", "nu"):
-            raise ValueError("two-atom example role must be 'mu' or 'nu'")
-        notes.append("atoms of this example sit on dyadic boundaries by "
-                     "construction; use it only for interval/ball alpha checks")
-    else:
-        raise ValueError(f"unknown generator type {t!r}")
-    depth = spec.get("depth")
-    if depth is not None and not (_is_int(depth) and depth <= 30):
-        raise ValueError(f"depth must be an integer up to 30, not {depth!r}")
-    return notes
+class Checked:
+    """A dict read key by key: get(name, (test, what it must be), default)
+    returns d[name], or the default when the key is absent, and raises
+    ValueError unless the test accepts it (None never passes, so a key with
+    no default is required).  done() rejects the keys that no get read.
+    """
+
+    def __init__(self, d, where):
+        if not isinstance(d, dict):
+            raise ValueError(f"{where} is not an object: {reprlib.repr(d)}")
+        self.d, self.where, self.unread = d, where, set(d)
+
+    def get(self, name, rule, default=None):
+        self.unread.discard(name)
+        value = self.d.get(name, default)
+        if value is None or not rule[0](value):
+            raise ValueError(f"{self.where}: {name} must be {rule[1]}, "
+                             f"not {reprlib.repr(value)}")
+        return value
+
+    def done(self, also=()):
+        unknown = sorted(map(repr, self.unread.difference(also)))
+        if unknown:
+            raise ValueError(f"{self.where}: unknown key {', '.join(unknown)}")
+
+
+def ints(lo, hi=None):
+    """The rule for an integer (a bool is not one) in lo..hi, or >= lo."""
+    return (lambda v: _is_int(v) and lo <= v and (hi is None or v <= hi),
+            f"an integer >= {lo}" if hi is None else f"an integer in {lo}..{hi}")
 
 
 def _is_int(v):
@@ -322,6 +277,15 @@ def _is_int(v):
 
 def _is_real(v):
     return _is_int(v) or isinstance(v, float)
+
+
+def _pow2(n):
+    return n > 0 and not n & (n - 1)
+
+
+def _nonneg(v):
+    """Whether v is a finite number >= 0."""
+    return _is_real(v) and 0.0 <= v < math.inf
 
 
 def _is_pair(v):
@@ -333,70 +297,113 @@ def _is_pair(v):
 MAX_LEVEL = 30  # the finest level of every grid; dyadic re-exports it
 
 
-def _on_dyadic_boundary(x):
-    return float(x * (1 << MAX_LEVEL)).is_integer()
-
-
-def generate(spec):
-    """Build a Measure from a generator description (JSON-style dict)."""
-    validate_spec(spec)
-    t = spec["type"]
+def _plan(spec):
+    """(warnings, builder) of a generator description; the builder makes
+    the Measure.  This is the one place that knows the generator types and
+    reads their parameters, so it raises ValueError on any other key.
+    """
+    read = Checked(spec, "spec")
+    t = read.get("type", (lambda v: isinstance(v, str), "a type name"))
+    read.where = f"{t} spec"
+    notes = []
     if t == "lebesgue":
-        return Measure.make(pieces=[(0.0, 1.0, 1.0)])
-    if t == "atomic":
-        return Measure.make(atoms=spec["atoms"])
-    if t == "histogram":
-        return _histogram(np.asarray(spec["cells"], dtype=float))
-    if t == "finite-haar":
-        # Lebesgue perturbed by a few dyadic multipliers: an A-infinity weight
-        rng = np.random.default_rng(spec.get("seed", 0))
-        cells = np.ones(1)
-        for _ in range(spec.get("levels", 5)):
-            eps = rng.uniform(-0.3, 0.3, cells.size)
-            cells = np.stack([cells * (1 + eps), cells * (1 - eps)],
-                             axis=-1).reshape(-1)
-        return _histogram(cells / cells.sum())
-    if t == "ac-density":
-        # bounded density in [1/2, 2] up to normalization
-        rng = np.random.default_rng(spec.get("seed", 5))
-        dens = rng.uniform(0.5, 2.0, spec.get("cells", 64))
-        return _histogram(dens / dens.sum())
-    if t == "cascade":
-        p, L = float(spec["p"]), int(spec["depth"])
-        masses = np.array([1.0])
-        for _ in range(L):
-            masses = np.stack([masses * p, masses * (1.0 - p)], axis=-1).reshape(-1)
-        return _histogram(masses)
-    if t == "cantor":
-        rl, rr = spec.get("ratios", (0.5, 0.5))
-        L = int(spec["depth"])
-        # middle-half construction: keep the outer quarters of each piece
-        lefts = np.array([0.0])
-        rights = np.array([1.0])
-        masses = np.array([1.0])
-        for _ in range(L):
-            q = (rights - lefts) / 4.0
-            lefts = np.stack([lefts, rights - q], axis=-1).reshape(-1)
-            rights = np.stack([lefts[0::2] + q, rights], axis=-1).reshape(-1)
-            masses = np.stack([masses * rl, masses * rr], axis=-1).reshape(-1)
-        return Measure.from_arrays([], [], lefts, rights, masses)
-    if t in ("example22", "example52"):
-        n = int(spec["n"])
-        h = 2.0 ** (-n)
+        build = lambda: Measure.make(pieces=[(0.0, 1.0, 1.0)])
+    elif t == "atomic":
+        atoms = read.get("atoms", (
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(
+                _is_pair(a) and 0.0 <= a[0] <= 1.0 and _nonneg(a[1])
+                for a in v), "a nonempty list of [x in [0, 1], weight]"))
+        notes = [f"atom at x={x} sits on a dyadic boundary; blow-up "
+                 "experiments assume boundaries carry no mass"
+                 for x, _ in atoms
+                 if float(x * (1 << MAX_LEVEL)).is_integer()]
+        build = lambda: Measure.make(atoms=atoms)
+    elif t == "histogram":
+        cells = read.get("cells", (
+            lambda v: isinstance(v, (list, tuple)) and _pow2(len(v))
+            and all(map(_nonneg, v)), "2^L finite masses >= 0"))
+        build = lambda: _histogram(np.asarray(cells, dtype=float))
+    elif t == "cascade":
+        p = read.get("p", (lambda v: _is_real(v) and 0.0 < v < 1.0,
+                           "a number in (0, 1)"))
+        depth = read.get("depth", ints(1, 30))
+
+        def build():
+            masses = np.array([1.0])
+            for _ in range(depth):
+                masses = np.stack([masses * p, masses * (1.0 - p)],
+                                  axis=-1).reshape(-1)
+            return _histogram(masses)
+    elif t == "cantor":
+        rl, rr = read.get("ratios", (lambda v: _is_pair(v) and all(
+            0 < r < 1 for r in v) and abs(sum(v) - 1.0) < 1e-12,
+            "two numbers in (0, 1) summing to 1"), (0.5, 0.5))
+        depth = read.get("depth", ints(1, 14))
+
+        def build():
+            # middle-half construction: keep the outer quarters of each piece
+            lefts, rights, masses = np.zeros(1), np.ones(1), np.ones(1)
+            for _ in range(depth):
+                q = (rights - lefts) / 4.0
+                lefts = np.stack([lefts, rights - q], axis=-1).reshape(-1)
+                rights = np.stack([lefts[0::2] + q, rights],
+                                  axis=-1).reshape(-1)
+                masses = np.stack([masses * rl, masses * rr],
+                                  axis=-1).reshape(-1)
+            return Measure.from_arrays([], [], lefts, rights, masses)
+    elif t in ("example22", "example52"):
+        h = 2.0 ** (-read.get("n", ints(2, 30)))
         a, b = 0.5 - h, 0.5 + h
-        pieces = [
+        build = lambda: Measure.make(pieces=[
             (0.0, a, a),            # density 1
             (a, 0.5, 0.5 * h),      # density 1/2
             (0.5, b, 1.5 * h),      # density 3/2
             (b, 1.0, 1.0 - b),      # density 1
-        ]
-        return Measure.make(pieces=pieces)
-    if t == "example53":
-        eps = float(spec["eps"])
-        if spec.get("role", "mu") == "mu":
-            return Measure.make(atoms=[(0.5, 1.0)])
-        return Measure.make(atoms=[(0.25, eps), (0.5 + eps, 1.0 - eps)])
-    raise ValueError(f"unknown generator type {t!r}")
+        ])
+    elif t == "finite-haar":  # Lebesgue times dyadic multipliers: A-infinity
+        seed = read.get("seed", ints(0), 0)
+        levels = read.get("levels", ints(1, 30), 5)
+
+        def build():
+            rng = np.random.default_rng(seed)
+            cells = np.ones(1)
+            for _ in range(levels):
+                eps = rng.uniform(-0.3, 0.3, cells.size)
+                cells = np.stack([cells * (1 + eps), cells * (1 - eps)],
+                                 axis=-1).reshape(-1)
+            return _histogram(cells / cells.sum())
+    elif t == "ac-density":  # a density in [1/2, 2] up to normalization
+        seed = read.get("seed", ints(0), 5)
+        n = read.get("cells", (lambda v: _is_int(v) and _pow2(v)
+                               and v <= 1 << 30, "a power of two up to 2^30"),
+                     64)
+
+        def build():
+            dens = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+            return _histogram(dens / dens.sum())
+    elif t == "example53":
+        eps = read.get("eps", (lambda v: _is_real(v) and 0.0 < v < 0.25,
+                               "a number in (0, 0.25)"))
+        mu = read.get("role", (lambda v: v in ("mu", "nu"), "mu or nu"),
+                      "mu") == "mu"
+        notes = ["atoms of this example sit on dyadic boundaries by "
+                 "construction; use it only for interval/ball alpha checks"]
+        build = lambda: Measure.make(atoms=[(0.5, 1.0)] if mu else [
+            (0.25, eps), (0.5 + eps, 1.0 - eps)])
+    else:
+        raise ValueError(f"unknown generator type {t!r}")
+    read.done()
+    return notes, build
+
+
+def validate_spec(spec):
+    """Check a generator description; returns a list of warning strings."""
+    return _plan(spec)[0]
+
+
+def generate(spec):
+    """Build a Measure from a generator description (JSON-style dict)."""
+    return _plan(spec)[1]()
 
 
 def _histogram(cells):

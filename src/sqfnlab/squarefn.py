@@ -82,15 +82,6 @@ class SquareFunctionProfile:
                     w.writerow([repr(float(x)), repr(float(g)),
                                 repr(float(s))])
 
-    def summary(self):
-        return {
-            "mode": self.mode,
-            "points": len(self.points),
-            "mean_final": float(self.partial_sums[:, -1].mean()),
-            "max_final": float(self.partial_sums[:, -1].max()),
-            "mean_slope": float(np.mean(self.slopes())),
-        }
-
 
 def mu_sampled_points(mu: Measure, n, depth, seed=0):
     """Cell centers at the working depth, drawn with probability ~ mass."""

@@ -71,6 +71,17 @@ def test_depth_cap_is_enforced(tmp_path):
         {"scenario": "identity", "mu_spec": None},
         {"scenario": "example53",
          "nu_spec": {"type": "example53", "eps": 0.01, "role": "x"}},
+        # an unknown key, such as a misspelling, in a spec, the config (pairs
+        # where the scenario has no pair count), tolerances and outputs
+        {"scenario": "finite-haar-ainfty",
+         "mu_spec": {"type": "finite-haar", "levles": 3}},
+        {"scenario": "identity", "mu_spec": {"type": "lebesgue", "depth": 5}},
+        {"scenario": "identity", "dpeth": 3},
+        {"scenario": "identity", "pairs": 3},
+        {"scenario": "identity", "tolerances": {"exakt": 1}},
+        {"scenario": "identity", "outputs": {"jsn": "report.json"}},
+        # example22's checks read the bump's n, which a lebesgue spec lacks
+        {"scenario": "example22", "mu_spec": {"type": "lebesgue"}},
     ]:
         cfg = _write_cfg(tmp_path, bad)
         with pytest.raises(ValueError):
@@ -122,6 +133,16 @@ def test_precondition_violation_is_input_error(tmp_path, capsys):
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"input error: nu vanishes on {first}@std")
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    for outputs in [{"json": str(tmp_path / "missing" / "r.json")},
+                    {"csv": str(tmp_path / "missing" / "p.csv")}]:
+        cfg = _write_cfg(tmp_path, {"scenario": "ac-density", "depth": 6,
+                                    "outputs": outputs})
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "missing" in err
 
 
 def test_validate_warns_on_boundary_atoms(tmp_path, capsys):

@@ -352,6 +352,40 @@ def test_validate_spec_flags_boundary_atoms():
         validate_spec({"type": "cascade", "p": 1.5, "depth": 4})
 
 
+# every generator type with a valid value of each parameter, and whether
+# the parameter is required
+GENERATOR_PARAMS = {
+    "lebesgue": {},
+    "atomic": {"atoms": ([[0.3, 1.0]], True)},
+    "histogram": {"cells": ([0.5, 0.5], True)},
+    "cascade": {"p": (0.7, True), "depth": (4, True)},
+    "cantor": {"depth": (4, True), "ratios": ([0.5, 0.5], False)},
+    "example22": {"n": (8, True)},
+    "example52": {"n": (6, True)},
+    "example53": {"eps": (0.01, True), "role": ("nu", False)},
+    "finite-haar": {"seed": (0, False), "levels": (5, False)},
+    "ac-density": {"seed": (5, False), "cells": (64, False)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATOR_PARAMS))
+def test_malformed_parameters_are_named(kind):
+    params = GENERATOR_PARAMS[kind]
+    spec = {"type": kind, **{k: v for k, (v, _) in params.items()}}
+    validate_spec(spec)
+    generate(spec)
+    bad = [({**spec, "levles": 3}, "levles")]
+    for name, (_, required) in params.items():
+        if required:
+            bad.append(({k: v for k, v in spec.items() if k != name}, name))
+        for value in (True, "0.5", float("nan")):
+            bad.append(({**spec, name: value}, name))
+    for malformed, name in bad:
+        for check in (validate_spec, generate):
+            with pytest.raises(ValueError, match=rf"\b{name}\b"):
+                check(malformed)
+
+
 def test_dyadic_cell_masses_warns_on_boundary_atom():
     m = Measure.make(atoms=[(0.25, 1.0)])
     with pytest.warns(BoundaryAtomWarning):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -64,9 +63,6 @@ def test_profile_partial_sums_nondecreasing_and_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "point,depth,partial_sum"
     assert len(lines) == 1 + 4 * 9
-    s = prof.summary()
-    json.dumps(s)  # summary must be JSON-serializable
-    assert s["mode"] == "dyadic"
 
 
 def test_continuous_profile_identity_is_zero():
