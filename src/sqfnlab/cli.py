@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -154,8 +155,9 @@ CONFIG = {
     "epsilon": (lambda v: v == "auto" or _is_real(v) and 0 < v < math.inf,
                 "'auto' or a finite number > 0"),
     "outputs": (lambda v: isinstance(v, dict) and all(
-        k in ("json", "csv") and isinstance(p, str) for k, p in v.items()),
-        "an object of json and csv file paths"),
+        k in ("json", "csv") and isinstance(p, str)
+        and os.path.isdir(os.path.dirname(p) or ".") for k, p in v.items()),
+        "an object of json and csv file paths in existing directories"),
     "tolerances": (lambda v: isinstance(v, dict) and all(
         k in ("exact", "accumulation", "statistical") and _nonneg(t)
         for k, t in v.items()), "an object of exact, accumulation and "
@@ -166,7 +168,8 @@ CONFIG = {
 PAIRS = ints(1)
 
 
-def load_config(path):
+def _load(path):
+    """The merged config of a config file and its specs' warnings."""
     with open(path) as fh:
         cfg = json.load(fh)
     read = Checked(cfg, "config")
@@ -179,16 +182,21 @@ def load_config(path):
         read.get(key, rule, merged[key])
     read.done(also=merged)  # mu_spec, nu_spec, systems and a scenario's pairs
     merged.update(cfg)
+    notes = []
     for key in ("mu_spec", "nu_spec"):
         if merged[key] is not None:
-            validate_spec(merged[key])
+            notes += (f"{key}: {n}" for n in validate_spec(merged[key]))
         elif SCENARIOS[name][key] is not None:
             raise ValueError(f"scenario {name} needs a {key}")
     if name == "example22" and "n" not in merged["mu_spec"]:
         # its checks read the bump's n, which only these two specs carry
         raise ValueError("scenario example22 needs an example22 or "
                          "example52 mu_spec")
-    return merged
+    return merged, notes
+
+
+def load_config(path):
+    return _load(path)[0]
 
 
 def _check(name, lhs, rhs, tol=0.0, note=""):
@@ -476,22 +484,14 @@ def cmd_list(args):
 
 def cmd_validate(args):
     try:
-        cfg = load_config(args.config)
+        cfg, notes = _load(args.config)
         Checked(cfg, "config").get("pairs", PAIRS, 1)
     except (OSError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    notes = []
-    for key in ("mu_spec", "nu_spec"):
-        spec = cfg.get(key)
-        if spec is not None:
-            notes.extend(f"{key}: {n}" for n in validate_spec(spec))
     print(f"scenario: {cfg['scenario']}")
     print(f"depth: {cfg['depth']} (cap {DEPTH_CAP})")
-    for n in notes:
-        print(f"warning: {n}")
-    if not notes:
-        print("ok")
+    print("\n".join(f"warning: {n}" for n in notes) or "ok")
     return 0
 
 

@@ -73,33 +73,28 @@ class Measure:
     @staticmethod
     def from_arrays(atom_x, atom_w, piece_l, piece_r, piece_m):
         """A checked Measure from arrays in any order; zero weights dropped."""
-        ax = np.asarray(atom_x, dtype=float).ravel()
-        aw = np.asarray(atom_w, dtype=float).ravel()
-        pl = np.asarray(piece_l, dtype=float).ravel()
-        pr = np.asarray(piece_r, dtype=float).ravel()
-        pm = np.asarray(piece_m, dtype=float).ravel()
-        keep = aw != 0.0
-        ax, aw = ax[keep], aw[keep]
-        order = np.argsort(ax, kind="stable")
-        ax, aw = ax[order], aw[order]
-        keep = pm != 0.0
-        pl, pr, pm = pl[keep], pr[keep], pm[keep]
-        order = np.argsort(pl, kind="stable")
-        pl, pr, pm = pl[order], pr[order], pm[order]
+        ax, aw, pl, pr, pm = (np.asarray(v, dtype=float).ravel() for v in (
+            atom_x, atom_w, piece_l, piece_r, piece_m))
+        # an empty part has nothing to drop or sort
+        if ax.size or aw.size:
+            keep = aw != 0.0
+            ax, aw = ax[keep], aw[keep]
+            order = np.argsort(ax, kind="stable")
+            ax, aw = ax[order], aw[order]
+        if pl.size or pr.size or pm.size:
+            keep = pm != 0.0
+            pl, pr, pm = pl[keep], pr[keep], pm[keep]
+            order = np.argsort(pl, kind="stable")
+            pl, pr, pm = pl[order], pr[order], pm[order]
         m = _derived(ax, aw, pl, pr, pm)
         m._check()
         return m
 
     @staticmethod
     def make(atoms=(), pieces=()):
-        atoms = list(atoms)
-        pieces = list(pieces)
-        ax = [a[0] for a in atoms]
-        aw = [a[1] for a in atoms]
-        pl = [p[0] for p in pieces]
-        pr = [p[1] for p in pieces]
-        pm = [p[2] for p in pieces]
-        return Measure.from_arrays(ax, aw, pl, pr, pm)
+        atoms, pieces = list(atoms), list(pieces)
+        return Measure.from_arrays(*([a[i] for a in atoms] for i in range(2)),
+                                   *([p[i] for p in pieces] for i in range(3)))
 
     def _check(self):
         # the total is NaN or infinite when a weight or a mass is; the range
@@ -620,11 +615,9 @@ def scale(m: Measure, c):
 
 def combine(measures):
     """Sum of measures with pairwise disjoint pieces."""
-    ax = np.concatenate([m.atom_x for m in measures]) if measures else _EMPTY
-    aw = np.concatenate([m.atom_w for m in measures]) if measures else _EMPTY
-    pl = np.concatenate([m.piece_l for m in measures]) if measures else _EMPTY
-    pr = np.concatenate([m.piece_r for m in measures]) if measures else _EMPTY
-    pm = np.concatenate([m.piece_m for m in measures]) if measures else _EMPTY
+    ax, aw, pl, pr, pm = (np.concatenate([getattr(m, f) for m in measures]
+                                         or [_EMPTY]) for f in (
+        "atom_x", "atom_w", "piece_l", "piece_r", "piece_m"))
     if ax.size:
         # merge coincident atoms
         order = np.argsort(ax, kind="stable")

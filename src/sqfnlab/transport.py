@@ -291,22 +291,27 @@ _MIDS.setflags(write=False)
 def _grid_cdf(m: Measure):
     """F(x-) = m([0, x)) at the sorted grid midpoints, == cdf_left_values.
 
-    The atom part is a step function, so each atom's cumulative weight is
-    repeated up to the first midpoint right of it; "right" leaves out an
-    atom sitting exactly on a midpoint, as F(x-) must.  The piece part is
-    np.interp's formula slope * (x - bx[j]) + bv[j] on each breakpoint
-    interval, with bx[j], its slope and bv[j] repeated over the midpoints
-    the interval holds.
+    The piece part is np.interp's formula slope * (x - bx[j]) + bv[j] on
+    each breakpoint interval, with bx[j], its slope and bv[j] repeated over
+    the midpoints the interval holds.  It ends with a step of bv >= 0, so it
+    is never -0.0 and a measure without atoms returns it as is.  Only a
+    measure with atoms builds the atom part, a step function: each atom's
+    cumulative weight is repeated up to the first midpoint right of it;
+    "right" leaves out an atom sitting exactly on a midpoint, as F(x-) must.
     """
     acum, bx, bv = m._tables
-    cuts = np.searchsorted(_MIDS, m.atom_x, "right")
-    F = np.repeat(acum, np.diff(cuts, prepend=0, append=_GRID_N))
-    if m.piece_l.size:
-        steps = bx[1:] - bx[:-1]
-        if steps.min() < 0.0:
-            # pieces may overlap by 1e-15 (Measure._check); a midpoint
-            # inside the overlap would get a negative count
-            return np.interp(_MIDS, bx, bv) + F
+    F = None
+    if m.atom_x.size:
+        cuts = np.searchsorted(_MIDS, m.atom_x, "right")
+        F = np.repeat(acum, np.diff(cuts, prepend=0, append=_GRID_N))
+    if not m.piece_l.size:
+        return np.zeros(_GRID_N) if F is None else F
+    steps = bx[1:] - bx[:-1]
+    if steps.min() < 0.0:
+        # pieces may overlap by 1e-15 (Measure._check); a midpoint inside
+        # the overlap would get a negative count
+        P = np.interp(_MIDS, bx, bv)
+    else:
         first = np.searchsorted(_MIDS, bx)  # first midpoint >= each bx
         counts = first[1:] - first[:-1]
         # bx runs from 0 to at least 1, so the counts cover every midpoint;
@@ -316,8 +321,7 @@ def _grid_cdf(m: Measure):
         P = _MIDS - np.repeat(bx[:-1], counts)
         P *= np.repeat(slope, counts)
         P += np.repeat(bv[:-1], counts)
-        F += P
-    return F
+    return P if F is None else np.add(F, P, out=F)
 
 
 def w1_oracle(m1: Measure, m2: Measure):
@@ -326,14 +330,16 @@ def w1_oracle(m1: Measure, m2: Measure):
     Samples G at the midpoints of a uniform grid of 2^14 cells straight
     from the two CDFs, takes the sample median as the shift, and sums
     |G - c| * h.  Each CDF is read in one pass over the sorted midpoints
-    (_grid_cdf), == cdf_left_values at the midpoints.  The median is the
-    mean of the two middle values of one np.partition, == np.median.  The
-    quadrature error is at most h times the total variation of G, so for
-    probability measures it is below 2 * h.
+    (_grid_cdf), == cdf_left_values at the midpoints.  The median takes one
+    selection: np.partition puts the (h-1)-th order statistic at h - 1 and
+    only larger or equal values after it, so the least of those is the h-th
+    and c is == np.median.  The quadrature error is at most h times the
+    total variation of G, so for probability measures it is below 2 * h.
     """
     G = _grid_cdf(m1)
     G -= _grid_cdf(m2)
     h = _GRID_N // 2
-    c = float(np.partition(G, (h - 1, h))[h - 1:h + 1].mean())
+    W = np.partition(G, h - 1)
+    c = float((W[h - 1] + W[h:].min()) / 2)
     G -= c
     return float(np.abs(G, out=G).sum() * _GRID_H)

@@ -142,7 +142,36 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys):
                                     "outputs": outputs})
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("output error: ") and "missing" in err
+        assert err.startswith("config error: ") and "outputs must be" in err
+
+
+def test_output_directories_are_checked_before_writing(tmp_path, capsys,
+                                                       monkeypatch):
+    # a writable csv next to a json path in a missing directory: neither
+    # command accepts it, and run writes nothing before it stops
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "ac-density", "depth": 6,
+        "outputs": {"csv": "p.csv", "json": "/nonexistent/dir/r.json"}})
+    assert main(["validate", "--config", cfg]) == 2
+    assert main(["run", "--config", cfg]) == 2
+    assert "outputs must be" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_validate_checks_each_spec_once(tmp_path, capsys, monkeypatch):
+    import sqfnlab.measure as measure
+    calls = []
+    plan = measure._plan
+    monkeypatch.setattr(measure, "_plan",
+                        lambda spec: calls.append(spec) or plan(spec))
+    cfg = _write_cfg(tmp_path, {
+        "scenario": "singular-cascade",
+        "nu_spec": {"type": "atomic", "atoms": [[0.5, 1.0]]}})
+    assert main(["validate", "--config", cfg]) == 0
+    assert len(calls) == 2
+    out = capsys.readouterr().out
+    assert "warning: nu_spec: " in out and "boundary" in out
 
 
 def test_validate_warns_on_boundary_atoms(tmp_path, capsys):

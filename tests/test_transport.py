@@ -318,3 +318,47 @@ def test_oracle_equals_the_sampled_formula():
         pick = _mixed_measure if i % 4 == 0 else _random_measure
         m1, m2 = pick(rng), _random_measure(rng)
         assert w1_oracle(m1, m2) == _oracle_sampled(m1, m2)
+
+
+def _median_positions(m1, m2):
+    """The two middle values of the sorted grid samples of G."""
+    G = np.sort(cdf_left_values(m1, _MIDS) - cdf_left_values(m2, _MIDS))
+    return G[(1 << 13) - 1], G[1 << 13]
+
+
+def test_oracle_median_edge_cases():
+    mixed = _mixed_measure(np.random.default_rng(16))
+    hist = _histogram(np.array([0.1, 0.4, 0.2, 0.3]))
+    atoms = Measure.make(atoms=[(0.2, 0.5), (_MIDS[9000], 0.25), (1.0, 0.25)])
+    a = [Measure.make(atoms=[(x, 1.0)]) for x in (0.1, 0.25, 0.75, 0.8)]
+    # G = 1 on [0.1, 0.8): a flat run across both middle positions
+    lo, hi = _median_positions(a[0], a[3])
+    assert lo == hi == 1.0
+    # G = 1 on [0.25, 0.75): the middle values are 0 and 1, so c = 0.5
+    lo, hi = _median_positions(a[1], a[2])
+    assert (lo, hi) == (0.0, 1.0)
+    assert w1_oracle(a[1], a[2]) == _oracle_sampled(a[1], a[2]) == 0.5
+    pairs = [(mixed, mixed), (hist, hist), (a[0], a[3]), (atoms, ZERO),
+             (ZERO, atoms), (hist, ZERO), (ZERO, hist), (ZERO, ZERO)]
+    for m1, m2 in pairs:
+        assert w1_oracle(m1, m2) == _oracle_sampled(m1, m2), (m1, m2)
+    assert w1_oracle(mixed, mixed) == 0.0
+
+
+def test_from_arrays_drops_an_all_zero_part():
+    # zero-weight atoms and no pieces, zero-mass pieces and no atoms: each
+    # part filters down to nothing, as for the empty measure
+    for m in (Measure.from_arrays([0.7, 0.2], [0.0, 0.0], [], [], []),
+              Measure.from_arrays([], [], [0.5, 0.0], [1.0, 0.5], [0.0, 0.0]),
+              ZERO):
+        for arr in (m.atom_x, m.atom_w, m.piece_l, m.piece_r, m.piece_m):
+            assert arr.shape == (0,) and arr.dtype == float
+            assert not arr.flags.writeable
+        assert m.total == 0.0
+        assert np.array_equal(_grid_cdf(m), np.zeros(_MIDS.size))
+    # a zero entry next to nonzero ones is dropped, the rest sorted
+    m = Measure.from_arrays([0.7, 0.2, 0.4], [0.5, 0.0, 0.5],
+                            [0.5, 0.0], [1.0, 0.5], [0.0, 1.0])
+    assert m.atom_x.tolist() == [0.4, 0.7] and m.atom_w.tolist() == [0.5, 0.5]
+    assert (m.piece_l.tolist(), m.piece_r.tolist(), m.piece_m.tolist()) == \
+        ([0.0], [0.5], [1.0])
