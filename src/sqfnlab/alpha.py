@@ -12,9 +12,9 @@ The first read of a standard dyadic cell fills its whole level, in numpy
 passes over many cells at once, when both measures are aligned there
 (measure._cell_width: no atoms, and every cell holds the same run of whole
 pieces or lies inside one piece), at most one of them holds several pieces
-per cell, both charge every cell, and the level has at most 2^14 cells.
-Each distinct row of a level, keyed on the exact bytes of its kernel
-input, is computed once.  Such a level, as on histogram, cascade and
+per cell or both share a grid, both charge every cell, and the level has at
+most 2^14 cells.  Each distinct row of a level, keyed on the exact bytes of
+its kernel input, is computed once.  Such a level, as on histogram, cascade and
 Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
 Every other level keeps entries: AlphaTable.alphas sends the graphs of
 the cells it reads there through one w1_values call, and a single read of
@@ -196,19 +196,19 @@ def _alpha_level(mu, nu, j):
     """Plain alphas of the 2^j standard level-j cells, or None.
 
     The rows follow _graph step by step: the uniform shortcut, the
-    blow-up totals, the scaled masses and their CDFs on the finer side's
-    grid, where a one-piece side is np.interp's line through (0, 0) and
-    (1, F(1)).  Each distinct row, keyed on the exact bytes of its grid and
+    blow-up totals, the scaled masses and their CDFs on the finer (or the
+    shared) grid, where a one-piece side is np.interp's line through (0, 0)
+    and (1, F(1)).  Each distinct row, keyed on the exact bytes of its grid and
     CDF difference, goes through w1_rows once: the kernel works along each
     row alone, and a level's rows share one length, so equal rows give
     equal alphas.  A row wider than a chunk is a chunk of its own.  None
     where that needs more: a zero-mass cell (ZERO), two sides of several
-    pieces per cell (the union of two grids) or a level of more cells than
-    a chunk.
+    pieces per cell on different grids (their union) or a level of more
+    cells than a chunk.
     """
     n = 1 << j
     sizes = mu.piece_l.size, nu.piece_l.size
-    if n > _CHUNK or min(sizes) > n:
+    if n > _CHUNK or min(sizes) > n and sizes[0] != sizes[1]:
         return None
     width = max(max(sizes) >> j, 1)  # segments per row, if aligned
     rows = max(_CHUNK // width, 1)
@@ -220,6 +220,8 @@ def _alpha_level(mu, nu, j):
         pv = _level_pieces(nu, j, start, stop)
         if pu is None or pv is None:
             return None
+        if min(sizes) > n and not np.array_equal(pu[0], pv[0]):
+            return None  # two grids per cell
         todo = ~(pu[2] & pv[2])  # cells where both are uniform keep 0.0
         if not todo.any():
             continue

@@ -229,9 +229,9 @@ def _suite_checks(cfg, mu, nu, tols):
     extras["epsilon"] = eps
 
     forest = stopping_forest(mu, nu, eps, max_depth=min(depth, 12))
-    extras["trees"] = len(forest.trees)
+    extras["trees"] = len(forest)
     forest.check_structure()
-    ratios = [cc.ratio for cc in carleson_comparison(mu, nu, forest.trees)
+    ratios = [cc.ratio for cc in carleson_comparison(mu, nu, forest)
               if cc.sum_alpha + cc.top_mass > 0]
     if ratios:
         fleet = max(ratios)
@@ -239,24 +239,20 @@ def _suite_checks(cfg, mu, nu, tols):
         checks.append(_check("carleson_ratio_finite", fleet, 1e6,
                              note="recorded fleet constant"))
 
-    # Haar identities on the largest tree with internal members
-    big = None
-    for tree in forest.trees:
-        top = tree.top
-        if tree.members and len(tree.members) > 1 and min(
-                dyadic_cell_masses(m, top.j)[top.k] for m in (mu, nu)) > 0:
-            if big is None or len(tree.members) > len(big.members):
-                big = tree
-    if big is not None:
+    # Haar identities on the first largest tree with internal members
+    sizes = np.bincount(forest.members[0], minlength=len(forest))
+    sizes[np.minimum(forest.top_masses(mu), forest.top_masses(nu)) <= 0] = 0
+    b = int(np.argmax(sizes))
+    if sizes[b] > 1:
+        big = forest.tree(b)
         hs = haar(mu, nu, big)
         rng = np.random.default_rng(seed)
-        members = sorted(big.members)
-        idx = rng.choice(len(members), size=min(20, len(members)),
-                         replace=False)
+        js, ks = forest.cells(b)  # in (j, k) order
+        idx = rng.choice(js.size, size=min(20, js.size), replace=False)
         worst_prod = 0.0
         worst_coef = 0.0
         for i in idx:
-            I = big.top.system.interval(*members[i])
+            I = big.top.system.interval(js[i], ks[i])
             if dyadic_cell_masses(mu, I.j)[I.k] == 0:
                 continue
             lhs, rhs = product_check(hs, I)
@@ -374,7 +370,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
             forest.check_structure()
             k = int(rng.integers(0, 4))
             if min(dyadic_cell_masses(m, 2)[k] for m in (m1, m2)) > 0:
-                hs_tree = forest.trees[0]
+                hs_tree = forest.tree(0)
                 if hs_tree.members and len(hs_tree.members) > 1:
                     hs = haar(m1, m2, hs_tree)
                     gap = coefficient_identity_gap(hs, hs_tree.top)

@@ -8,16 +8,18 @@ accumulating squared alpha-numbers along chains; leaves are the first
 intervals where the inclusive sum reaches the threshold, and their children
 start new trees.
 
-Every walk over trees here is a level sweep on arrays of cells, reading the
-per-level cell masses and AlphaTable.alphas; Forest.check_structure reads
-the member codes of all trees at once.  Sums and dicts fill in (level,
-index) order, so they equal a member-by-member loop's.
+A Forest holds its trees as arrays, filled by stopping_forest's sweep or
+encoded from Tree objects; forest.tree(i) and forest.trees build Trees on
+demand.  Every walk over trees is a level sweep on arrays of cells, reading
+the per-level cell masses and AlphaTable.alphas; Forest.check_structure
+and carleson_comparison read the arrays of all trees at once.  Sums and
+dicts fill in (level, index) order, so they equal a member-by-member loop's.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, compress
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,20 +105,59 @@ class Tree:
         return js[inner], ks[inner]
 
 
-@dataclass(frozen=True)
 class Forest:
-    trees: tuple
-    epsilon: float
-    max_depth: int
+    """Stopping trees as arrays: the members and the leaves of all trees as
+    (owner, j, k, code) arrays sorted by code (_by_code; lazy trees have
+    none), and tops, the (j, k, lazy, max_depth) of each tree as rows.
+    Tree objects are built on demand: tree(i) one, trees all of them on
+    first access; len() counts the trees."""
+
+    def __init__(self, trees, epsilon, max_depth):
+        """Encode Tree objects, which trees then returns as they are."""
+        trees = tuple(trees)
+        full = [(i, t) for i, t in enumerate(trees) if not t.lazy_full]
+        self._fill(*(_coded((i, getattr(t, f) or ()) for i, t in full)
+                     for f in ("members", "leaves")),
+                   np.reshape([(t.top.j, t.top.k, t.lazy_full, t.max_depth)
+                               for t in trees], (-1, 4)).T.astype(np.int64),
+                   epsilon, max_depth, trees)
+
+    def _fill(self, members, leaves, tops, epsilon, max_depth, trees=None):
+        self.members, self.leaves, self.tops = members, leaves, tops
+        self.epsilon, self.max_depth, self._trees = epsilon, max_depth, trees
+
+    def __len__(self):
+        return self.tops.shape[1]
+
+    def cells(self, i, leaves=False):
+        """(levels, indices) of tree i's members (or leaves), (j, k) order."""
+        owner, js, ks, _ = self.leaves if leaves else self.members
+        lo, hi = np.searchsorted(owner, [i, i + 1])
+        return js[lo:hi], ks[lo:hi]
+
+    def tree(self, i):
+        j, k, lazy, cap = self.tops[:, i].tolist()
+        members, leaves = (zip(*(v.tolist() for v in self.cells(i, f)))
+                           for f in (False, True))
+        return Tree(DyadicInterval(STANDARD, j, k),
+                    None if lazy else frozenset(members), tuple(leaves), cap,
+                    lazy_full=bool(lazy))
+
+    @property
+    def trees(self):
+        if self._trees is None:
+            self._trees = tuple(map(self.tree, range(len(self))))
+        return self._trees
+
+    def top_masses(self, m):
+        return _cell_masses(m, self.tops[0], self.tops[1])
 
     def check_structure(self):
         """Coherence and child-count invariants of every tree, in one pass
         over the member codes of all trees (lazy trees have no members)."""
-        trees = list(enumerate(self.trees))
-        owner, js, _, code = _coded((i, t.members or ()) for i, t in trees)
-        lowner, ljs, lks, lcode = _coded((i, t.leaves) for i, t in trees)
-        top_j, cap = np.reshape([(t.top.j, t.max_depth) for t in self.trees],
-                                (-1, 2)).T.astype(np.int64)
+        owner, js, _, code = self.members
+        lowner, ljs, lks, lcode = self.leaves
+        top_j, cap = self.tops[[0, 3]][:, owner]
         base, heap = owner << 32, code & 0xFFFFFFFF
         has_l, leaf = _among(code, base | 2 * heap), _among(lcode, code)
         # each tree's leaves, by left end, must be pairwise disjoint
@@ -125,12 +166,12 @@ class Forest:
         lowner, a, b = lowner[order], a[order], b[order]
         for message, bad in (
                 ("orphan member",
-                 (js > top_j[owner]) & ~_among(code, base | heap >> 1)),
+                 (js > top_j) & ~_among(code, base | heap >> 1)),
                 ("single-child member",
                  has_l != _among(code, base | 2 * heap + 1)),
                 ("leaf with children", leaf & has_l),
                 ("childless non-leaf above depth cap",
-                 ~has_l & ~leaf & (js < cap[owner])),
+                 ~has_l & ~leaf & (js < cap)),
                 ("overlapping leaves",
                  (lowner[1:] == lowner[:-1]) & (a[1:] < b[:-1]))):
             if bad.any():
@@ -151,7 +192,8 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
     _check_depth(max_depth, "max_depth")
     table = alpha_table(mu, nu)
     eps2 = epsilon * epsilon
-    tops = []  # (j, k, lazy) by tree id: ids follow the tops' (j, k) order
+    # (j, k, lazy) of each level's new tops: tree ids follow their order
+    tops, ntops = [], 0
     # (j, k, tree id, leaf) of each level's members, after an empty entry
     # for a forest that is one lazy tree
     levels = [(np.zeros(0, dtype=np.int64),) * 3 + (np.zeros(0, dtype=bool),)]
@@ -165,8 +207,9 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
         if new.any():
             kt = k[new]
             lazy = dyadic_cell_masses(mu, j)[kt] == 0.0
-            tid[new] = len(tops) + np.arange(kt.size)
-            tops.extend(zip([j] * kt.size, kt.tolist(), lazy.tolist()))
+            tid[new] = ntops + np.arange(kt.size)
+            ntops += kt.size
+            tops.append((np.full(kt.size, j), kt, lazy))
             keep = np.ones(k.size, dtype=bool)
             keep[new] = ~lazy
             k, s, tid = k[keep], s[keep], tid[keep]
@@ -184,26 +227,14 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
         tid = np.repeat(tid, 2)
         new = np.repeat(leaf, 2)
 
-    # members grouped by tree, each tree's in (j, k) order
     js, ks, tids, leafs = (np.concatenate(v) for v in zip(*levels))
-    order = np.argsort(tids, kind="stable")
-    js, ks, leafs = js[order], ks[order], leafs[order]
-    ends = np.cumsum(np.bincount(tids, minlength=len(tops)))
-    leaf_ends = np.concatenate([[0], np.cumsum(leafs)])[ends].tolist()
-    ends = ends.tolist()
-    cells = list(zip(js.tolist(), ks.tolist()))
-    leaf_cells = list(compress(cells, leafs.tolist()))  # shared with members
-    trees = []
-    start = leaf_start = 0
-    for (j, k, lazy), end, leaf_end in zip(tops, ends, leaf_ends):
-        top = DyadicInterval(STANDARD, j, k)
-        if lazy:
-            trees.append(Tree(top, None, (), max_depth, lazy_full=True))
-            continue
-        trees.append(Tree(top, frozenset(cells[start:end]),
-                          tuple(leaf_cells[leaf_start:leaf_end]), max_depth))
-        start, leaf_start = end, leaf_end
-    return Forest(tuple(trees), epsilon, max_depth)
+    tops = [np.concatenate(v) for v in zip(*tops)]
+    forest = Forest.__new__(Forest)
+    forest._fill(_by_code(tids, js, ks),
+                 _by_code(tids[leafs], js[leafs], ks[leafs]),
+                 np.array(tops + [np.full(ntops, max_depth)], dtype=np.int64),
+                 epsilon, max_depth)
+    return forest
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +282,12 @@ class HaarSystem:
 def haar(mu: Measure, nu: Measure, tree: Tree) -> HaarSystem:
     """The Haar system of the tree's internal members, read a level at a
     time; its dicts are filled, and a bad member named, in (j, k) order."""
-    mu_top = cell_mass(mu, tree.top)
-    nu_top = cell_mass(nu, tree.top)
+    mu_top, nu_top = cell_mass(mu, tree.top), cell_mass(nu, tree.top)
     if mu_top == 0.0 or nu_top == 0.0:
         raise ValueError("tree top must carry mass for both measures")
     js, ks = tree._internal_cells()
-    mI, nI, mL, nL = (np.empty(js.size) for _ in range(4))
-    for j in np.flatnonzero(np.bincount(js)).tolist():
-        at = js == j
-        k = ks[at]
-        mI[at], nI[at] = (dyadic_cell_masses(m, j)[k] for m in (mu, nu))
-        mL[at], nL[at] = (dyadic_cell_masses(m, j + 1)[2 * k]
-                          for m in (mu, nu))
+    mI, nI = (_cell_masses(m, js, ks) for m in (mu, nu))
+    mL, nL = (_cell_masses(m, js + 1, 2 * ks) for m in (mu, nu))
     zero = (mI == 0.0) | (nI == 0.0)
     bad = np.flatnonzero(zero | (mL == 0.0) | (mL == mI))
     if bad.size:
@@ -340,10 +365,7 @@ def g_cell_values(hs: HaarSystem, N):
     js, ks, values = (np.concatenate(v) for v in zip(*done))
     order = np.argsort(ks << (js.max() - js))  # left ends, all distinct
     js, ks, values = js[order], ks[order], values[order]
-    weights = np.empty(js.size)
-    for lev in np.flatnonzero(np.bincount(js)).tolist():
-        at = js == lev
-        weights[at] = dyadic_cell_masses(hs.mu, lev)[ks[at]] / hs.mu_top
+    weights = _cell_masses(hs.mu, js, ks) / hs.mu_top
     return ([DyadicInterval(top.system, j, k)
              for j, k in zip(js.tolist(), ks.tolist())], values, weights)
 
@@ -392,23 +414,14 @@ def _chain(side, tau, kmax):
     intervals are parent and child.
     """
     psis = whitney_partition(tau, kmax)
-    funcs = [psis[0].scaled(0.5)]
-    ints = [(0.0, 1.0)]
-    if side == "minus":
-        for k in range(1, kmax + 1):
-            funcs.append(psis[-k])
-            ints.append((0.0, 2.0 ** -k))
-    elif side == "plus":
-        ints.append((0.0, 0.5))
-        funcs.append(psis[1])
-        cur = (0.0, 0.5)
-        for k in range(2, kmax + 1):
-            cur = (0.5 * (cur[0] + cur[1]), cur[1])
-            ints.append(cur)
-            funcs.append(psis[k])
-    else:
-        raise ValueError("side must be minus or plus")
-    return funcs, ints
+    ks = range(1, kmax + 1)
+    if side == "minus":  # psi_-k on [0, 2^-k)
+        return ([psis[0].scaled(0.5)] + [psis[-k] for k in ks],
+                [(0.0, 1.0)] + [(0.0, 2.0 ** -k) for k in ks])
+    if side == "plus":  # psi_k on [1/2 - 2^-k, 1/2)
+        return ([psis[0].scaled(0.5)] + [psis[k] for k in ks],
+                [(0.0, 1.0)] + [(0.5 - 2.0 ** -k, 0.5) for k in ks])
+    raise ValueError("side must be minus or plus")
 
 
 @dataclass(frozen=True)
@@ -523,49 +536,36 @@ class CarlesonComparison:
     ratio: float
 
 
-def carleson_comparison(mu: Measure, nu: Measure, trees) -> list:
+def carleson_comparison(mu: Measure, nu: Measure, forest) -> list:
     """Per tree, Delta^2 mu summed over it against alpha^2 mu plus top mass.
 
-    Takes an iterable of trees (forest.trees, or [tree]) and returns one
-    CarlesonComparison each.  alpha^2 mu runs over the non-leaf members;
-    members without mu-mass add nothing.  The members of all trees are read
-    a level at a time, from the cell masses of the level and the next, and
-    np.add.at adds each tree's terms in (j, k) order, as a member-by-member
-    loop would.
+    Takes a Forest, or any iterable of trees ([tree]) that it wraps in one,
+    and returns one CarlesonComparison per tree.  alpha^2 mu runs over the
+    non-leaf members; members without mu-mass add nothing.  The member
+    arrays are read a level at a time, from the cell masses of the level
+    and the next, and np.bincount adds each tree's terms in (j, k) order, as
+    a member-by-member loop would.
     """
-    trees = list(trees)
+    if not isinstance(forest, Forest):
+        forest = Forest(forest, None, None)
     table = alpha_table(mu, nu)
-    full = [(i, t) for i, t in enumerate(trees) if not t.lazy_full]
-    owner, js, ks, code = _coded((i, t.members) for i, t in full)
-    leaves = _coded((i, t.leaves) for i, t in full)
-    inner = ~_among(leaves[3], code)
+    owner, js, ks, code = forest.members
+    mI = _cell_masses(mu, js, ks)
+    live = mI != 0.0  # the members that add anything
+    owner, js, ks, code, mI = (v[live] for v in (owner, js, ks, code, mI))
+    nI = _cell_masses(nu, js, ks)
+    mL, nL = (_cell_masses(m, js + 1, 2 * ks) for m in (mu, nu))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(nI == 0.0, 0.0, np.abs(mL / mI - nL / nI))
+    a = np.zeros(js.size)
+    inner = ~_among(forest.leaves[3], code)
+    for j in np.flatnonzero(np.bincount(js[inner])).tolist():
+        at = np.flatnonzero(inner & (js == j))
+        a[at] = table.alphas(j, ks[at])
+    sum_delta, sum_alpha = (np.bincount(owner, terms * mI, len(forest))
+                            for terms in (d * d, a * a))
 
-    d_terms = np.zeros(owner.size)
-    a_terms = np.zeros(owner.size)
-    for j in np.flatnonzero(np.bincount(js)).tolist():
-        at = np.flatnonzero(js == j)
-        mI = dyadic_cell_masses(mu, j)[ks[at]]
-        at, mI = at[mI != 0.0], mI[mI != 0.0]
-        if at.size == 0:
-            continue
-        k, left = ks[at], 2 * ks[at]
-        nI = dyadic_cell_masses(nu, j)[k]
-        mL = dyadic_cell_masses(mu, j + 1)[left]
-        nL = dyadic_cell_masses(nu, j + 1)[left]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(nI == 0.0, 0.0, np.abs(mL / mI - nL / nI))
-        d_terms[at] = d * d * mI
-        inside = inner[at]
-        if inside.any():
-            a = table.alphas(j, k[inside])
-            a_terms[at[inside]] = a * a * mI[inside]
-    sum_delta = np.zeros(len(trees))
-    sum_alpha = np.zeros(len(trees))
-    np.add.at(sum_delta, owner, d_terms)
-    np.add.at(sum_alpha, owner, a_terms)
-
-    top_mass = np.array([dyadic_cell_masses(mu, t.top.j)[t.top.k]
-                         for t in trees])
+    top_mass = forest.top_masses(mu)
     denom = sum_alpha + top_mass
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(denom > 0, sum_delta / denom, 0.0)
@@ -574,19 +574,31 @@ def carleson_comparison(mu: Measure, nu: Measure, trees) -> list:
         ratio.tolist())]
 
 
-def _coded(owned):
-    """(owner, j, k, code) arrays of the cells of (owner, (j, k) pairs) items,
-    sorted by code.
+def _cell_masses(m, js, ks):
+    """m's masses of the standard cells (js, ks), read a level at a time."""
+    out = np.empty(js.size)
+    for j in np.flatnonzero(np.bincount(js)).tolist():
+        at = js == j
+        out[at] = dyadic_cell_masses(m, j)[ks[at]]
+    return out
 
-    code sorts by owner, then (j, k): the heap index 2^j + k of a cell sorts
-    by level, then by index.
-    """
+
+def _coded(owned):
+    """_by_code of the cells of (owner, (j, k) pairs) items."""
     owned = list(owned)
     owner = np.repeat([i for i, _ in owned],
                       [len(c) for _, c in owned]).astype(np.int64)
     jk = np.fromiter(chain.from_iterable(chain.from_iterable(
         c for _, c in owned)), dtype=np.int64, count=2 * owner.size)
-    js, ks = jk[0::2], jk[1::2]
+    return _by_code(owner, jk[0::2], jk[1::2])
+
+
+def _by_code(owner, js, ks):
+    """(owner, j, k, code) arrays of the cells, sorted by code.
+
+    code = owner << 32 | 2^j + k sorts by owner, then (j, k): the heap index
+    2^j + k of a cell sorts by level, then by index.
+    """
     code = owner << 32 | (np.int64(1) << js) + ks
     order = np.argsort(code)
     return owner[order], js[order], ks[order], code[order]

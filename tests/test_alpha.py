@@ -269,6 +269,9 @@ def test_level_fill_equals_the_entries():
     every = set(range(depth + 1))
     fleet = [(_histogram(rng.uniform(0.05, 1.0, 32)),
               _histogram(rng.uniform(0.05, 1.0, 16))) for _ in range(3)]
+    cells = np.random.default_rng(9).uniform(0.05, 1.0, (3, 2, 64))
+    same_grid = [(_histogram(u[:n]), _histogram(v[:n]))
+                 for n, (u, v) in zip((16, 16, 64), cells)]
     pairs = [
         ("cascade-16", generate({"type": "cascade", "p": 0.7, "depth": 16}),
          LEB, every),  # rows of 2^16 and 2^15 segments: one chunk each
@@ -281,6 +284,10 @@ def test_level_fill_equals_the_entries():
         # both sides hold several pieces per cell down to level 3
         *[(f"histograms {i}", mu, nu, every - {0, 1, 2, 3})
           for i, (mu, nu) in enumerate(fleet)],
+        # both sides split each cell on one grid, down to level 3 (16
+        # cells) or level 5 (64 cells)
+        *[(f"same-grid histograms {i}", mu, nu, every)
+          for i, (mu, nu) in enumerate(same_grid)],
         # density bumps of width 2^-9 on either side of 1/2: runs of 4 and
         # 2 whole pieces on levels 0-1, cells inside one piece from level 9
         ("example22", generate({"type": "example22", "n": 9}), LEB,

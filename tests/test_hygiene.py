@@ -1,7 +1,8 @@
 """Static checks: every export resolves, no import or local goes unused,
 the package reads no single dyadic cell and computes no single-pair W1
 inside a loop, no function of it calls itself, a level fill calls no
-np.unique, and only transport.py and the level fill name the row kernel.
+np.unique, only transport.py and the level fill name the row kernel, and
+the suite keeps its stopping forest as arrays, with no Tree objects.
 
 The unused-name scans cover the sources of the imported sqfnlab (installed
 or from src/) and this tests directory; the loop scan covers the package.
@@ -228,3 +229,22 @@ def test_only_the_level_fill_names_the_row_kernel():
              if path.name != "transport.py"
              for line in _row_kernel_names(path)]
     assert found == []
+
+
+def _tree_objects_on_the_suite_path():
+    """Lines where stopping_forest calls Tree, or cli.py reads .trees."""
+    tree = ast.parse((PACKAGE_DIR / "tree.py").read_text())
+    forest = next(f for f in tree.body if isinstance(f, ast.FunctionDef)
+                  and f.name == "stopping_forest")
+    cli = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    return sorted(
+        [f"tree.py:{node.lineno}: Tree" for node in ast.walk(forest)
+         if isinstance(node, ast.Call) and _called_name(node) == "Tree"]
+        + [f"cli.py:{node.lineno}: .trees" for node in ast.walk(cli)
+           if isinstance(node, ast.Attribute) and node.attr == "trees"])
+
+
+def test_the_suite_path_builds_no_tree_objects():
+    # a cascade forest is 8,191 singleton trees: the suite reads the member
+    # arrays, and a Tree is built only where a check needs one (forest.tree)
+    assert _tree_objects_on_the_suite_path() == []

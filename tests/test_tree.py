@@ -317,3 +317,29 @@ def test_carleson_comparison_equals_the_per_tree_sums(forest_cases):
         assert got == [_tree_carleson(mu, LEB, t) for t in trees]
     assert got[1].top_mass > 0.0 and got[1].ratio == 0.0
     assert carleson_comparison(CASC, LEB, []) == []
+
+
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_array_forest_equals_its_tree_objects(forest_cases):
+    # the sweep's arrays against the same trees encoded from Tree objects
+    lazies = 0
+    for name, mu, nu, eps, depth in forest_cases:
+        if not (name in ("cascade-16", "cantor") or name.startswith("random")):
+            continue
+        forest = stopping_forest(mu, nu, eps, max_depth=depth)
+        trees = forest.trees
+        encoded = Forest(trees, forest.epsilon, forest.max_depth)
+        for got, want in zip(encoded.members + encoded.leaves,
+                             forest.members + forest.leaves):
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.array_equal(encoded.tops, forest.tops), name
+        assert len(forest) == len(encoded) == len(trees), name
+        for i, tree in enumerate(trees):
+            assert forest.tree(i) == tree, (name, i)
+            # the member arrays are in (j, k) order, as the CLI reads them
+            assert list(zip(*(v.tolist() for v in forest.cells(i)))) == \
+                sorted(tree.members or ()), (name, i)
+        lazies += sum(t.lazy_full for t in trees)
+        assert carleson_comparison(mu, nu, forest) == carleson_comparison(
+            mu, nu, list(trees)), name
+    assert lazies > 0
