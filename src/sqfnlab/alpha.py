@@ -18,7 +18,8 @@ its kernel input, is computed once.  Such a level, as on histogram, cascade and
 Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
 Every other level keeps entries: AlphaTable.alphas sends the graphs of
 the cells it reads there through one w1_values call, and a single read of
-a cell, ball or tuple is a one-graph w1_values call, with == results.
+a cell, ball or tuple is a one-graph w1_values call, with == results.  An
+interval where both measures are uniform reads 0.0 without a kernel call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .measure import (
     Measure,
     ZERO,
     _level_pieces,
-    _ro,
     blowup,
     cdf_difference,
     integrate,
@@ -104,17 +104,14 @@ class AlphaTable:
 
     def entry(self, I) -> AlphaEntry:
         key = _interval_bounds(I)
-        e = self._entries.get(key)
-        if e is None:
+        if key not in self._entries:
             if (isinstance(I, DyadicInterval) and I.system.shift == 0.0
                     and 0 <= I.k < 1 << I.j):
                 alphas = self.level(I.j)
                 if alphas is not None:  # filled cells are never flagged
                     return AlphaEntry(float(alphas[I.k]), False)
-            graph, flag = _graph(self._mu(), self.nu, *key)
-            e = self._entries[key] = AlphaEntry(
-                float(w1_values([graph])[0]), flag)
-        return e
+            self._add([key])
+        return self._entries[key]
 
     def level(self, j):
         """The filled alphas of standard level j, or None: read per entry."""
@@ -129,13 +126,19 @@ class AlphaTable:
         if a is not None:
             return a[k]
         keys = [_interval_bounds(STANDARD.interval(j, c)) for c in k.tolist()]
-        mu = self._mu()
-        todo = {key: _graph(mu, self.nu, *key) for key in dict.fromkeys(keys)
-                if key not in self._entries}
-        values = w1_values([g for g, _ in todo.values()]).tolist()
-        for (key, (_, flag)), value in zip(todo.items(), values):
-            self._entries[key] = AlphaEntry(value, flag)
+        self._add(keys)
         return np.array([self._entries[key].alpha for key in keys])
+
+    def _add(self, keys):
+        """Make the entries of the keys not held yet, in their order, from
+        one w1_values call on their graphs; a key where both measures are
+        uniform reads 0.0 without a kernel row, as in _alpha_level."""
+        todo = {key: _graph(self._mu(), self.nu, *key)
+                for key in dict.fromkeys(keys) if key not in self._entries}
+        graphs = {key: g for key, (g, _) in todo.items() if g is not None}
+        values = dict(zip(graphs, w1_values(list(graphs.values())).tolist()))
+        for key, (_, flag) in todo.items():
+            self._entries[key] = AlphaEntry(values.get(key, 0.0), flag)
 
     def alpha(self, I):
         return self.entry(I).alpha
@@ -174,16 +177,12 @@ def _tent_null(bm):
         np.all((bm.atom_x == 0.0) | (bm.atom_x == 1.0)))
 
 
-# G = 0 on [0, 1], one segment: its supported W1 is exactly 0.0
-_ZERO_GRAPH = tuple(_ro([v]) for v in (0.0, 1.0, 0.0, 0.0))
-
-
 def _graph(mu, nu, a, b, closed, norm=lambda bm: bm.total):
     """(graph, one-sided flag) of the blow-ups onto [a, b) or [a, b]: the
-    cdf_difference of each over its norm (a zero norm giving ZERO), or the
-    zero graph where both measures are uniform, without a blow-up."""
+    cdf_difference of each over its norm (a zero norm giving ZERO), or None
+    where both measures are uniform, without a blow-up: alpha is 0.0."""
     if _uniform_densities(mu, nu, a, b, closed) is not None:
-        return _ZERO_GRAPH, False
+        return None, False
     bu = blowup(mu, a, b, closed_right=closed)
     bv = blowup(nu, a, b, closed_right=closed)
     flag = bu.total > 0 and bv.total > 0 and _tent_null(bu) != _tent_null(bv)
@@ -281,7 +280,7 @@ def alpha_smooth(mu: Measure, nu: Measure, I):
     alpha_table(mu, nu).entry(I)  # memoized and flagged as a plain read
     graph, _ = _graph(mu, nu, *_interval_bounds(I),
                       norm=lambda bm: integrate(bm, _PHI))
-    return float(w1_values([graph])[0])
+    return 0.0 if graph is None else float(w1_values([graph])[0])
 
 
 @dataclass(frozen=True)

@@ -210,49 +210,33 @@ def _witness(x0, x1, g0, g1, c):
 
     psi' = -s where s = sign(G - c) off the zero set; on {G = c} the slope
     is the constant (M - P)/Z that makes psi close up at 1 (P, M, Z are the
-    lengths of {G > c}, {G < c}, {G = c}).
+    lengths of {G > c}, {G < c}, {G = c}).  Array passes over consecutive
+    segments, with a = g0 - c and b = g1 - c: a segment whose ends differ
+    in sign splits at t = a/(a - b).  P, M and Z are running sums in
+    segment order, as a loop adds them.  A piece ending within 1e-15 of the
+    end before it (kept or not) is dropped, so its length goes to the next.
     """
-    xs = [x0[0]]
-    slopes = []
-
-    def push(x_end, slope):
-        if x_end > xs[-1] + 1e-15:
-            xs.append(x_end)
-            slopes.append(slope)
-
-    P = M = Z = 0.0
-    for i in range(x0.size):
-        a, b, L = g0[i] - c, g1[i] - c, x1[i] - x0[i]
-        if a == 0.0 and b == 0.0:
-            Z += L
-        elif a >= 0.0 and b >= 0.0:
-            P += L
-        elif a <= 0.0 and b <= 0.0:
-            M += L
-        else:
-            t = a / (a - b)
-            if a > 0:
-                P += L * t
-                M += L * (1 - t)
-            else:
-                M += L * t
-                P += L * (1 - t)
-    s_zero = (M - P) / Z if Z > 0 else 0.0
-    for i in range(x0.size):
-        a, b = g0[i] - c, g1[i] - c
-        xl, xr = x0[i], x1[i]
-        if a == 0.0 and b == 0.0:
-            push(xr, -s_zero)
-        elif a * b >= 0.0:
-            sgn = 1.0 if (a > 0 or b > 0) else -1.0
-            push(xr, -sgn)
-        else:
-            t = a / (a - b)
-            xm = xl + (xr - xl) * t
-            push(xm, -np.sign(a))
-            push(xr, -np.sign(b))
-    bx = np.asarray(xs)
-    vals = np.concatenate([[0.0], np.cumsum(np.asarray(slopes) * np.diff(bx))])
+    a, b, L = g0 - c, g1 - c, x1 - x0
+    zero = (a == 0.0) & (b == 0.0)
+    pos = ~zero & (a >= 0.0) & (b >= 0.0)
+    neg = ~zero & (a <= 0.0) & (b <= 0.0)
+    cross = ~(zero | pos | neg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = a / (a - b)
+    head, tail = L * t, L * (1 - t)  # a crossing segment's two parts
+    P, M, Z = np.cumsum([np.where(cross, np.where(a > 0, head, tail), pos * L),
+                         np.where(cross, np.where(a > 0, tail, head), neg * L),
+                         zero * L], axis=1)[:, -1].tolist()
+    # pieces end at x1 and, on a split segment (a * b < 0, not a product
+    # rounded to 0), first at x0 + head; else x0, the end before, drops out
+    split = ~zero & (a * b < 0.0)
+    ends = np.stack([np.where(split, x0 + head, x0), x1], axis=1).ravel()
+    slopes = np.where(np.stack([a > 0, (b > 0) | (a > 0) & ~split], axis=1),
+                      -1.0, 1.0)
+    slopes[zero, 1] = -((M - P) / Z if Z > 0 else 0.0)
+    keep = ends > np.append(x0[0], ends[:-1]) + 1e-15
+    bx = np.append(x0[0], ends[keep])
+    vals = np.append(0.0, np.cumsum(slopes.ravel()[keep] * np.diff(bx)))
     vals[-1] = 0.0  # close exactly; drift is pure roundoff
     return PiecewiseLinearFn.make(bx, vals)
 

@@ -112,7 +112,7 @@ class Forest:
     Tree objects are built on demand: tree(i) one, trees all of them on
     first access; len() counts the trees."""
 
-    def __init__(self, trees, epsilon, max_depth):
+    def __init__(self, trees):
         """Encode Tree objects, which trees then returns as they are."""
         trees = tuple(trees)
         full = [(i, t) for i, t in enumerate(trees) if not t.lazy_full]
@@ -120,11 +120,11 @@ class Forest:
                      for f in ("members", "leaves")),
                    np.reshape([(t.top.j, t.top.k, t.lazy_full, t.max_depth)
                                for t in trees], (-1, 4)).T.astype(np.int64),
-                   epsilon, max_depth, trees)
+                   trees)
 
-    def _fill(self, members, leaves, tops, epsilon, max_depth, trees=None):
+    def _fill(self, members, leaves, tops, trees=None):
         self.members, self.leaves, self.tops = members, leaves, tops
-        self.epsilon, self.max_depth, self._trees = epsilon, max_depth, trees
+        self._trees = trees
 
     def __len__(self):
         return self.tops.shape[1]
@@ -232,8 +232,7 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
     forest = Forest.__new__(Forest)
     forest._fill(_by_code(tids, js, ks),
                  _by_code(tids[leafs], js[leafs], ks[leafs]),
-                 np.array(tops + [np.full(ntops, max_depth)], dtype=np.int64),
-                 epsilon, max_depth)
+                 np.array(tops + [np.full(ntops, max_depth)], dtype=np.int64))
     return forest
 
 
@@ -477,7 +476,7 @@ def representation_check(mu: Measure, nu: Measure, side="minus", tau=1 / 16,
     a2, b2 = ints[N + 1]
     # exact sup of the bump series over its breakpoints
     bps = np.unique(np.concatenate([f.breakpoints for f in funcs]))
-    sup = float(max(sum(float(f(x)) for f in funcs) for x in bps))
+    sup = float(sum(f(bps) for f in funcs).max())
     tip_term = 2.0 * sup * mass(mu, a2, b2)
     slack = alpha_term + delta_term + tip_term - lhs
     return RepresentationReport(lhs, alpha_term, delta_term, tip_term,
@@ -536,18 +535,16 @@ class CarlesonComparison:
     ratio: float
 
 
-def carleson_comparison(mu: Measure, nu: Measure, forest) -> list:
+def carleson_comparison(mu: Measure, nu: Measure, forest: Forest) -> list:
     """Per tree, Delta^2 mu summed over it against alpha^2 mu plus top mass.
 
-    Takes a Forest, or any iterable of trees ([tree]) that it wraps in one,
-    and returns one CarlesonComparison per tree.  alpha^2 mu runs over the
-    non-leaf members; members without mu-mass add nothing.  The member
-    arrays are read a level at a time, from the cell masses of the level
-    and the next, and np.bincount adds each tree's terms in (j, k) order, as
-    a member-by-member loop would.
+    Returns one CarlesonComparison per tree of the forest (Forest([tree])
+    for one tree).  alpha^2 mu runs over the non-leaf members; members
+    without mu-mass add nothing.  The member arrays are read a level at a
+    time, from the cell masses of the level and the next, and np.bincount
+    adds each tree's terms in (j, k) order, as a member-by-member loop
+    would.
     """
-    if not isinstance(forest, Forest):
-        forest = Forest(forest, None, None)
     table = alpha_table(mu, nu)
     owner, js, ks, code = forest.members
     mI = _cell_masses(mu, js, ks)

@@ -186,6 +186,17 @@ def test_alpha_table_memoizes(monkeypatch):
     assert tents == []
     monkeypatch.undo()
 
+    # where both measures are uniform, a read is +0.0 with no kernel row: a
+    # cell of an unfilled level, a half-open tuple and a smooth read
+    bumps = generate({"type": "example22", "n": 8})
+    fresh = alpha_table(bumps, leb)
+    rows = _count_rows(monkeypatch)
+    got = [fresh.alpha(STANDARD.interval(3, 1)), fresh.alpha((0.1, 0.3)),
+           alpha_smooth(bumps, leb, (0.6, 0.9))]
+    assert rows == [] and fresh.level(3) is None and len(fresh) == 3
+    assert got == [0.0] * 3 and not np.signbit(got).any()
+    monkeypatch.undo()
+
     # the smooth variant is W1 of the tent-normalized blow-ups
     phi = phi_tent()
     for I in [Ball(0.3, 0.2), Ball(0.5, 0.75), (0.1, 0.7), (0.0, 0.5, True),
@@ -366,7 +377,7 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
                                 "role": "mu"}),
          generate({"type": "example53", "eps": 0.01, "role": "nu"}),
          range(7)),
-        # 6 of the 8 cells are uniform: their zero graphs share a stack
+        # 6 of the 8 cells are uniform: they read 0.0 with no kernel row
         ("example22", generate({"type": "example22", "n": 8}), LEB, [3]),
     ]
     batched, flagged, uniform = set(), 0, 0
@@ -383,9 +394,8 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
             graphs = [alpha_module._graph(mu, nu, c / (1 << j),
                                           (c + 1) / (1 << j), False)[0]
                       for c in cells]
-            zeros = [c for c, g in zip(cells, graphs)
-                     if g is alpha_module._ZERO_GRAPH]
-            sizes = Counter(g[0].size for g in graphs)
+            zeros = [c for c, g in zip(cells, graphs) if g is None]
+            sizes = Counter(g[0].size for g in graphs if g is not None)
             calls = sum(-(-n // max(_STACK // size, 1))
                         for size, n in sizes.items())
             rows = _count_rows(monkeypatch)

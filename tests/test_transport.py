@@ -55,17 +55,44 @@ def test_translated_atoms_supported_distance():
     assert w1_unrestricted(m1, m2).value == pytest.approx(0.15, abs=1e-14)
 
 
+def _agreeing_histograms(rng):
+    """Two histograms on one dyadic grid that differ on two cells only: some
+    of one cell's mass moves to the other.  The masses are multiples of
+    2^-10, so every CDF value is exact and G = 0 exactly off the cells from
+    the first of the two to the second."""
+    n = 1 << int(rng.integers(1, 6))
+    m = rng.integers(1, 64, n)
+    w = m.copy()
+    i, j = rng.choice(n, 2, replace=False)
+    move = rng.integers(0, m[i] + 1)
+    w[i] -= move
+    w[j] += move
+    return tuple(Measure.make(pieces=[(k / n, (k + 1) / n, x / 1024)
+                                      for k, x in enumerate(v.tolist())])
+                 for v in (m, w))
+
+
 def test_witness_is_admissible_and_attains_value():
+    from sqfnlab.measure import integrate
     rng = np.random.default_rng(3)
-    for _ in range(25):
-        m1, m2 = _random_measure(rng), _random_measure(rng)
+    pairs = [(_random_measure(rng), _random_measure(rng)) for _ in range(25)]
+    # pairs equal on some cells, where G = c on a set of positive length,
+    # and a depth-12 cascade against Lebesgue (4,096 segments)
+    pairs += [_agreeing_histograms(rng) for _ in range(40)]
+    pairs.append((generate({"type": "cascade", "p": 0.7, "depth": 12}),
+                  generate({"type": "lebesgue"})))
+    level_sets = 0
+    for m1, m2 in pairs:
         res = w1_supported(m1, m2, want_witness=True)
         psi = res.witness
         assert abs(psi(0.0)) <= 1e-12 and abs(psi(1.0)) <= 1e-12
         assert psi.lipschitz_constant() <= 1.0 + 1e-9
-        from sqfnlab.measure import integrate
         pairing = integrate(m1, psi) - integrate(m2, psi)
         assert pairing == pytest.approx(res.value, abs=1e-10)
+        _, _, g0, g1 = cdf_difference(m1, m2)
+        c = res.optimal_shift
+        level_sets += bool(np.any((g0 == c) & (g1 == c)))
+    assert psi.breakpoints.size > 4096 and level_sets >= 10
 
 
 def test_oracle_agreement_sweep():

@@ -49,7 +49,7 @@ def test_identity_forest_is_one_full_tree():
     assert tree.top.bounds() == (0.0, 1.0)
     assert len(tree.members) == 2 ** 7 - 1
     assert tree.leaves == ()
-    Forest((tree,), 0.25, 6).check_structure()
+    Forest((tree,)).check_structure()
 
 
 def test_check_structure_names_each_defect():
@@ -69,7 +69,7 @@ def test_check_structure_names_each_defect():
     lazy = Tree(STANDARD.interval(1, 1), None, (), 2, lazy_full=True)
     for message, change in broken.items():
         bad = dataclasses.replace(tree, **change)
-        forest = Forest((_full_tree(1), bad, lazy), 0.25, 2)
+        forest = Forest((_full_tree(1), bad, lazy))
         with pytest.raises(AssertionError, match=f"^{message}$"):
             forest.check_structure()
 
@@ -185,7 +185,7 @@ def test_tailtip_bounds_delta_general_and_degenerate():
 def test_carleson_comparison_cascade_ratio():
     forest = stopping_forest(CASC, LEB, 1.0 / 128.0, max_depth=6)
     t0 = next(t for t in forest.trees if t.top.bounds() == (0.0, 1.0))
-    cc, = carleson_comparison(CASC, LEB, [t0])
+    cc, = carleson_comparison(CASC, LEB, Forest([t0]))
     # singleton tree: one Delta^2 mu term over mu(top) alone
     assert cc.sum_alpha == 0.0
     assert cc.ratio == pytest.approx(0.04, abs=1e-12)
@@ -193,7 +193,7 @@ def test_carleson_comparison_cascade_ratio():
 
 def test_carleson_sum_grows_linearly_on_full_cascade_tree():
     tree = _full_tree(8)
-    cc, = carleson_comparison(CASC, LEB, [tree])
+    cc, = carleson_comparison(CASC, LEB, Forest([tree]))
     # Delta = 0.2 at every cell and masses telescope: 0.04 per level
     assert cc.sum_delta == pytest.approx(0.04 * 9, rel=1e-10)
 
@@ -309,14 +309,14 @@ def test_carleson_comparison_equals_the_per_tree_sums(forest_cases):
                                            max_depth=6).trees if t.lazy_full)
     for name, mu, nu, eps, depth in forest_cases:
         trees = stopping_forest(mu, nu, eps, max_depth=depth).trees
-        got = carleson_comparison(mu, nu, trees)
+        got = carleson_comparison(mu, nu, Forest(trees))
         assert got == [_tree_carleson(mu, nu, t) for t in trees], name
     for mu in (CASC, LEB):
         trees = [full, lazy, full]
-        got = carleson_comparison(mu, LEB, trees)
+        got = carleson_comparison(mu, LEB, Forest(trees))
         assert got == [_tree_carleson(mu, LEB, t) for t in trees]
     assert got[1].top_mass > 0.0 and got[1].ratio == 0.0
-    assert carleson_comparison(CASC, LEB, []) == []
+    assert carleson_comparison(CASC, LEB, Forest([])) == []
 
 
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
@@ -328,7 +328,7 @@ def test_array_forest_equals_its_tree_objects(forest_cases):
             continue
         forest = stopping_forest(mu, nu, eps, max_depth=depth)
         trees = forest.trees
-        encoded = Forest(trees, forest.epsilon, forest.max_depth)
+        encoded = Forest(trees)
         for got, want in zip(encoded.members + encoded.leaves,
                              forest.members + forest.leaves):
             assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -341,5 +341,5 @@ def test_array_forest_equals_its_tree_objects(forest_cases):
                 sorted(tree.members or ()), (name, i)
         lazies += sum(t.lazy_full for t in trees)
         assert carleson_comparison(mu, nu, forest) == carleson_comparison(
-            mu, nu, list(trees)), name
+            mu, nu, Forest(list(trees))), name
     assert lazies > 0
