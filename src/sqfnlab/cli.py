@@ -207,102 +207,90 @@ def _check(name, lhs, rhs, tol=0.0, note=""):
             "passed": bool(lhs <= rhs + tol), "note": note}
 
 
-def _suite_checks(cfg, mu, nu, tols):
-    """The common scenario suite; returns (checks, profiles, extras)."""
-    depth = int(cfg["depth"])
-    seed = int(cfg["seed"])
-    checks = []
-    extras = {}
-    profiles = {}
+def _checks(cfg, mu, nu):
+    """(checks, profile, stats) of a scenario: the common suite where it
+    has both measures, then the scenario's own checks."""
+    name, depth, seed = cfg["scenario"], int(cfg["depth"]), int(cfg["seed"])
+    tols = cfg.get("tolerances", {})
     tol_exact = tols.get("exact", TOL_EXACT)
     tol_accum = tols.get("accumulation", TOL_ACCUM)
-
-    drep = doubling_constant(nu, depth=min(depth, 10))
-    extras["doubling_constant"] = drep.constant
-
-    if cfg["epsilon"] != "auto":
-        eps = float(cfg["epsilon"])
-    elif math.isfinite(drep.constant):
-        eps, _ = epsilon_for_doubling(max(drep.constant, 1.0))
-    else:
-        eps = 1.0 / 128.0
-    extras["epsilon"] = eps
-
-    forest = stopping_forest(mu, nu, eps, max_depth=min(depth, 12))
-    extras["trees"] = len(forest)
-    forest.check_structure()
-    ratios = [cc.ratio for cc in carleson_comparison(mu, nu, forest)
-              if cc.sum_alpha + cc.top_mass > 0]
-    if ratios:
-        fleet = max(ratios)
-        extras["carleson_ratio_max"] = fleet
-        checks.append(_check("carleson_ratio_finite", fleet, 1e6,
-                             note="recorded fleet constant"))
-
-    # Haar identities on the first largest tree with internal members
-    sizes = np.bincount(forest.members[0], minlength=len(forest))
-    sizes[np.minimum(forest.top_masses(mu), forest.top_masses(nu)) <= 0] = 0
-    b = int(np.argmax(sizes))
-    if sizes[b] > 1:
-        big = forest.tree(b)
-        hs = haar(mu, nu, big)
-        rng = np.random.default_rng(seed)
-        js, ks = forest.cells(b)  # in (j, k) order
-        idx = rng.choice(js.size, size=min(20, js.size), replace=False)
-        worst_prod = 0.0
-        worst_coef = 0.0
-        for i in idx:
-            I = big.top.system.interval(js[i], ks[i])
-            if dyadic_cell_masses(mu, I.j)[I.k] == 0:
-                continue
-            lhs, rhs = product_check(hs, I)
-            worst_prod = max(worst_prod, abs(lhs - rhs))
-            if (I.j, I.k) in hs.coeff:  # an internal member
-                worst_coef = max(worst_coef,
-                                 coefficient_identity_gap(hs, I))
-        checks.append(_check("haar_product_identity", worst_prod, 0.0,
-                             1e-10))
-        checks.append(_check("haar_coefficient_forms", worst_coef, 0.0,
-                             tol_exact))
-        N = big.top.j + min(big.max_depth, 8)
-        _, vals, wts = g_cell_values(hs, N)
-        quad = math.sqrt(float(np.sum(np.asarray(vals) ** 2
-                                      * np.asarray(wts))))
-        checks.append(_check("haar_parseval", abs(g_l2_norm(hs, N) - quad),
-                             0.0, tol_accum))
-
-    # square function profile and classification
-    if cell_mass(mu, STANDARD.root()) > 0 and mu.piece_l.size:
-        pts = mu_sampled_points(mu, 16, min(depth + 4, DEPTH_CAP), seed=seed)
-        prof = dyadic_square_profile(mu, nu, pts, depth=depth)
-        profiles["square_dyadic"] = prof
-        slopes = prof.slopes()
-        tail = prof.final_increments(max(depth - 2, 0))
-        extras["mean_slope"] = float(np.mean(slopes))
-        extras["max_tail_increment"] = float(np.max(tail))
-        if np.max(tail) < 1e-6:
-            extras["classification"] = "absolutely continuous"
-        elif np.mean(slopes) > 1e-4:
-            extras["classification"] = "singular"
-        else:
-            extras["classification"] = "mixed"
-
-    # Buckley ratio stability (Delta flavor is cheap everywhere)
-    br1 = buckley_ratio(mu, nu, depth, which="delta")
-    extras["buckley_delta"] = br1
-    return checks, profiles, extras
-
-
-def _scenario_specific(cfg, mu, nu, tols, checks, extras):
-    name = cfg["scenario"]
-    seed = int(cfg["seed"])
-    depth = int(cfg["depth"])
-    tol_exact = tols.get("exact", TOL_EXACT)
     tol_stat = tols.get("statistical", TOL_STAT)
+    checks, profile, extras = [], None, {}
+    if mu is not None and nu is not None:
+        drep = doubling_constant(nu, depth=min(depth, 10))
+        extras["doubling_constant"] = drep.constant
+
+        if cfg["epsilon"] != "auto":
+            eps = float(cfg["epsilon"])
+        elif math.isfinite(drep.constant):
+            eps, _ = epsilon_for_doubling(max(drep.constant, 1.0))
+        else:
+            eps = 1.0 / 128.0
+        extras["epsilon"] = eps
+
+        forest = stopping_forest(mu, nu, eps, max_depth=min(depth, 12))
+        extras["trees"] = len(forest)
+        forest.check_structure()
+        ratios = [cc.ratio for cc in carleson_comparison(mu, nu, forest)
+                  if cc.sum_alpha + cc.top_mass > 0]
+        if ratios:
+            fleet = max(ratios)
+            extras["carleson_ratio_max"] = fleet
+            checks.append(_check("carleson_ratio_finite", fleet, 1e6,
+                                 note="recorded fleet constant"))
+
+        # Haar identities on the first largest tree with internal members
+        sizes = np.bincount(forest.members[0], minlength=len(forest))
+        sizes[np.minimum(*map(forest.top_masses, (mu, nu))) <= 0] = 0
+        b = int(np.argmax(sizes))
+        if sizes[b] > 1:
+            big = forest.tree(b)
+            hs = haar(mu, nu, big)
+            rng = np.random.default_rng(seed)
+            js, ks = forest.cells(b)  # in (j, k) order
+            idx = rng.choice(js.size, size=min(20, js.size), replace=False)
+            worst_prod = 0.0
+            worst_coef = 0.0
+            for i in idx:
+                I = big.top.system.interval(js[i], ks[i])
+                if dyadic_cell_masses(mu, I.j)[I.k] == 0:
+                    continue
+                lhs, rhs = product_check(hs, I)
+                worst_prod = max(worst_prod, abs(lhs - rhs))
+                if (I.j, I.k) in hs.coeff:  # an internal member
+                    worst_coef = max(worst_coef,
+                                     coefficient_identity_gap(hs, I))
+            checks.append(_check("haar_product_identity", worst_prod, 0.0,
+                                 1e-10))
+            checks.append(_check("haar_coefficient_forms", worst_coef, 0.0,
+                                 tol_exact))
+            N = big.top.j + min(big.max_depth, 8)
+            _, vals, wts = g_cell_values(hs, N)
+            quad = math.sqrt(float(np.sum(vals ** 2 * wts)))
+            checks.append(_check("haar_parseval",
+                                 abs(g_l2_norm(hs, N) - quad), 0.0, tol_accum))
+
+        # square function profile and classification
+        if cell_mass(mu, STANDARD.root()) > 0 and mu.piece_l.size:
+            pts = mu_sampled_points(mu, 16, min(depth + 4, DEPTH_CAP), seed)
+            profile = dyadic_square_profile(mu, nu, pts, depth=depth)
+            slopes = profile.slopes()
+            tail = profile.final_increments(max(depth - 2, 0))
+            extras["mean_slope"] = float(np.mean(slopes))
+            extras["max_tail_increment"] = float(np.max(tail))
+            if np.max(tail) < 1e-6:
+                extras["classification"] = "absolutely continuous"
+            elif np.mean(slopes) > 1e-4:
+                extras["classification"] = "singular"
+            else:
+                extras["classification"] = "mixed"
+
+        # Buckley ratio stability (Delta flavor is cheap everywhere)
+        extras["buckley_delta"] = buckley_ratio(mu, nu, depth, which="delta")
 
     if name == "identity":
-        checks.append(_check("identity_zero_sums",
-                             extras.get("buckley_delta", 0.0), 0.0))
+        checks.append(_check("identity_zero_sums", extras["buckley_delta"],
+                             0.0))
         checks.append(_check("identity_root_alpha",
                              alpha(mu, nu, STANDARD.root()), 0.0))
 
@@ -348,7 +336,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
 
     elif name == "finite-haar-ainfty":
         b1 = buckley_ratio(mu, nu, 10, which="delta")
-        b2 = buckley_ratio(mu, nu, depth, which="delta")
+        b2 = extras["buckley_delta"]  # the suite's, at the scenario depth
         checks.append(_check("buckley_delta_stable", abs(b2 - b1),
                              tol_stat * max(b1, 1e-12),
                              note="stable after depth 10"))
@@ -376,7 +364,7 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
                     gap = coefficient_identity_gap(hs, hs_tree.top)
                     worst = max(worst, gap)
         checks.append(_check("fleet_coefficient_forms", worst, 0.0,
-                             tols.get("exact", TOL_EXACT)))
+                             tol_exact))
 
     elif name == "oracle-crossval":
         rng = np.random.default_rng(seed)
@@ -405,28 +393,19 @@ def _scenario_specific(cfg, mu, nu, tols, checks, extras):
         extras["tolsa_ratio"] = ratio
         checks.append(_check("tolsa_finite", ratio, 1e6))
 
-    return checks
+    return checks, profile, extras
 
 
 def run_experiment(cfg):
     mu, nu = (None if cfg.get(key) is None else generate(cfg[key])
               for key in ("mu_spec", "nu_spec"))
-    tols = cfg.get("tolerances", {})
-    if mu is not None and nu is not None:
-        checks, profiles, extras = _suite_checks(cfg, mu, nu, tols)
-    else:
-        checks, profiles, extras = [], {}, {}
-    checks = _scenario_specific(cfg, mu, nu, tols, checks, extras)
+    checks, profile, extras = _checks(cfg, mu, nu)
 
     outputs = cfg.get("outputs", {})
     written = []
-    csv_base = outputs.get("csv")
-    if csv_base:
-        for key, prof in sorted(profiles.items()):
-            path = csv_base if len(profiles) == 1 else \
-                csv_base.replace(".csv", f"_{key}.csv")
-            prof.to_csv(path)
-            written.append(path)
+    if outputs.get("csv") and profile is not None:
+        profile.to_csv(outputs["csv"])
+        written.append(outputs["csv"])
 
     cfg_for_hash = {k: v for k, v in cfg.items() if k != "outputs"}
     blob = json.dumps(cfg_for_hash, sort_keys=True).encode()

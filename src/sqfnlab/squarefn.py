@@ -7,6 +7,8 @@ flags singular parts; converging partial sums flag absolute continuity.
 
 Every dyadic walk here is a level sweep over dyadic_cell_masses and
 AlphaTable.alphas, the one fallback to per-entry alphas on unfilled levels.
+delta_level_sums and _pruned_terms make each cell's Delta^2 mu and alpha^2
+mu once, for the Buckley, L2 and tree.carleson_comparison sums.
 """
 
 from __future__ import annotations
@@ -198,8 +200,7 @@ def delta_level_sums(mu: Measure, nu: Measure, depth):
     contrib = []
     for j in range(depth + 1):
         mI, nI = dyadic_cell_masses(mu, j), dyadic_cell_masses(nu, j)
-        mL = dyadic_cell_masses(mu, j + 1)[0::2]
-        nL = dyadic_cell_masses(nu, j + 1)[0::2]
+        mL, nL = (dyadic_cell_masses(m, j + 1)[0::2] for m in (mu, nu))
         ok = (mI > 0) & (nI > 0)
         d = np.zeros_like(mI)
         d[ok] = np.abs(mL[ok] / mI[ok] - nL[ok] / nI[ok])
@@ -219,13 +220,9 @@ def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):
         subtree = _subtree_sums(_pruned_terms(mu, nu, depth))
     else:
         raise ValueError(f"which must be 'delta' or 'alpha', not {which!r}")
-    best = 0.0
-    for j in range(depth // 2 + 1):
-        mI = dyadic_cell_masses(mu, j)
-        ok = mI > 0
-        if np.any(ok):
-            best = max(best, float(np.max(subtree[j][ok] / mI[ok])))
-    return best
+    cells = (dyadic_cell_masses(mu, j) for j in range(depth // 2 + 1))
+    return max(float(np.max(s[m > 0] / m[m > 0], initial=0.0))
+               for s, m in zip(subtree, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -238,28 +235,24 @@ def tolsa_l2(gdensity: Measure, nu: Measure, depth=8):
     gdensity is mu = g dnu with g piecewise constant on the dyadic cells of
     level ceil(log2(pieces)), read from its piece count.  lhs sums
     alpha^2(I) mu(I)^2 / nu(I) over levels <= depth; l2norm is int g^2 dnu.
-    lhs adds its terms in depth-first preorder, as level order rounds
-    differently; cells without mu- or nu-mass add nothing.
+    lhs adds the terms of _pruned_terms (nu must charge where mu does) in
+    depth-first preorder, as level order rounds differently.
     """
     _check_depth(depth)
     mu = gdensity
     if mu.atom_x.size:
         raise ValueError("density measure cannot carry atoms")
-    n = max(mu.piece_l.size, 1)
-    level = max(int(math.ceil(math.log2(n))), 0)
-    mu_cells = dyadic_cell_masses(mu, level)
-    nu_cells = dyadic_cell_masses(nu, level)
+    level = math.ceil(math.log2(max(mu.piece_l.size, 1)))
+    mu_cells, nu_cells = (dyadic_cell_masses(m, level) for m in (mu, nu))
     if np.any((mu_cells > 0) & (nu_cells == 0)):
         raise ValueError("mu is not absolutely continuous at g-resolution")
     ok = nu_cells > 0
     l2 = float(np.sum(mu_cells[ok] ** 2 / nu_cells[ok]))
-    table = alpha_table(mu, nu)
     terms, keys = [], []
-    for j in range(depth + 1):
+    for j, t in enumerate(_pruned_terms(mu, nu, depth)):
         mI, nI = dyadic_cell_masses(mu, j), dyadic_cell_masses(nu, j)
-        k = np.flatnonzero((mI != 0.0) & (nI != 0.0))
-        a = table.alphas(j, k)
-        terms.append(a * a * mI[k] * mI[k] / nI[k])
+        k = np.flatnonzero(mI)
+        terms.append(t[k] * mI[k] / nI[k])
         keys.append(k << (depth - j) << 5 | j)  # left end, then level
     terms = np.concatenate(terms)[np.argsort(np.concatenate(keys))]
     lhs = float(np.cumsum(np.append(0.0, terms))[-1])
@@ -317,7 +310,7 @@ def cz_decompose(mu: Measure, nu: Measure, lam, depth=10) -> CZDecomposition:
         cursor = I.b
     if cursor < 1.0:
         parts.append(restrict(mu, cursor, 1.0, closed_right=True))
-    good = combine(parts) if parts else mu
+    good = combine(parts)
     return CZDecomposition(float(lam), tuple(bad), good, tuple(ratios), depth)
 
 

@@ -101,7 +101,11 @@ def _row_medians(L, g0, g1, total):
     lo = np.minimum(g0, g1)
     hi = np.maximum(g0, g1)
     span = hi - lo
-    flat = span == 0.0
+    # a span within G's rounding level is a point mass, as a ramp would
+    # swamp dens with L / span: a CDF value sums at most 2S + 1 masses (a
+    # piece per segment, an atom per breakpoint) of mass about max(1, |G|)
+    flat = span <= 2 * (S + 1) * np.finfo(float).eps * np.maximum(
+        -lo, hi).max(axis=1, keepdims=True, initial=1.0)
     vals, nv, idx = _row_values(lo, hi)
     W = 2 * S
     point = np.bincount(idx[:, :S][flat], L[flat],
@@ -210,13 +214,18 @@ def _witness(x0, x1, g0, g1, c):
 
     psi' = -s where s = sign(G - c) off the zero set; on {G = c} the slope
     is the constant (M - P)/Z that makes psi close up at 1 (P, M, Z are the
-    lengths of {G > c}, {G < c}, {G = c}).  Array passes over consecutive
-    segments, with a = g0 - c and b = g1 - c: a segment whose ends differ
-    in sign splits at t = a/(a - b).  P, M and Z are running sums in
-    segment order, as a loop adds them.  A piece ending within 1e-15 of the
-    end before it (kept or not) is dropped, so its length goes to the next.
+    lengths of {G > c}, {G < c}, {G = c}).  G within its rounding level
+    (_row_medians) of c counts as c: a rounded sign breaks |M - P| <= Z.
+    Array passes over consecutive segments, with a = g0 - c and b = g1 - c:
+    a segment whose ends differ in sign splits at t = a/(a - b).  P, M and
+    Z are running sums in segment order, as a loop adds them.  A piece
+    ending within 1e-15 of the end before it (kept or not) is dropped, so
+    its length goes to the next.
     """
-    a, b, L = g0 - c, g1 - c, x1 - x0
+    tol = 2 * (x0.size + 1) * np.finfo(float).eps * max(
+        1.0, np.abs(g0).max(), np.abs(g1).max())
+    a, b = (np.where(np.abs(v - c) <= tol, 0.0, v - c) for v in (g0, g1))
+    L = x1 - x0
     zero = (a == 0.0) & (b == 0.0)
     pos = ~zero & (a >= 0.0) & (b >= 0.0)
     neg = ~zero & (a <= 0.0) & (b <= 0.0)
@@ -227,11 +236,10 @@ def _witness(x0, x1, g0, g1, c):
     P, M, Z = np.cumsum([np.where(cross, np.where(a > 0, head, tail), pos * L),
                          np.where(cross, np.where(a > 0, tail, head), neg * L),
                          zero * L], axis=1)[:, -1].tolist()
-    # pieces end at x1 and, on a split segment (a * b < 0, not a product
-    # rounded to 0), first at x0 + head; else x0, the end before, drops out
-    split = ~zero & (a * b < 0.0)
-    ends = np.stack([np.where(split, x0 + head, x0), x1], axis=1).ravel()
-    slopes = np.where(np.stack([a > 0, (b > 0) | (a > 0) & ~split], axis=1),
+    # pieces end at x1 and, on a crossing segment, first at x0 + head; else
+    # x0, the end before, drops out
+    ends = np.stack([np.where(cross, x0 + head, x0), x1], axis=1).ravel()
+    slopes = np.where(np.stack([a > 0, (b > 0) | (a > 0) & ~cross], axis=1),
                       -1.0, 1.0)
     slopes[zero, 1] = -((M - P) / Z if Z > 0 else 0.0)
     keep = ends > np.append(x0[0], ends[:-1]) + 1e-15

@@ -11,9 +11,10 @@ start new trees.
 A Forest holds its trees as arrays, filled by stopping_forest's sweep or
 encoded from Tree objects; forest.tree(i) and forest.trees build Trees on
 demand.  Every walk over trees is a level sweep on arrays of cells, reading
-the per-level cell masses and AlphaTable.alphas; Forest.check_structure
-and carleson_comparison read the arrays of all trees at once.  Sums and
-dicts fill in (level, index) order, so they equal a member-by-member loop's.
+the per-level cell masses and AlphaTable.alphas; carleson_comparison reads
+squarefn's level terms instead.  It and Forest.check_structure read the
+arrays of all trees at once.  Sums and dicts fill in (level, index) order,
+so they equal a member-by-member loop's.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .dyadic import (
 )
 from .alpha import _interval_bounds, alpha_table
 from .alpha import alpha as _interval_alpha
+from .squarefn import _pruned_terms, delta_level_sums
 
 __all__ = [
     "Tree",
@@ -539,36 +541,27 @@ def carleson_comparison(mu: Measure, nu: Measure, forest: Forest) -> list:
     """Per tree, Delta^2 mu summed over it against alpha^2 mu plus top mass.
 
     Returns one CarlesonComparison per tree of the forest (Forest([tree])
-    for one tree).  alpha^2 mu runs over the non-leaf members; members
-    without mu-mass add nothing.  The member arrays are read a level at a
-    time, from the cell masses of the level and the next, and np.bincount
-    adds each tree's terms in (j, k) order, as a member-by-member loop
-    would.
+    for one tree).  alpha^2 mu runs over the non-leaf members.  Each
+    member's terms are read from the level arrays of delta_level_sums and
+    _pruned_terms down to the deepest member level, so nu must charge every
+    cell mu charges there.  np.bincount adds each tree's terms in (j, k)
+    order, as a member-by-member loop would.
     """
-    table = alpha_table(mu, nu)
     owner, js, ks, code = forest.members
-    mI = _cell_masses(mu, js, ks)
-    live = mI != 0.0  # the members that add anything
-    owner, js, ks, code, mI = (v[live] for v in (owner, js, ks, code, mI))
-    nI = _cell_masses(nu, js, ks)
-    mL, nL = (_cell_masses(m, js + 1, 2 * ks) for m in (mu, nu))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(nI == 0.0, 0.0, np.abs(mL / mI - nL / nI))
-    a = np.zeros(js.size)
-    inner = ~_among(forest.leaves[3], code)
-    for j in np.flatnonzero(np.bincount(js[inner])).tolist():
-        at = np.flatnonzero(inner & (js == j))
-        a[at] = table.alphas(j, ks[at])
-    sum_delta, sum_alpha = (np.bincount(owner, terms * mI, len(forest))
-                            for terms in (d * d, a * a))
+    depth = int(js.max(initial=0))
+    at = (1 << js) - 1 + ks  # a cell's place in its levels joined in order
+    d2m = np.concatenate(delta_level_sums(mu, nu, depth)[0])[at]
+    a2m = np.concatenate(_pruned_terms(mu, nu, depth))[at]
+    a2m[_among(forest.leaves[3], code)] = 0.0
+    sum_delta, sum_alpha = (np.bincount(owner, t, len(forest))
+                            for t in (d2m, a2m))
 
     top_mass = forest.top_masses(mu)
     denom = sum_alpha + top_mass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(denom > 0, sum_delta / denom, 0.0)
-    return [CarlesonComparison(*v) for v in zip(
-        sum_delta.tolist(), sum_alpha.tolist(), top_mass.tolist(),
-        ratio.tolist())]
+    ratio = np.divide(sum_delta, denom, out=np.zeros_like(denom),
+                      where=denom > 0)
+    return [CarlesonComparison(*v) for v in zip(*(
+        a.tolist() for a in (sum_delta, sum_alpha, top_mass, ratio)))]
 
 
 def _cell_masses(m, js, ks):

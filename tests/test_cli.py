@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sqfnlab
-from sqfnlab.cli import load_config, main, run_experiment
+from sqfnlab.cli import SCENARIOS, load_config, main, run_experiment
 
 
 def _write_cfg(tmp_path, cfg):
@@ -248,3 +250,61 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["passed"]
+
+
+# sha256 of each default scenario's report and CSV as `sqfnlab run` writes
+# them, with relative output paths; a change that moves any float of any
+# report moves its digest.  Recorded under numpy 2.4.6: another numpy may
+# round some sums differently, so the test skips there
+DIGEST_NUMPY = "2.4.6"
+REPORT_DIGESTS = {
+    "ac-density": (
+        "6924c5734a6168c0c13f18a56992792f342b3056d7252e3a9ff8c3cd7e749330",
+        "e5c3b91d2eee486d2e47740c3d1dda4c3de8330849fae4dbfe42a8244eac6c6a"),
+    "cantor": (
+        "640a89e90d2c27de3fbc027a3a1a0e3f69fce139765c9f6fd053544bbf06d439",
+        "7c13673b9583ea0831788edc7c8286a5b7015a0b3b4b8aa9f713534937062aef"),
+    "example22": (
+        "4b2962f7b32367a394593cf354aa562eca07a83e4fd9e2302ec38ddbbe0b3dd9",
+        "12c73f6b147801124f861edd5e5018ce7bde523e193c66ee4bee63758d02d682"),
+    "example52": (
+        "85dd6d9843882ed77de117d72f197daf46996cf1b7f64f6382dab2f46a2a3371",
+        "cd9dcdf5f0548021463ef09bd90c3c9bc8953ad52f92390bffebaa833104772f"),
+    "example53": (
+        "f64bd93bcd9ba3370feed72cd28c21e10cd2592a31bd23b68a797d214a7abd82",
+        None),
+    "finite-haar-ainfty": (
+        "a6f78ecc1bcb0dfeff2b13fec56c2616acfc914f68cb2c06c8f6135090a44149",
+        "31c398209355165f9cb04d7838ffec46a2e271d9ffcec2bc74432cff89e2db18"),
+    "identity": (
+        "9dc248b43a5efd85543195a67aaddcfcf90acffe7133408a619ba43dca91166f",
+        "d5c69d829d4345e992aa07b916a89bcca1612e2425491ef7b5e69af96ce0bef7"),
+    "oracle-crossval": (
+        "8aad4796d7f069c53352c61b6a25c02d2330fda1e22fdc33aa186235b915d368",
+        None),
+    "random-histogram-fleet": (
+        "f5910ad711240e57f84b7fb45a8686f3a8b3b6b7f8e23c4160c18053c8bd721c",
+        None),
+    "singular-cascade": (
+        "e058c1708ededafbb01390989ee7795f7cf08339a03b92f8f2e1660a0e06f098",
+        "23df554fd7603811174a1d124133ce46143b5851254c6c551bb5f5a55882916e"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_default_reports_are_pinned(tmp_path, monkeypatch, capsys):
+    if np.__version__ != DIGEST_NUMPY:
+        pytest.skip(f"digests recorded under numpy {DIGEST_NUMPY}, "
+                    f"not {np.__version__}")
+    assert sorted(SCENARIOS) == sorted(REPORT_DIGESTS)
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name in sorted(SCENARIOS):
+        outputs = {"json": f"{name}.json", "csv": f"{name}.csv"}
+        cfg = _write_cfg(tmp_path, {"scenario": name, "outputs": outputs})
+        assert main(["run", "--config", cfg]) == 0, name
+        got[name] = tuple(
+            hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
+            if (tmp_path / p).exists() else None for p in outputs.values())
+    capsys.readouterr()
+    assert got == REPORT_DIGESTS

@@ -1,8 +1,9 @@
 """Static checks: every export resolves, no import or local goes unused,
 the package reads no single dyadic cell and computes no single-pair W1
 inside a loop, no function of it calls itself, a level fill calls no
-np.unique, only transport.py and the level fill name the row kernel, and
-the suite keeps its stopping forest as arrays, with no Tree objects.
+np.unique, only transport.py and the level fill name the row kernel, the
+suite keeps its stopping forest as arrays, with no Tree objects, and the
+alpha^2 sums of tree.py and squarefn.py read alphas in three places only.
 
 The unused-name scans cover the sources of the imported sqfnlab (installed
 or from src/) and this tests directory; the loop scan covers the package.
@@ -248,3 +249,30 @@ def test_the_suite_path_builds_no_tree_objects():
     # a cascade forest is 8,191 singleton trees: the suite reads the member
     # arrays, and a Tree is built only where a check needs one (forest.tree)
     assert _tree_objects_on_the_suite_path() == []
+
+
+# the dyadic functions that read alphas: the stopping sweep, the profile
+# chains and _pruned_terms, whose level terms the Carleson, Buckley and L2
+# sums all read
+ALPHA_READERS = {"stopping_forest", "dyadic_square_profile", "_pruned_terms"}
+
+
+def _alpha_reads(path):
+    """Lines calling .alphas( outside the ALPHA_READERS functions, methods
+    and nested functions included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = {node for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               and func.name in ALPHA_READERS for node in ast.walk(func)}
+    return sorted(call.lineno for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and call not in allowed
+                  and isinstance(call.func, ast.Attribute)
+                  and call.func.attr == "alphas")
+
+
+def test_only_three_functions_read_alphas():
+    # a Carleson or L2 sum that read alphas itself would compute the alpha^2
+    # terms a second time; it reads _pruned_terms instead
+    found = [f"{name}:{line}" for name in ("tree.py", "squarefn.py")
+             for line in _alpha_reads(PACKAGE_DIR / name)]
+    assert found == []

@@ -24,6 +24,7 @@ from sqfnlab.squarefn import (
     mu_sampled_points,
     tolsa_l2,
 )
+from sqfnlab.tree import Forest, Tree, carleson_comparison
 
 LEB = generate({"type": "lebesgue"})
 CASC = generate({"type": "cascade", "p": 0.7, "depth": 16})
@@ -174,9 +175,16 @@ def test_alpha_terms_reject_nu_vanishing_under_mu():
     # nu leaves [1/2, 1) bare where Lebesgue charges it, and alpha there is
     # 1/4: the cell must not be skipped as if both were uniform
     holes = generate({"type": "histogram", "cells": [0.3, 0.7, 0.0, 0.0]})
-    with pytest.raises(ValueError,
-                       match=r"nu vanishes on \[0\.5, 1\)@std: doubling"):
-        buckley_ratio(LEB, holes, 3, which="alpha")
+    # the Carleson comparison and the L2 bound read the same level terms: a
+    # hand-built two-level tree, and the L2 sum to level 3
+    tree = Tree(STANDARD.root(), frozenset({(0, 0), (1, 0), (1, 1)}),
+                ((1, 0), (1, 1)), 1)
+    for call in (lambda: buckley_ratio(LEB, holes, 3, which="alpha"),
+                 lambda: carleson_comparison(LEB, holes, Forest([tree])),
+                 lambda: tolsa_l2(LEB, holes, depth=3)):
+        with pytest.raises(ValueError, match=r"nu vanishes on "
+                           r"\[0\.5, 1\)@std: doubling"):
+            call()
 
 
 def test_buckley_ratio_rejects_an_unknown_flavor():

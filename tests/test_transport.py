@@ -72,13 +72,33 @@ def _agreeing_histograms(rng):
                  for v in (m, w))
 
 
+def _rounded_agreeing_histograms(rng):
+    """Two histograms of 2 to 32 cells that differ on two cells only, with
+    float masses: off those cells the CDFs agree only up to rounding, so
+    G - c takes rounding-level signs, and flat stretches of G rounding-level
+    slopes, over whole runs of segments."""
+    n = int(rng.integers(2, 33))
+    m = rng.uniform(0.05, 1.0, n)
+    m /= m.sum()
+    w = m.copy()
+    i, j = rng.choice(n, 2, replace=False)
+    move = rng.uniform(0.0, m[i])
+    w[i] -= move
+    w[j] += move
+    return tuple(Measure.make(pieces=[(k / n, (k + 1) / n, float(x))
+                                      for k, x in enumerate(v)])
+                 for v in (m, w))
+
+
 def test_witness_is_admissible_and_attains_value():
     from sqfnlab.measure import integrate
     rng = np.random.default_rng(3)
     pairs = [(_random_measure(rng), _random_measure(rng)) for _ in range(25)]
     # pairs equal on some cells, where G = c on a set of positive length,
-    # and a depth-12 cascade against Lebesgue (4,096 segments)
+    # exactly or up to rounding, and a depth-12 cascade against Lebesgue
+    # (4,096 segments)
     pairs += [_agreeing_histograms(rng) for _ in range(40)]
+    pairs += [_rounded_agreeing_histograms(rng) for _ in range(500)]
     pairs.append((generate({"type": "cascade", "p": 0.7, "depth": 12}),
                   generate({"type": "lebesgue"})))
     level_sets = 0
