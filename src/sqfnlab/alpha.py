@@ -16,15 +16,19 @@ per cell or both share a grid, both charge every cell, and the level has at
 most 2^14 cells.  Each distinct row of a level, keyed on the exact bytes of
 its kernel input, is computed once.  Such a level, as on histogram, cascade and
 Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
-Every other level keeps entries: AlphaTable.alphas sends the graphs of
-the cells it reads there through one w1_values call, and a single read of
-a cell, ball or tuple is a one-graph w1_values call, with == results.  An
+Every other level keeps entries: AlphaTable.alphas sends the distinct
+graphs of the cells it reads there through one w1_values call, and a
+single read of a cell, ball or tuple is a one-graph w1_values call, with
+== results.  An entry's graph builds no Measure: each side goes from the
+measure's arrays to its scaled blow-up and CDF tables in one step, and
+measure._difference, the core of cdf_difference, takes the two.  An
 interval where both measures are uniform reads 0.0 without a kernel call.
 """
 
 from __future__ import annotations
 
 import weakref
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +36,17 @@ import numpy as np
 from .measure import (
     Measure,
     ZERO,
+    _blowup_parts,
+    _cdf_tables,
+    _difference,
+    _integrate_parts,
     _level_pieces,
+    _side,
     blowup,
-    cdf_difference,
     integrate,
     is_uniform_on,
     mass,
     phi_tent,
-    scale,
 )
 from .dyadic import STANDARD, DyadicInterval
 from .transport import w1_rows, w1_values
@@ -131,14 +138,25 @@ class AlphaTable:
 
     def _add(self, keys):
         """Make the entries of the keys not held yet, in their order, from
-        one w1_values call on their graphs; a key where both measures are
-        uniform reads 0.0 without a kernel row, as in _alpha_level."""
+        one w1_values call on their distinct graphs (the kernel works along
+        each graph alone, so equal graphs give equal alphas); a key where
+        both measures are uniform reads 0.0 without a kernel row, as in
+        _alpha_level."""
         todo = {key: _graph(self._mu(), self.nu, *key)
                 for key in dict.fromkeys(keys) if key not in self._entries}
-        graphs = {key: g for key, (g, _) in todo.items() if g is not None}
-        values = dict(zip(graphs, w1_values(list(graphs.values())).tolist()))
+        first, graphs, at = {}, [], {}  # graph key -> place of its first
+        for key, (g, _) in todo.items():
+            if g is not None:
+                i = first.setdefault(_graph_key(g), len(graphs))
+                if i == len(graphs) or not all(
+                        map(np.array_equal, g, graphs[i])):
+                    i = len(graphs)  # new, or a key collision
+                    graphs.append(g)
+                at[key] = i
+        values = w1_values(graphs).tolist()
         for key, (_, flag) in todo.items():
-            self._entries[key] = AlphaEntry(values.get(key, 0.0), flag)
+            self._entries[key] = AlphaEntry(
+                values[at[key]] if key in at else 0.0, flag)
 
     def alpha(self, I):
         return self.entry(I).alpha
@@ -150,6 +168,13 @@ class AlphaTable:
     def __len__(self):
         return len(self._entries) + sum(
             a.size for a in self._levels.values() if a is not None)
+
+
+def _graph_key(graph):
+    """A graph's segment count and the CRC-32 of its values g0: a key that
+    holds no copy of the graph and reads a quarter of it; _add confirms
+    equality on all four arrays."""
+    return graph[2].size, zlib.crc32(graph[2])
 
 
 def alpha_table(mu: Measure, nu: Measure) -> AlphaTable:
@@ -165,30 +190,40 @@ def _uniform_densities(mu, nu, a, b, closed):
     """(cu, cv) when both measures charge [a, b) uniformly, else None."""
     if 0.0 <= a and b <= 1.0 and not closed:
         cu = is_uniform_on(mu, a, b)
-        cv = is_uniform_on(nu, a, b)
-        if cu is not None and cv is not None and cu > 0.0 and cv > 0.0:
-            return cu, cv
+        if cu is not None and cu > 0.0:
+            cv = is_uniform_on(nu, a, b)
+            if cv is not None and cv > 0.0:
+                return cu, cv
     return None
 
 
-def _tent_null(bm):
-    """Whether bm(phi) == 0 for a blow-up bm: phi vanishes only at 0 and 1."""
-    return bm.piece_l.size == 0 and bool(
-        np.all((bm.atom_x == 0.0) | (bm.atom_x == 1.0)))
-
-
-def _graph(mu, nu, a, b, closed, norm=lambda bm: bm.total):
+def _graph(mu, nu, a, b, closed, tent=False):
     """(graph, one-sided flag) of the blow-ups onto [a, b) or [a, b]: the
-    cdf_difference of each over its norm (a zero norm giving ZERO), or None
-    where both measures are uniform, without a blow-up: alpha is 0.0."""
+    cdf_difference of each over its total, or its tent mass when tent (a
+    zero one giving ZERO), built from arrays with no Measure between, or
+    None where both measures are uniform, without a blow-up: alpha is 0.0.
+    """
     if _uniform_densities(mu, nu, a, b, closed) is not None:
         return None, False
-    bu = blowup(mu, a, b, closed_right=closed)
-    bv = blowup(nu, a, b, closed_right=closed)
-    flag = bu.total > 0 and bv.total > 0 and _tent_null(bu) != _tent_null(bv)
-    cu, cv = norm(bu), norm(bv)
-    return cdf_difference(scale(bu, 1.0 / cu) if cu > 0 else ZERO,
-                          scale(bv, 1.0 / cv) if cv > 0 else ZERO), flag
+    (tu, nu_null, su), (tv, nv_null, sv) = (
+        _scaled_side(m, a, b, closed, tent) for m in (mu, nu))
+    flag = tu > 0 and tv > 0 and nu_null != nv_null
+    return _difference(su, sv), flag
+
+
+def _scaled_side(m, a, b, closed, tent):
+    """(total, tent null, side) of m's blow-up onto [a, b): its mass, whether
+    its tent mass is 0 (phi vanishes only at 0 and 1), and the _difference
+    side of scale(blowup(m, a, b), 1 / norm)."""
+    ax, aw, pl, pr, pm = _blowup_parts(m, a, b, closed)
+    total = float(aw.sum() + pm.sum())
+    null = pl.size == 0 and bool(((ax == 0.0) | (ax == 1.0)).all())
+    norm = _integrate_parts(ax, aw, pl, pr, pm, _PHI) if tent else total
+    if not norm > 0:
+        return total, null, _side(ZERO)
+    c = 1.0 / norm
+    aw, pm = aw * c, pm * c
+    return total, null, (ax, aw, pl, pr, _cdf_tables(aw, pl, pr, pm))
 
 
 def _alpha_level(mu, nu, j):
@@ -278,8 +313,7 @@ def alpha(mu: Measure, nu: Measure, I):
 def alpha_smooth(mu: Measure, nu: Measure, I):
     """W1 of the tent-normalized blow-ups onto I, computed on every call."""
     alpha_table(mu, nu).entry(I)  # memoized and flagged as a plain read
-    graph, _ = _graph(mu, nu, *_interval_bounds(I),
-                      norm=lambda bm: integrate(bm, _PHI))
+    graph, _ = _graph(mu, nu, *_interval_bounds(I), tent=True)
     return 0.0 if graph is None else float(w1_values([graph])[0])
 
 

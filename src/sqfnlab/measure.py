@@ -127,28 +127,8 @@ class Measure:
     def _tables(self):
         t = getattr(self, "_tables_cache", None)
         if t is None:
-            acum = np.concatenate([[0.0], np.cumsum(self.atom_w)])
-            pl, pr, pm = self.piece_l, self.piece_r, self.piece_m
-            if pl.size:
-                cum = np.concatenate([[0.0], np.cumsum(pm)])
-                # breakpoints: piece lefts and rights interleaved; flat gaps
-                # between non-adjacent pieces come out automatically
-                bx = np.empty(2 * pl.size, dtype=float)
-                bv = np.empty(2 * pl.size, dtype=float)
-                bx[0::2] = pl
-                bx[1::2] = pr
-                bv[0::2] = cum[:-1]
-                bv[1::2] = cum[1:]
-                if bx[0] > 0.0:
-                    bx = np.concatenate([[0.0], bx])
-                    bv = np.concatenate([[0.0], bv])
-                if bx[-1] < 1.0:
-                    bx = np.concatenate([bx, [1.0]])
-                    bv = np.concatenate([bv, [bv[-1]]])
-            else:
-                bx = np.array([0.0, 1.0])
-                bv = np.array([0.0, 0.0])
-            t = (acum, bx, bv)
+            t = _cdf_tables(self.atom_w, self.piece_l, self.piece_r,
+                            self.piece_m)
             object.__setattr__(self, "_tables_cache", t)
         return t
 
@@ -176,6 +156,34 @@ def _derived(ax, aw, pl, pr, pm):
     """
     ax, aw, pl, pr, pm = (_ro(v) for v in (ax, aw, pl, pr, pm))
     return Measure(ax, aw, pl, pr, pm, float(aw.sum() + pm.sum()))
+
+
+def _cdf_tables(aw, pl, pr, pm):
+    """(acum, bx, bv) of a measure's arrays: cumulative atom weights from 0,
+    and the piece part of the CDF as np.interp reads it."""
+    acum = np.zeros(aw.size + 1)
+    aw.cumsum(out=acum[1:])
+    if pl.size:
+        cum = np.zeros(pm.size + 1)
+        pm.cumsum(out=cum[1:])
+        # breakpoints: piece lefts and rights interleaved; flat gaps
+        # between non-adjacent pieces come out automatically
+        bx = np.empty(2 * pl.size, dtype=float)
+        bv = np.empty(2 * pl.size, dtype=float)
+        bx[0::2] = pl
+        bx[1::2] = pr
+        bv[0::2] = cum[:-1]
+        bv[1::2] = cum[1:]
+        if bx[0] > 0.0:
+            bx = np.concatenate([[0.0], bx])
+            bv = np.concatenate([[0.0], bv])
+        if bx[-1] < 1.0:
+            bx = np.concatenate([bx, [1.0]])
+            bv = np.concatenate([bv, [bv[-1]]])
+    else:
+        bx = np.array([0.0, 1.0])
+        bv = np.array([0.0, 0.0])
+    return acum, bx, bv
 
 
 ZERO = Measure.make()
@@ -402,9 +410,18 @@ def generate(spec):
 
 
 def _histogram(cells):
+    """Mass cells[i] on the i-th of len(cells) equal cells.  The cells are
+    finite and >= 0 (_plan's rules, or built so) and the edges sorted, so
+    only the zero cells go, as from_arrays drops them, and a total that
+    overflows is rejected: Measure._check would find nothing else."""
     n = cells.size
     edges = np.arange(n + 1) / n
-    return Measure.from_arrays([], [], edges[:-1], edges[1:], cells)
+    keep = cells != 0.0
+    m = _derived(_EMPTY, _EMPTY, edges[:-1][keep], edges[1:][keep],
+                 cells[keep])
+    if not math.isfinite(m.total):
+        raise ValueError("histogram masses must have a finite total")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +430,17 @@ def _histogram(cells):
 
 def cdf_left_values(m: Measure, xs):
     """Vectorized F(x-) = m([0, x)) at the given points."""
-    xs = np.asarray(xs, dtype=float)
-    acum, bx, bv = m._tables
+    return _cdf_left(m.atom_x, m._tables, np.asarray(xs, dtype=float))
+
+
+def _cdf_left(ax, tables, xs):
+    """F(x-) at xs of the measure with atoms at ax and _cdf_tables tables."""
+    acum, bx, bv = tables
     # no clamp: bx starts at 0 with bv 0, and np.interp already returns
     # bv[0] left of bx[0] and bv[-1] at or right of bx[-1]
     cont = np.interp(xs, bx, bv)
-    if m.atom_x.size:
-        idx = np.searchsorted(m.atom_x, xs, side="left")
-        cont = cont + acum[idx]
+    if ax.size:
+        cont = cont + acum[np.searchsorted(ax, xs, side="left")]
     return cont
 
 
@@ -480,23 +500,36 @@ def cdf_difference(m1: Measure, m2: Measure):
     as jumps g0[i] != g1[i-1].  The breakpoints include 0 and 1, so there
     is at least one segment, each of positive length.
     """
-    bx = np.unique(np.concatenate([
-        np.array([0.0, 1.0]),
-        m1.piece_l, m1.piece_r, m1.atom_x,
-        m2.piece_l, m2.piece_r, m2.atom_x,
-    ]))
-    bx = bx[(bx >= 0.0) & (bx <= 1.0)]
-    Fl1 = cdf_left_values(m1, bx)
-    Fl2 = cdf_left_values(m2, bx)
+    return _difference(_side(m1), _side(m2))
+
+
+def _side(m: Measure):
+    """The arrays of m that _difference reads."""
+    return m.atom_x, m.atom_w, m.piece_l, m.piece_r, m._tables
+
+
+def _difference(s1, s2):
+    """cdf_difference of two sides (atom_x, atom_w, piece_l, piece_r,
+    _cdf_tables) given as arrays, which need no Measure."""
+    bx = np.concatenate([
+        np.array([0.0, 1.0]), s1[2], s1[3], s1[0], s2[2], s2[3], s2[0]])
+    # np.unique's steps (an in-place sort, the first of each run: the same
+    # bits, signed zeros included), with the range filter in its mask
+    bx.sort()
+    keep = np.empty(bx.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(bx[1:], bx[:-1], out=keep[1:])
+    bx = bx[keep & (bx >= 0.0) & (bx <= 1.0)]
+    Fl1 = _cdf_left(s1[0], s1[4], bx)
+    Fl2 = _cdf_left(s2[0], s2[4], bx)
     # right-limit values: add atoms located exactly at each breakpoint
     Fr1 = Fl1.copy()
     Fr2 = Fl2.copy()
-    for m, Fr in ((m1, Fr1), (m2, Fr2)):
-        if m.atom_x.size:
-            idx = np.searchsorted(bx, m.atom_x)
-            idx = np.clip(idx, 0, bx.size - 1)
-            hit = bx[idx] == m.atom_x
-            np.add.at(Fr, idx[hit], m.atom_w[hit])
+    for (ax, aw, _, _, _), Fr in ((s1, Fr1), (s2, Fr2)):
+        if ax.size:
+            idx = np.minimum(bx.searchsorted(ax), bx.size - 1)
+            hit = bx[idx] == ax
+            np.add.at(Fr, idx[hit], aw[hit])
     G_left = Fl1 - Fl2
     G_right = Fr1 - Fr2
     return bx[:-1], bx[1:], G_right[:-1], G_left[1:]
@@ -521,23 +554,34 @@ def _overlap(m: Measure, a, b, closed_right=False):
 
 def restrict(m: Measure, a, b, closed_right=False):
     """Restriction of m to [a, b) (or [a, b]); keeps coordinates."""
+    return _derived(*_restrict_parts(m, a, b, closed_right))
+
+
+def _restrict_parts(m: Measure, a, b, closed_right):
+    """restrict(m, a, b) as (atom_x, atom_w, piece_l, piece_r, piece_m)."""
     if not a < b:
         raise ValueError("need a < b")
     at, pc = _overlap(m, a, b, closed_right)
     # every piece in the slice has r > a and l < b, so lo < hi
     l, r = m.piece_l[pc], m.piece_r[pc]
     lo, hi = np.maximum(l, a), np.minimum(r, b)
-    return _derived(m.atom_x[at], m.atom_w[at], lo, hi,
-                    m.piece_m[pc] / (r - l) * (hi - lo))
+    return (m.atom_x[at], m.atom_w[at], lo, hi,
+            m.piece_m[pc] / (r - l) * (hi - lo))
 
 
 def blowup(m: Measure, a, b, closed_right=False):
     """Pushforward of m|[a,b) under x -> (x - a)/(b - a); unnormalized."""
-    r = restrict(m, a, b, closed_right=closed_right)
+    return _derived(*_blowup_parts(m, a, b, closed_right))
+
+
+def _blowup_parts(m: Measure, a, b, closed_right):
+    """blowup(m, a, b) as arrays: restrict's, mapped to [0, 1]."""
+    ax, aw, lo, hi, pm = _restrict_parts(m, a, b, closed_right)
     s = b - a
-    return _derived(np.clip((r.atom_x - a) / s, 0.0, 1.0), r.atom_w,
-                    np.maximum((r.piece_l - a) / s, 0.0),
-                    np.minimum((r.piece_r - a) / s, 1.0), r.piece_m)
+    if ax.size:  # a clip costs more than the rest on an empty slice
+        ax = ((ax - a) / s).clip(0.0, 1.0)
+    return (ax, aw,
+            np.maximum((lo - a) / s, 0.0), np.minimum((hi - a) / s, 1.0), pm)
 
 
 def _cell_width(m: Measure, j):
@@ -641,12 +685,12 @@ def is_uniform_on(m: Measure, a, b):
     if pc.stop == pc.start:
         return 0.0
     l, r = m.piece_l[pc], m.piece_r[pc]
+    # the overlapping pieces must tile [a, b) without gaps
+    if l[0] > a or r[-1] < b or (l[1:] > r[:-1]).any():
+        return None
     dens = m.piece_m[pc] / (r - l)
     d0 = dens[0]
-    if np.any(np.abs(dens - d0) > 1e-15 * max(1.0, abs(d0))):
-        return None
-    # the overlapping pieces must tile [a, b) without gaps
-    if l[0] > a or r[-1] < b or np.any(l[1:] > r[:-1]):
+    if (np.abs(dens - d0) > 1e-15 * max(1.0, abs(d0))).any():
         return None
     return float(d0)
 
@@ -662,11 +706,17 @@ def integrate(m: Measure, f: PiecewiseLinearFn):
     the constant density of each piece; f's antiderivative is quadratic per
     segment, so the computation is closed-form.
     """
+    return _integrate_parts(m.atom_x, m.atom_w, m.piece_l, m.piece_r,
+                            m.piece_m, f)
+
+
+def _integrate_parts(ax, aw, pl, pr, pm, f):
+    """integrate of the measure with these arrays, which needs no Measure."""
     out = 0.0
-    if m.atom_x.size:
-        out += float(np.dot(m.atom_w, f(m.atom_x)))
-    if m.piece_l.size:
-        dens = m.piece_m / (m.piece_r - m.piece_l)
-        F = f.antiderivative_values(np.concatenate([m.piece_r, m.piece_l]))
+    if ax.size:
+        out += float(np.dot(aw, f(ax)))
+    if pl.size:
+        dens = pm / (pr - pl)
+        F = f.antiderivative_values(np.concatenate([pr, pl]))
         out += float(np.dot(dens, F[:dens.size] - F[dens.size:]))
     return out

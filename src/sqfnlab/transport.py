@@ -51,6 +51,10 @@ class W1Result:
 _STACK = 1 << 12
 
 
+# float64 rounding unit, for G's rounding level
+_EPS = np.finfo(float).eps
+
+
 def _bisect(arr, n, key, right=False):
     """np.searchsorted(arr[r, :n[r]], key[r]) for each row r.
 
@@ -59,7 +63,7 @@ def _bisect(arr, n, key, right=False):
     and a call holds few rows.
     """
     side = "right" if right else "left"
-    return np.fromiter((np.searchsorted(a[:m], x, side)
+    return np.fromiter((a[:m].searchsorted(x, side)
                         for a, m, x in zip(arr, n.tolist(), key.tolist())),
                        np.intp, len(n))
 
@@ -75,14 +79,15 @@ def _row_values(lo, hi):
     both = np.concatenate([lo, hi], axis=1)
     k, W = both.shape
     base = np.arange(0, k * W, W)[:, None]  # flat index of each row's start
-    order = np.argsort(both, axis=1, kind="stable")
+    order = both.argsort(axis=1, kind="stable")
     order += base
     srt = both.ravel()[order]
     run = np.zeros((k, W), np.intp)
-    np.cumsum(srt[:, 1:] != srt[:, :-1], axis=1, out=run[:, 1:])
+    (srt[:, 1:] != srt[:, :-1]).cumsum(axis=1, out=run[:, 1:])
     nv = run[:, -1] + 1
     run += base
-    vals = np.repeat(srt[:, -1:], W, axis=1)
+    vals = np.empty((k, W))
+    vals[:] = srt[:, -1:]
     vals.ravel()[run] = srt
     idx = np.empty_like(run)
     idx.ravel()[order] = run
@@ -95,69 +100,65 @@ def _row_medians(L, g0, g1, total):
     Each segment weighs its length L, spread uniformly between its end
     values g0 and g1 (a point mass when flat).  Any c with weight{G <= c}
     >= total/2 and weight{G >= c} >= total/2 minimizes int |G - c|; ties
-    are broken at the midpoint of the median interval.
+    are broken at the midpoint of the median interval.  A short stack's
+    time is the fixed cost of its numpy calls, not its size, so both ends
+    of that interval come from one pass over (2, rows) arrays, under one
+    errstate.
     """
     k, S = L.shape
+    W = 2 * S
     lo = np.minimum(g0, g1)
     hi = np.maximum(g0, g1)
     span = hi - lo
     # a span within G's rounding level is a point mass, as a ramp would
     # swamp dens with L / span: a CDF value sums at most 2S + 1 masses (a
     # piece per segment, an atom per breakpoint) of mass about max(1, |G|)
-    flat = span <= 2 * (S + 1) * np.finfo(float).eps * np.maximum(
-        -lo, hi).max(axis=1, keepdims=True, initial=1.0)
+    flat = span <= 2 * (S + 1) * _EPS * np.maximum(-lo, hi).max(
+        axis=1, keepdims=True, initial=1.0)
     vals, nv, idx = _row_values(lo, hi)
-    W = 2 * S
     point = np.bincount(idx[:, :S][flat], L[flat],
                         minlength=k * W).reshape(k, W)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = L / span
-    slope = np.concatenate([~flat, ~flat], axis=1)
-    dens = np.bincount(idx[slope], np.concatenate([d, -d], axis=1)[slope],
-                       minlength=k * W).reshape(k, W)
-    # a level fill's peak memory is one chunk's live arrays: drop them early
-    del lo, hi, span, flat, idx, d, slope
-    steps = np.diff(vals, axis=1)
-    steps *= np.cumsum(dens, axis=1)[:, :-1]
-    wle = np.zeros((k, W))
-    np.cumsum(steps, axis=1, out=wle[:, 1:])
-    del dens, steps
-    wle += np.cumsum(point, axis=1)
-    wlt = wle - point
-    del point
+        slope = np.concatenate([~flat, ~flat], axis=1)
+        dens = np.bincount(idx[slope],
+                           np.concatenate([d, -d], axis=1)[slope],
+                           minlength=k * W).reshape(k, W)
+        # a level fill's peak memory is one chunk's live arrays: drop them
+        del lo, hi, span, flat, idx, d, slope
+        steps = vals[:, 1:] - vals[:, :-1]
+        steps *= dens.cumsum(axis=1)[:, :-1]
+        wle = np.zeros((k, W))
+        steps.cumsum(axis=1, out=wle[:, 1:])
+        del dens, steps
+        wle += point.cumsum(axis=1)
+        wlt = wle - point
+        del point
 
-    half = total / 2.0
-    tol = 1e-12 * np.where(1.0 > total, 1.0, total)
-    r = np.arange(k)
-
-    def py_min(x, y):  # Python's min(x, y): x unless y < x
-        return np.where(y < x, y, x)
-
-    # the bracketing values, each gathered once; a gather at i - 1 = -1 or
-    # past nv is only read where a mask throws it away
-    i = np.minimum(_bisect(wle, nv, half - tol), nv - 1)
-    i0 = i - 1
-    j = np.maximum(_bisect(wlt, nv, half + tol, right=True) - 1, 0)
-    j1 = np.minimum(j + 1, W - 1)
-    v_i, v_ip, wle_ip, wlt_i = vals[r, i], vals[r, i0], wle[r, i0], wlt[r, i]
-    v_j, v_jn, wle_j, wlt_jn = vals[r, j], vals[r, j1], wle[r, j], wlt[r, j1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # lower end: smallest c with weight{G <= c} >= half
-        rise = wlt_i - wle_ip
-        inner = ((i > 0) & (wle_ip < half - tol) & (rise > tol)
-                 & (wlt_i >= half - tol))
-        c_in = v_ip + (half - wle_ip) / rise * (v_i - v_ip)
-        c_lo = np.where(inner, py_min(c_in, v_i), v_i)
-
-        # upper end: largest c with weight{G < c} <= half
-        nxt = j + 1 < nv
-        rise = wlt_jn - wle_j
-        inner = nxt & (rise > tol) & (wle_j < half - tol)
-        c_in = v_j + (half - wle_j) / rise * (v_jn - v_j)
-        top = (nxt & ~inner & (rise <= tol) & (wle_j <= half + tol)
-               & (wlt_jn <= half + tol))
-        c_hi = np.where(inner, py_min(c_in, v_jn),
-                        np.where(top, v_jn, v_j))
+        half = total / 2.0
+        tol = 1e-12 * np.maximum(total, 1.0)
+        lo_key, hi_key = half - tol, half + tol
+        i = np.minimum(_bisect(wle, nv, lo_key), nv - 1)
+        j1 = np.maximum(_bisect(wlt, nv, hi_key, right=True) - 1, 0) + 1
+        # each end lies between a value p and the next one q: (i - 1, i)
+        # for the lower end, (j, j + 1) for the upper; a gather at -1 or
+        # past nv is only read where a mask throws it away
+        p = np.concatenate([i - 1, j1 - 1]).reshape(2, k)
+        q = np.concatenate([i, np.minimum(j1, W - 1)]).reshape(2, k)
+        r = np.arange(k)
+        v_p, v_q, wle_p, wlt_q = vals[r, p], vals[r, q], wle[r, p], wlt[r, q]
+        rise = wlt_q - wle_p
+        c_in = v_p + (half - wle_p) / rise * (v_q - v_p)
+    # lower end: smallest c with weight{G <= c} >= half; upper end: largest
+    # c with weight{G < c} <= half; each may interpolate inside its step
+    nxt = j1 < nv
+    inner = np.concatenate([(i > 0) & (wlt_q[0] >= lo_key), nxt]).reshape(
+        2, k) & (wle_p < lo_key) & (rise > tol)
+    # min(c_in, v_q) as Python's min takes it: c_in unless v_q < c_in
+    c = np.where(inner & ~(v_q < c_in), c_in, v_q)
+    # else the lower end is v_i, the upper v_j, or v_{j+1} on a flat step
+    top = nxt & (rise[1] <= tol) & (wle_p[1] <= hi_key) & (wlt_q[1] <= hi_key)
+    c_lo, c_hi = c[0], np.where(inner[1] | top, c[1], v_p[1])
     c_hi = np.where(c_lo > c_hi, c_lo, c_hi)  # max(c_hi, c_lo)
     return np.where(nv == 1, vals[:, 0], 0.5 * (c_lo + c_hi))
 
@@ -189,8 +190,9 @@ def w1_values(graphs):
         step = max(_STACK // size, 1)
         for start in range(0, len(rows), step):
             part = rows[start:start + step]
-            _, out[part] = w1_rows(*map(np.stack,
-                                        zip(*(graphs[i] for i in part))))
+            _, out[part] = w1_rows(*(np.concatenate(v).reshape(len(part), -1)
+                                     for v in zip(*(graphs[i]
+                                                    for i in part))))
     return out
 
 
@@ -222,7 +224,7 @@ def _witness(x0, x1, g0, g1, c):
     ending within 1e-15 of the end before it (kept or not) is dropped, so
     its length goes to the next.
     """
-    tol = 2 * (x0.size + 1) * np.finfo(float).eps * max(
+    tol = 2 * (x0.size + 1) * _EPS * max(
         1.0, np.abs(g0).max(), np.abs(g1).max())
     a, b = (np.where(np.abs(v - c) <= tol, 0.0, v - c) for v in (g0, g1))
     L = x1 - x0

@@ -2,8 +2,9 @@
 the package reads no single dyadic cell and computes no single-pair W1
 inside a loop, no function of it calls itself, a level fill calls no
 np.unique, only transport.py and the level fill name the row kernel, the
-suite keeps its stopping forest as arrays, with no Tree objects, and the
-alpha^2 sums of tree.py and squarefn.py read alphas in three places only.
+suite keeps its stopping forest as arrays, with no Tree objects, the
+alpha^2 sums of tree.py and squarefn.py read alphas in three places only,
+and a per-entry alpha graph builds no Measure.
 
 The unused-name scans cover the sources of the imported sqfnlab (installed
 or from src/) and this tests directory; the loop scan covers the package.
@@ -276,3 +277,37 @@ def test_only_three_functions_read_alphas():
     found = [f"{name}:{line}" for name in ("tree.py", "squarefn.py")
              for line in _alpha_reads(PACKAGE_DIR / name)]
     assert found == []
+
+
+# the calls that build a Measure: a per-entry graph goes from the measures'
+# arrays to its CDF tables without one
+MEASURE_CONSTRUCTORS = {"restrict", "blowup", "scale", "_derived", "from_arrays",
+                    "Measure"}
+
+
+def _reachable(root, names):
+    """(functions, calls): the top-level functions of the named package
+    files that root reaches by calling them by name, itself included, and
+    every name those functions call."""
+    funcs = {f.name: f for name in names
+             for f in ast.parse((PACKAGE_DIR / name).read_text()).body
+             if isinstance(f, ast.FunctionDef)}
+    seen, calls, todo = set(), set(), [root]
+    while todo:
+        name = todo.pop()
+        if name in funcs and name not in seen:
+            seen.add(name)
+            found = {_called_name(call) for call in ast.walk(funcs[name])
+                     if isinstance(call, ast.Call)}
+            calls |= found
+            todo += found
+    return seen, calls
+
+
+def test_the_entry_graph_builds_no_measure():
+    # a Measure per step (restrict, blowup, scale: six per key) costs more
+    # than the graph's own arithmetic
+    funcs, calls = _reachable("_graph", ("alpha.py", "measure.py"))
+    assert {"_blowup_parts", "_cdf_tables", "_difference",
+            "_integrate_parts"} <= funcs
+    assert sorted(calls & MEASURE_CONSTRUCTORS) == []

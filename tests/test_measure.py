@@ -386,6 +386,36 @@ def test_malformed_parameters_are_named(kind):
                 check(malformed)
 
 
+# specs of the generators that build through _histogram, each malformed
+MALFORMED_HISTOGRAM_SPECS = [
+    {"type": "histogram", "cells": cells} for cells in (
+        [], [0.5, 0.2, 0.3], [0.5, -0.5], [0.5, float("nan")],
+        [0.5, float("inf")], [0.5, "0.5"], [0.5, True], [0.5, None], 0.5,
+        [[0.5], [0.5]], [1e308, 1e308])
+] + [
+    {"type": "cascade", "p": p, "depth": depth} for p, depth in (
+        (0.0, 4), (1.0, 4), (-0.3, 4), (float("nan"), 4), (0.7, 0),
+        (0.7, 31), (0.7, 4.0))
+] + [
+    {"type": "finite-haar", **params} for params in (
+        {"levels": 0}, {"levels": 31}, {"levels": 2.0}, {"seed": -1},
+        {"seed": 1.5})
+] + [
+    {"type": "ac-density", **params} for params in (
+        {"cells": 0}, {"cells": 3}, {"cells": 1 << 31}, {"cells": 64.0},
+        {"seed": -2})
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_HISTOGRAM_SPECS, ids=repr)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_malformed_histogram_specs_raise(spec):
+    # _histogram trusts its cells, so _plan must reject every bad one; the
+    # last histogram has finite cells whose total overflows
+    with pytest.raises(ValueError):
+        generate(spec)
+
+
 def test_dyadic_cell_masses_warns_on_boundary_atom():
     m = Measure.make(atoms=[(0.25, 1.0)])
     with pytest.warns(BoundaryAtomWarning):
