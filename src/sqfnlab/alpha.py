@@ -108,6 +108,8 @@ class AlphaTable:
         self.nu = nu
         self._entries = {}
         self._levels = {}  # level -> read-only alphas of its cells, or None
+        # (kind, depth) -> read-only per-level sums of the pair (squarefn)
+        self.sums = {}
 
     def entry(self, I) -> AlphaEntry:
         key = _interval_bounds(I)
@@ -287,7 +289,7 @@ def _cdf_rows(pm, grid):
     """
     with np.errstate(divide="ignore"):
         inv = 1.0 / pm.sum(axis=1)
-    if not np.all(np.isfinite(inv)):
+    if not np.isfinite(inv).all():
         return None
     pm = pm * inv[:, None]
     if pm.shape[1] == 1:

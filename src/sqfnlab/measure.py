@@ -591,14 +591,14 @@ def _cell_width(m: Measure, j):
     """
     pl, pr = m.piece_l, m.piece_r
     if (m.atom_x.size or not pl.size or pl[0] != 0.0 or pr[-1] != 1.0
-            or np.any(pl[1:] != pr[:-1])):
+            or (pl[1:] != pr[:-1]).any()):
         return None
     edges = np.arange((1 << j) + 1) * 2.0 ** (-j) + 0.0  # DyadicInterval.a
     P = pl.size >> j
     if P:
         ok = pl.size == P << j and np.array_equal(pl[::P], edges[:-1])
     else:
-        ok = np.all(pr[pr.searchsorted(edges[:-1], "right")] >= edges[1:])
+        ok = (pr[pr.searchsorted(edges[:-1], "right")] >= edges[1:]).all()
     return P if ok else None
 
 
@@ -618,26 +618,33 @@ def _level_pieces(m: Measure, j, start, stop):
     if P is None:
         return None
     edges = np.arange(start, stop + 1) * 2.0 ** (-j) + 0.0
-    a, b = edges[:-1, None], edges[1:, None]
+    a, s = edges[:-1, None], 2.0 ** (-j)
     if P:
+        # each cell is a run of whole pieces from a to b, so restrict keeps
+        # them as they are (lo = l, hi = r) and the last right end maps to 1;
+        # exact: l - a loses nothing (Sterbenz, as a <= l < b <= 2a or a =
+        # 0) and s is a power of two, so the rows' breakpoints keep the
+        # pieces' order and adjacent pieces share them
         take = slice(start * P, stop * P)
         l, r, mm = (v[take].reshape(-1, P)
                     for v in (m.piece_l, m.piece_r, m.piece_m))
+        w = r - l
+        dens = mm / w
+        x = np.concatenate([l, r[:, -1:]], axis=1)
+        x -= a
+        x /= s
     else:
+        # each cell lies inside one piece, so restrict keeps the whole cell
+        # (lo = a, hi = b) at that piece's density: one piece from 0 to 1
         i = m.piece_r.searchsorted(a[:, 0], "right")[:, None]
-        l, r, mm = m.piece_l[i], m.piece_r[i], m.piece_m[i]
-    dens = mm / (r - l)
+        w = s
+        dens = m.piece_m[i] / (m.piece_r[i] - m.piece_l[i])
+        x = np.zeros((stop - start, 2))
+        x[:, 1] = 1.0
     d0 = dens[:, :1]
-    uniform = (d0[:, 0] > 0.0) & ~np.any(
-        np.abs(dens - d0) > 1e-15 * np.maximum(1.0, np.abs(d0)), axis=1)
-    lo, hi = np.maximum(l, a), np.minimum(r, b)
-    s = b - a
-    # exact: lo - a and hi - a lose nothing (Sterbenz, as a <= lo < hi <=
-    # b <= 2a or a = 0) and s is a power of two, so the rows' breakpoints
-    # keep the pieces' order and adjacent pieces share them
-    x0 = np.maximum((lo - a) / s, 0.0)
-    x1 = np.minimum((hi - a) / s, 1.0)
-    return np.concatenate([x0, x1[:, -1:]], axis=1), dens * (hi - lo), uniform
+    uniform = (d0[:, 0] > 0.0) & ~(
+        np.abs(dens - d0) > 1e-15 * np.maximum(1.0, np.abs(d0))).any(axis=1)
+    return x, dens * w, uniform
 
 
 def normalized_blowup(m: Measure, a, b, closed_right=False):

@@ -8,7 +8,8 @@ flags singular parts; converging partial sums flag absolute continuity.
 Every dyadic walk here is a level sweep over dyadic_cell_masses and
 AlphaTable.alphas, the one fallback to per-entry alphas on unfilled levels.
 delta_level_sums and _pruned_terms make each cell's Delta^2 mu and alpha^2
-mu once, for the Buckley, L2 and tree.carleson_comparison sums.
+mu once per pair and depth, kept read-only in the pair's AlphaTable, for
+the Buckley, L2 and tree.carleson_comparison sums.
 """
 
 from __future__ import annotations
@@ -161,6 +162,18 @@ def continuous_square_profile(mu: Measure, nu: Measure, points, r_min):
 # Carleson sums and the Buckley ratio
 
 
+def _level_memo(mu, nu, key, make):
+    """The per-level arrays that make() returns, made once per pair and key
+    and kept read-only in the pair's AlphaTable.sums."""
+    sums = alpha_table(mu, nu).sums
+    if key not in sums:
+        levels = make()
+        for a in levels:
+            a.setflags(write=False)
+        sums[key] = levels
+    return sums[key]
+
+
 def _pruned_terms(mu, nu, depth):
     """Per-level alpha(I)^2 mu(I) over the standard cells to the depth.
 
@@ -168,17 +181,20 @@ def _pruned_terms(mu, nu, depth):
     charges the cell, and nu must charge those cells too.  Cells where both
     measures are uniform read exactly 0.0, as do all cells below them.
     """
-    table = alpha_table(mu, nu)
-    terms = []
-    for j in range(depth + 1):
-        mI = dyadic_cell_masses(mu, j)
-        k = np.flatnonzero(mI)
-        _require_charged(nu, j, k)
-        a = table.alphas(j, k)
-        t = np.zeros(1 << j)
-        t[k] = a * a * mI[k]
-        terms.append(t)
-    return terms
+    def terms():
+        table = alpha_table(mu, nu)
+        out = []
+        for j in range(depth + 1):
+            mI = dyadic_cell_masses(mu, j)
+            k = np.flatnonzero(mI)
+            _require_charged(nu, j, k)
+            a = table.alphas(j, k)
+            t = np.zeros(1 << j)
+            t[k] = a * a * mI[k]
+            out.append(t)
+        return out
+
+    return _level_memo(mu, nu, ("alpha", depth), terms)
 
 
 def _subtree_sums(terms):
@@ -197,15 +213,20 @@ def delta_level_sums(mu: Measure, nu: Measure, depth):
     level-j cell, subtree[j][k] the full truncated Carleson sum below it.
     """
     _check_depth(depth)
-    contrib = []
-    for j in range(depth + 1):
-        mI, nI = dyadic_cell_masses(mu, j), dyadic_cell_masses(nu, j)
-        mL, nL = (dyadic_cell_masses(m, j + 1)[0::2] for m in (mu, nu))
-        ok = (mI > 0) & (nI > 0)
-        d = np.zeros_like(mI)
-        d[ok] = np.abs(mL[ok] / mI[ok] - nL[ok] / nI[ok])
-        contrib.append(d * d * mI)
-    return contrib, _subtree_sums(contrib)
+
+    def terms():
+        contrib = []
+        for j in range(depth + 1):
+            mI, nI = dyadic_cell_masses(mu, j), dyadic_cell_masses(nu, j)
+            mL, nL = (dyadic_cell_masses(m, j + 1)[0::2] for m in (mu, nu))
+            ok = (mI > 0) & (nI > 0)
+            d = np.zeros_like(mI)
+            d[ok] = np.abs(mL[ok] / mI[ok] - nL[ok] / nI[ok])
+            contrib.append(d * d * mI)
+        return contrib + _subtree_sums(contrib)
+
+    levels = _level_memo(mu, nu, ("delta", depth), terms)
+    return levels[:depth + 1], levels[depth + 1:]
 
 
 def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):

@@ -16,7 +16,9 @@ are exact up to floating-point accumulation.  One kernel computes the
 supported variant: w1_rows takes a stack of segment graphs of one length
 and works along each row alone.  w1_supported is a one-row call of it, and
 w1_values sends graphs through it in stacks of one segment count, so a
-graph gets the same c* and value whichever way it is read.
+graph gets the same c* and value whichever way it is read.  A stack of
+continuous S-segment rows, as every level fill and atomless graph is,
+ranks S + 1 node values per row, else 2S, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -68,20 +70,20 @@ def _bisect(arr, n, key, right=False):
                        np.intp, len(n))
 
 
-def _row_values(lo, hi):
-    """Each row's distinct values of lo and hi, in the order np.unique gives.
+def _row_values(nodes):
+    """Each row's distinct node values, in the order np.unique gives.
 
-    Returns (vals, nv, idx): row r's nv[r] values sorted at the front of
-    vals[r], padded with its largest, and for each entry of [lo, hi] the
-    flat index of its value in vals, which is where searchsorted puts it:
-    the first position of its run in a stable row sort.
+    Returns (vals, nv, at): row r's nv[r] values sorted at the front of
+    vals[r], padded with its largest, and for each node the flat index of
+    its value in vals, which is where searchsorted puts it: the first
+    position of its run in a stable row sort.  A run of equal values keeps
+    the bits of its last node, which only a signed zero can tell apart.
     """
-    both = np.concatenate([lo, hi], axis=1)
-    k, W = both.shape
+    k, W = nodes.shape
     base = np.arange(0, k * W, W)[:, None]  # flat index of each row's start
-    order = both.argsort(axis=1, kind="stable")
+    order = nodes.argsort(axis=1, kind="stable")
     order += base
-    srt = both.ravel()[order]
+    srt = nodes.ravel()[order]
     run = np.zeros((k, W), np.intp)
     (srt[:, 1:] != srt[:, :-1]).cumsum(axis=1, out=run[:, 1:])
     nv = run[:, -1] + 1
@@ -89,9 +91,9 @@ def _row_values(lo, hi):
     vals = np.empty((k, W))
     vals[:] = srt[:, -1:]
     vals.ravel()[run] = srt
-    idx = np.empty_like(run)
-    idx.ravel()[order] = run
-    return vals, nv, idx
+    at = np.empty_like(run)
+    at.ravel()[order] = run
+    return vals, nv, at
 
 
 def _row_medians(L, g0, g1, total):
@@ -103,10 +105,13 @@ def _row_medians(L, g0, g1, total):
     are broken at the midpoint of the median interval.  A short stack's
     time is the fixed cost of its numpy calls, not its size, so both ends
     of that interval come from one pass over (2, rows) arrays, under one
-    errstate.
+    errstate.  The nodes ranked are g0 and the last g1 when g1[:, :-1] is
+    g0[:, 1:] bit for bit (a -0.0 meeting +0.0 is a jump: its run of zeros
+    would keep another sign), else g0 and g1; a segment's ends take the
+    lower and the higher rank of its two nodes, so both layouts give the
+    same bits.
     """
     k, S = L.shape
-    W = 2 * S
     lo = np.minimum(g0, g1)
     hi = np.maximum(g0, g1)
     span = hi - lo
@@ -115,17 +120,23 @@ def _row_medians(L, g0, g1, total):
     # piece per segment, an atom per breakpoint) of mass about max(1, |G|)
     flat = span <= 2 * (S + 1) * _EPS * np.maximum(-lo, hi).max(
         axis=1, keepdims=True, initial=1.0)
-    vals, nv, idx = _row_values(lo, hi)
-    point = np.bincount(idx[:, :S][flat], L[flat],
-                        minlength=k * W).reshape(k, W)
+    joined = np.array_equal(g1[:, :-1].view(np.int64),
+                            g0[:, 1:].view(np.int64))
+    vals, nv, at = _row_values(
+        np.concatenate([g0, g1[:, -1:] if joined else g1], axis=1))
+    W = vals.shape[1]
+    ends = (at[:, :-1], at[:, 1:]) if joined else (at[:, :S], at[:, S:])
+    ilo = np.minimum(*ends)
+    point = np.bincount(ilo[flat], L[flat], minlength=k * W).reshape(k, W)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = L / span
         slope = np.concatenate([~flat, ~flat], axis=1)
-        dens = np.bincount(idx[slope],
+        dens = np.bincount(np.concatenate([ilo, np.maximum(*ends)],
+                                          axis=1)[slope],
                            np.concatenate([d, -d], axis=1)[slope],
                            minlength=k * W).reshape(k, W)
         # a level fill's peak memory is one chunk's live arrays: drop them
-        del lo, hi, span, flat, idx, d, slope
+        del lo, hi, span, flat, at, ends, ilo, d, slope
         steps = vals[:, 1:] - vals[:, :-1]
         steps *= dens.cumsum(axis=1)[:, :-1]
         wle = np.zeros((k, W))

@@ -529,23 +529,26 @@ def tailtip_check(mu: Measure, nu: Measure, I, tau=1 / 16, N1=0,
 # Carleson comparison (Delta sums against alpha sums over a tree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CarlesonComparison:
-    sum_delta: float
-    sum_alpha: float
-    top_mass: float
-    ratio: float
+    """Per-tree arrays, in the forest's tree order."""
+
+    sum_delta: np.ndarray
+    sum_alpha: np.ndarray
+    top_mass: np.ndarray
+    ratio: np.ndarray
 
 
-def carleson_comparison(mu: Measure, nu: Measure, forest: Forest) -> list:
+def carleson_comparison(mu: Measure, nu: Measure,
+                        forest: Forest) -> CarlesonComparison:
     """Per tree, Delta^2 mu summed over it against alpha^2 mu plus top mass.
 
-    Returns one CarlesonComparison per tree of the forest (Forest([tree])
-    for one tree).  alpha^2 mu runs over the non-leaf members.  Each
-    member's terms are read from the level arrays of delta_level_sums and
-    _pruned_terms down to the deepest member level, so nu must charge every
-    cell mu charges there.  np.bincount adds each tree's terms in (j, k)
-    order, as a member-by-member loop would.
+    Returns one CarlesonComparison whose fields hold a value per tree of
+    the forest (Forest([tree]) for one tree).  alpha^2 mu runs over the
+    non-leaf members.  Each member's terms are read from the level arrays
+    of delta_level_sums and _pruned_terms down to the deepest member
+    level, so nu must charge every cell mu charges there.  np.bincount adds
+    each tree's terms in (j, k) order, as a member-by-member loop would.
     """
     owner, js, ks, code = forest.members
     depth = int(js.max(initial=0))
@@ -560,8 +563,7 @@ def carleson_comparison(mu: Measure, nu: Measure, forest: Forest) -> list:
     denom = sum_alpha + top_mass
     ratio = np.divide(sum_delta, denom, out=np.zeros_like(denom),
                       where=denom > 0)
-    return [CarlesonComparison(*v) for v in zip(*(
-        a.tolist() for a in (sum_delta, sum_alpha, top_mass, ratio)))]
+    return CarlesonComparison(sum_delta, sum_alpha, top_mass, ratio)
 
 
 def _cell_masses(m, js, ks):

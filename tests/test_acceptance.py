@@ -230,9 +230,9 @@ def test_criterion_06_representation_and_carleson(fleet_forests, line):
         best = 0.0
         for name, (mu, nu, f10, f14) in fleet_forests.items():
             forest = f10 if depth_key == 10 else f14
-            for cc in carleson_comparison(mu, nu, forest):
-                if cc.sum_alpha + cc.top_mass > 0:
-                    best = max(best, cc.ratio)
+            cc = carleson_comparison(mu, nu, forest)
+            best = float(cc.ratio[cc.sum_alpha + cc.top_mass > 0].max(
+                initial=best))
         return best
 
     r10 = fleet_max(10)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import sqfnlab
+from sqfnlab import squarefn
 from sqfnlab.cli import SCENARIOS, load_config, main, run_experiment
 
 
@@ -234,6 +236,33 @@ def test_oracle_crossval_scenario(tmp_path):
         report = run_experiment(cfg)
         assert report["passed"]
         assert 0.0 < report["stats"]["worst_oracle_gap"] <= 2.0 ** -12
+
+
+@pytest.mark.parametrize("name, spec, key", [
+    # buckley_ratio, carleson_comparison and delta_carleson_growth all read
+    # delta_level_sums(mu, nu, 12); a depth-16 cascade keeps it fast
+    ("singular-cascade", {"type": "cascade", "p": 0.7, "depth": 16},
+     ("delta", 12)),
+    # carleson_comparison and buckley_ratio(which="alpha") read
+    # _pruned_terms(mu, nu, 12)
+    ("finite-haar-ainfty", None, ("alpha", 12)),
+])
+def test_each_dyadic_sum_is_made_once_per_run(tmp_path, monkeypatch, name,
+                                             spec, key):
+    made = collections.Counter()
+    memo = squarefn._level_memo
+
+    def counted(mu, nu, key, make):
+        def body():
+            made[key] += 1
+            return make()
+        return memo(mu, nu, key, body)
+
+    monkeypatch.setattr(squarefn, "_level_memo", counted)
+    cfg = {"scenario": name} if spec is None else {"scenario": name,
+                                                  "mu_spec": spec}
+    assert run_experiment(load_config(_write_cfg(tmp_path, cfg)))["passed"]
+    assert made[key] == 1 and max(made.values()) == 1, made
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sqfnlab import transport
 from sqfnlab.cli import _random_measure
 from sqfnlab.measure import (
     ZERO,
@@ -255,6 +256,111 @@ def test_w1_values_lockstep_with_w1_supported():
         res = w1_supported(m1, m2)
         assert (res.optimal_shift, res.value) == w
     assert w1_values([]).tolist() == []
+
+
+def _node_widths(monkeypatch):
+    """The node count of each _row_values call from here on."""
+    widths = []
+    rank = transport._row_values
+
+    def spy(nodes):
+        widths.append(nodes.shape[1])
+        return rank(nodes)
+
+    monkeypatch.setattr(transport, "_row_values", spy)
+    return widths
+
+
+def _stack(x, nodes):
+    """A stack of continuous graphs: row r has breakpoints x[r] and takes
+    the values nodes[r] there, g1[:, :-1] being g0[:, 1:] bit for bit."""
+    nodes = np.atleast_2d(nodes)
+    x = np.broadcast_to(x, nodes.shape)
+    return x[:, :-1], x[:, 1:], nodes[:, :-1], nodes[:, 1:]
+
+
+def _with_jump(stack):
+    """The stack and one more row whose G jumps at each inner node: all its
+    rows take the 2S layout."""
+    x0, x1, g0, g1 = stack
+    return (np.vstack([x0, x0[:1]]), np.vstack([x1, x1[:1]]),
+            np.vstack([g0, g0[:1]]), np.vstack([g1, g1[:1] + 1.0]))
+
+
+def _continuous_stacks():
+    """(name, stack) of continuous stacks with flat spans, spans at G's
+    rounding level, tied values, signed zeros, one segment, histogram pairs
+    and a 2^16-segment cascade row."""
+    rng = np.random.default_rng(22)
+    v = 0.1 + 0.2  # a CDF difference off by rounding
+    ulp = np.spacing(v)
+    flat = np.array([[0.0, 0.25, 0.25, 0.25, 0.5, 0.5, 0.0],
+                     [0.0, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+    tilted = np.array([[0.0, v, v + ulp, v - ulp, v + 2 * ulp, v, 0.0],
+                       [0.0, v, v + 3 * ulp, v + 9 * ulp, v, -v, 0.0]])
+    tied = rng.choice([-0.25, 0.0, 0.125, 0.25], (16, 9))
+    tied[:, [0, -1]] = 0.0
+    grid = np.array([np.append(np.sort(rng.permutation(64)[:8]), 64) / 64
+                     for _ in range(16)])
+    # zeros of either sign, -0.0 where G sits at 0 for most of the length
+    signed = np.array([[-0.0, -0.0, 1.0], [0.0, -0.0, 1.0], [-0.0, 0.0, 1.0],
+                       [0.5, -0.0, 0.0], [-0.0, -0.0, -0.0]])
+    x3 = np.array([0.0, 0.75, 1.0])
+    casc = generate({"type": "cascade", "p": 0.7, "depth": 16})
+    lebesgue = generate({"type": "lebesgue"})
+    x0, _, g0, g1 = cdf_difference(casc, lebesgue)
+    assert x0.size == 1 << 16 and np.array_equal(g1[:-1], g0[1:])
+    hists = [cdf_difference(_histogram(rng.uniform(0.05, 1.0, 32)),
+                            _histogram(rng.uniform(0.05, 1.0, 32)))
+             for _ in range(40)]
+    return [
+        ("flat spans", _stack(np.linspace(0.0, 1.0, 7), flat)),
+        ("rounding-level spans", _stack(np.linspace(0.0, 1.0, 7), tilted)),
+        ("tied values", _stack(grid, tied)),
+        ("signed zeros", _stack(x3, signed)),
+        ("one segment", _stack([[0.0, 1.0]] * 3,
+                               [[0.0, 0.5], [-0.0, 0.0], [0.25, 0.25]])),
+        ("histogram pairs", tuple(np.stack(v) for v in zip(*hists))),
+        ("2^16-segment cascade row",
+         _stack(np.append(x0, 1.0), np.append(g0, g1[-1]))),
+    ]
+
+
+def test_continuous_stacks_rank_their_nodes_with_the_same_bits(monkeypatch):
+    # S + 1 nodes against the 2S layout that a jump row forces on the same
+    # rows (a row's result does not depend on the rows stacked with it)
+    widths = _node_widths(monkeypatch)
+    for name, stack in _continuous_stacks():
+        k, S = stack[0].shape
+        got = w1_rows(*stack)
+        want = [v[:k] for v in w1_rows(*_with_jump(stack))]
+        assert widths[-2:] == [S + 1, 2 * S], name
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), name
+    # the signed zeros give a c* of -0.0 where G is 0 over 3/4 of [0, 1]
+    c, _ = w1_rows(*_stack([0.0, 0.75, 1.0], [-0.0, -0.0, 1.0]))
+    assert np.signbit(c).tolist() == [True]
+
+
+def test_a_jump_in_the_stack_takes_two_nodes_per_segment(monkeypatch):
+    # one row with a jump sends its whole stack through the 2S layout; a
+    # -0.0 meeting +0.0 is a jump, as the two layouts would give this row
+    # c* of -0.0 and +0.0
+    widths = _node_widths(monkeypatch)
+    x = np.array([0.0, 0.75, 1.0])
+    x0, x1 = _stack(x, np.zeros((2, 3)))[:2]
+    g0, g1 = np.array([[0.0, 0.0], [-0.0, 0.0]]), np.array([[0.0, 0.0],
+                                                            [-0.0, 1.0]])
+    c, value = w1_rows(x0, x1, g0, g1)
+    assert widths == [4]
+    assert np.signbit(c).tolist() == [False, True]
+    assert value.tolist() == [0.0, 0.125]
+    graph = cdf_difference(Measure.make(atoms=[(0.3, 0.5), (0.6, 0.5)]),
+                           generate({"type": "lebesgue"}))
+    widths.clear()
+    w1_rows(*(v[None] for v in graph))
+    assert widths == [2 * graph[0].size]
 
 
 def _lp_w1(m1, m2):
