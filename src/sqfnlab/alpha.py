@@ -261,13 +261,20 @@ def _alpha_level(mu, nu, j):
         todo = ~(pu[2] & pv[2])  # cells where both are uniform keep 0.0
         if not todo.any():
             continue
-        grid = (pu[0] if pu[0].shape[1] > 2 else pv[0])[todo]
-        Fu = _cdf_rows(pu[1][todo], grid)
-        Fv = _cdf_rows(pv[1][todo], grid)
-        if Fu is None or Fv is None:
+        grid = pu[0] if pu[0].shape[1] > 2 else pv[0]
+        mu_m, nu_m = pu[1], pv[1]
+        del pu, pv  # before the kernel, whose arrays set a wide row's peak
+        if not todo.all():  # copies of the cells to do
+            grid, mu_m, nu_m = grid[todo], mu_m[todo], nu_m[todo]
+        G = _cdf_rows(mu_m, grid)
+        Fv = _cdf_rows(nu_m, grid)
+        del mu_m, nu_m
+        if G is None or Fv is None:
             return None
-        G = Fu - Fv
-        keys = [x.tobytes() + g.tobytes() for x, g in zip(grid, G)]
+        G -= Fv
+        del Fv
+        # join reads the rows' buffers: x.tobytes() + g.tobytes() uncopied
+        keys = [b"".join((x, g)) for x, g in zip(grid, G)]
         fresh = {key: i for i, key in enumerate(keys) if key not in known}
         if fresh:
             if len(fresh) < len(keys):  # one copy of the fresh rows
@@ -284,18 +291,21 @@ def _cdf_rows(pm, grid):
     """CDFs of the rows' blow-ups scaled to mass 1, read on grid.
 
     As cdf_left_values reads a scaled blow-up: a cumsum of its own pieces,
-    or for one piece np.interp's line slope * x, exact at 0 and 1.  None
-    when a row has no mass.
+    made in place in the result, or for one piece np.interp's line
+    slope * x, exact at 0 and 1.  None when a row has no mass.
     """
     with np.errstate(divide="ignore"):
         inv = 1.0 / pm.sum(axis=1)
     if not np.isfinite(inv).all():
         return None
-    pm = pm * inv[:, None]
     if pm.shape[1] == 1:
-        return pm * grid
-    return np.concatenate([np.zeros((pm.shape[0], 1)),
-                           np.cumsum(pm, axis=1)], axis=1)
+        return pm * inv[:, None] * grid
+    F = np.empty((pm.shape[0], pm.shape[1] + 1))
+    F[:, 0] = 0.0
+    cum = F[:, 1:]
+    np.multiply(pm, inv[:, None], out=cum)
+    np.cumsum(cum, axis=1, out=cum)
+    return F
 
 
 def _nu_tent_mass(mu, nu, I):

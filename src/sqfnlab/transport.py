@@ -19,6 +19,9 @@ w1_values sends graphs through it in stacks of one segment count, so a
 graph gets the same c* and value whichever way it is read.  A stack of
 continuous S-segment rows, as every level fill and atomless graph is,
 ranks S + 1 node values per row, else 2S, with the same bits either way.
+A level fill's peak memory is the kernel's on its widest row, so the
+kernel drops each row-sized array once read and integrates |G - c| in
+place: a continuous row holds about six row-sized arrays beyond its inputs.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ class W1Result:
     witness: PiecewiseLinearFn | None = None
 
 
-# segments per w1_rows call of w1_values, so that a call's temporaries stay
-# near 1 MB: with whole levels of the cantor scenario in one call, a
-# small-suite pass faulted in 25,000 fresh pages instead of 10,000
+# segments per w1_rows call of w1_values.  A call holds about six arrays of
+# its stack's size at once beyond its inputs (more when a row jumps: 2S
+# nodes), 32 KB each here, so it reuses a few hundred KB of heap; with whole
+# levels of the cantor scenario in one call, a small-suite pass faulted in
+# 25,000 fresh pages instead of 10,000
 _STACK = 1 << 12
 
 
@@ -70,20 +75,24 @@ def _bisect(arr, n, key, right=False):
                        np.intp, len(n))
 
 
-def _row_values(nodes):
+def _row_values(g0, g1, joined):
     """Each row's distinct node values, in the order np.unique gives.
 
-    Returns (vals, nv, at): row r's nv[r] values sorted at the front of
-    vals[r], padded with its largest, and for each node the flat index of
-    its value in vals, which is where searchsorted puts it: the first
-    position of its run in a stable row sort.  A run of equal values keeps
-    the bits of its last node, which only a signed zero can tell apart.
+    The nodes are g0 and the last g1 when joined, else g0 and g1.  Returns
+    (vals, nv, at): row r's nv[r] values sorted at the front of vals[r],
+    padded with its largest, and for each node the flat index of its value
+    in vals, which is where searchsorted puts it: the first position of its
+    run in a stable row sort.  A run of equal values keeps the bits of its
+    last node, which only a signed zero can tell apart.  The nodes go once
+    the sorted copy exists, and the sorted copy before the index array.
     """
+    nodes = np.concatenate([g0, g1[:, -1:] if joined else g1], axis=1)
     k, W = nodes.shape
     base = np.arange(0, k * W, W)[:, None]  # flat index of each row's start
     order = nodes.argsort(axis=1, kind="stable")
     order += base
     srt = nodes.ravel()[order]
+    del nodes
     run = np.zeros((k, W), np.intp)
     (srt[:, 1:] != srt[:, :-1]).cumsum(axis=1, out=run[:, 1:])
     nv = run[:, -1] + 1
@@ -91,6 +100,7 @@ def _row_values(nodes):
     vals = np.empty((k, W))
     vals[:] = srt[:, -1:]
     vals.ravel()[run] = srt
+    del srt
     at = np.empty_like(run)
     at.ravel()[order] = run
     return vals, nv, at
@@ -112,36 +122,44 @@ def _row_medians(L, g0, g1, total):
     same bits.
     """
     k, S = L.shape
-    lo = np.minimum(g0, g1)
-    hi = np.maximum(g0, g1)
-    span = hi - lo
-    # a span within G's rounding level is a point mass, as a ramp would
-    # swamp dens with L / span: a CDF value sums at most 2S + 1 masses (a
-    # piece per segment, an atom per breakpoint) of mass about max(1, |G|)
-    flat = span <= 2 * (S + 1) * _EPS * np.maximum(-lo, hi).max(
-        axis=1, keepdims=True, initial=1.0)
     joined = np.array_equal(g1[:, :-1].view(np.int64),
                             g0[:, 1:].view(np.int64))
-    vals, nv, at = _row_values(
-        np.concatenate([g0, g1[:, -1:] if joined else g1], axis=1))
+    vals, nv, at = _row_values(g0, g1, joined)
     W = vals.shape[1]
     ends = (at[:, :-1], at[:, 1:]) if joined else (at[:, :S], at[:, S:])
+    # |g1 - g0| is max - min bit for bit.  A span within G's rounding level
+    # is a point mass, as a ramp would swamp dens with L / span: a CDF value
+    # sums at most 2S + 1 masses (a piece per segment, an atom per
+    # breakpoint) of mass about max(1, |G|)
+    span = g1 - g0
+    np.abs(span, out=span)
+    flat = span <= 2 * (S + 1) * _EPS * np.maximum(
+        np.abs(g0).max(axis=1, keepdims=True, initial=1.0),
+        np.abs(g1).max(axis=1, keepdims=True, initial=1.0))
     ilo = np.minimum(*ends)
-    point = np.bincount(ilo[flat], L[flat], minlength=k * W).reshape(k, W)
+    pidx, pw = ilo[flat], L[flat]
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = L / span
-        slope = np.concatenate([~flat, ~flat], axis=1)
-        dens = np.bincount(np.concatenate([ilo, np.maximum(*ends)],
-                                          axis=1)[slope],
-                           np.concatenate([d, -d], axis=1)[slope],
-                           minlength=k * W).reshape(k, W)
-        # a level fill's peak memory is one chunk's live arrays: drop them
-        del lo, hi, span, flat, at, ends, ilo, d, slope
+        # dens adds each segment's density at its lower end, then its
+        # negation at its upper end, in segment order as one bincount over
+        # both did; a flat segment adds +0.0, a no-op on a sum never -0.0
+        d = np.divide(L, span, out=span)
+        d[flat] = 0.0
+        del span, flat
+        dens = np.bincount(ilo.ravel(), d.ravel(), minlength=k * W)
+        del ilo
+        ihi = np.maximum(*ends)
+        del at, ends
+        np.negative(d, out=d)
+        np.add.at(dens, ihi.ravel(), d.ravel())
+        del ihi, d
+        dens = dens.reshape(k, W)
         steps = vals[:, 1:] - vals[:, :-1]
-        steps *= dens.cumsum(axis=1)[:, :-1]
+        steps *= np.cumsum(dens, axis=1, out=dens)[:, :-1]
+        del dens
         wle = np.zeros((k, W))
         steps.cumsum(axis=1, out=wle[:, 1:])
-        del dens, steps
+        del steps
+        point = np.bincount(pidx, pw, minlength=k * W).reshape(k, W)
         wle += point.cumsum(axis=1)
         wlt = wle - point
         del point
@@ -183,7 +201,7 @@ def w1_rows(x0, x1, g0, g1):
     """
     L = x1 - x0
     c = _row_medians(L, g0, g1, L.sum(axis=1))
-    return c, _abs_integral(x0, x1, g0, g1, c[:, None])
+    return c, _abs_integral(L, g0, g1, c[:, None])
 
 
 def w1_values(graphs):
@@ -207,19 +225,28 @@ def w1_values(graphs):
     return out
 
 
-def _abs_integral(x0, x1, g0, g1, c):
+def _abs_integral(L, g0, g1, c):
     """int |G - c| dx summed over the last axis's linear segments.
 
-    Exact per segment; rows of 2-D arrays take a column of shifts c.
+    Exact per segment, of lengths L; rows of 2-D arrays take a column of
+    shifts c.  Works in place: with a = g0 - c and b = g1 - c, every
+    segment takes L (|a| + |b|) / 2, and one where a * b >= 0 fails (a sign
+    change, or NaN) is then overwritten with the crossing formula,
+    evaluated on those segments alone.
     """
-    L = x1 - x0
     a = g0 - c
     b = g1 - c
-    same = a * b >= 0.0
-    flat_or_same = L * (np.abs(a) + np.abs(b)) / 2.0
-    span = np.abs(b - a)
-    crossing = L * (a * a + b * b) / (2.0 * np.where(span > 0, span, 1.0))
-    return np.where(same, flat_or_same, crossing).sum(axis=-1)
+    cross = ~(a * b >= 0.0)
+    ac, bc = a[cross], b[cross]
+    span = np.abs(bc - ac)
+    crossing = L[cross] * (ac * ac + bc * bc) / (
+        2.0 * np.where(span > 0, span, 1.0))
+    np.abs(a, out=a)
+    a += np.abs(b, out=b)
+    a *= L
+    a /= 2.0
+    a[cross] = crossing
+    return a.sum(axis=-1)
 
 
 def _witness(x0, x1, g0, g1, c):
@@ -280,7 +307,7 @@ def w1_unrestricted(m1: Measure, m2: Measure) -> W1Result:
     if abs(m1.total - m2.total) > 1e-9 * max(1.0, m1.total, m2.total):
         raise ValueError("unrestricted distance needs equal total masses")
     x0, x1, g0, g1 = cdf_difference(m1, m2)
-    return W1Result(float(_abs_integral(x0, x1, g0, g1, 0.0)), 0.0, None)
+    return W1Result(float(_abs_integral(x1 - x0, g0, g1, 0.0)), 0.0, None)
 
 
 # the oracle's uniform grid: 2^14 cells, sampled at their midpoints

@@ -556,8 +556,10 @@ def carleson_comparison(mu: Measure, nu: Measure,
     d2m = np.concatenate(delta_level_sums(mu, nu, depth)[0])[at]
     a2m = np.concatenate(_pruned_terms(mu, nu, depth))[at]
     a2m[_among(forest.leaves[3], code)] = 0.0
-    sum_delta, sum_alpha = (np.bincount(owner, t, len(forest))
-                            for t in (d2m, a2m))
+    # float64 also where no tree has members: bincount of no weights is int64
+    sum_delta, sum_alpha = (
+        np.bincount(owner, t, len(forest)).astype(float, copy=False)
+        for t in (d2m, a2m))
 
     top_mass = forest.top_masses(mu)
     denom = sum_alpha + top_mass

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -431,6 +432,27 @@ def test_level_fill_computes_each_distinct_row_once(monkeypatch):
                 for k in range(1 << j)]
         rows = _count_rows(monkeypatch)
         assert np.array_equal(table.level(j), want) and rows == [count], j
+
+
+# bytes of one float64 row of a depth-16 cascade's level-0 fill
+_ROW_BYTES = 8 << 16
+
+
+def test_a_wide_level_fill_holds_few_rows_at_once():
+    # level 0 of a depth-16 cascade is one row of 65,536 segments: the fill
+    # and the kernel hold about 10 row-sized arrays at once (tracemalloc
+    # counts numpy's data), and 23 when they keep each temporary alive
+    alpha_module._alpha_level(generate({"type": "cascade", "p": 0.7,
+                                        "depth": 4}), LEB, 0)  # warm
+    casc = generate({"type": "cascade", "p": 0.7, "depth": 16})
+    tracemalloc.start()
+    try:
+        out = alpha_module._alpha_level(casc, LEB, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == [_entry(casc, LEB, STANDARD.root()).alpha]
+    assert peak <= 12 * _ROW_BYTES, peak / _ROW_BYTES
 
 
 # the example53 atoms sit on dyadic boundaries by construction

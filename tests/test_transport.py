@@ -14,7 +14,6 @@ from sqfnlab.measure import (
 from sqfnlab.transport import (
     _MIDS,
     _STACK,
-    _abs_integral,
     _bisect,
     _grid_cdf,
     w1_oracle,
@@ -207,17 +206,35 @@ def _value_median(x0, x1, g0, g1):
     return float(0.5 * (c_lo + c_hi))
 
 
+def _abs_integral_by_segment(x0, x1, g0, g1, c):
+    """int |G - c| dx, one segment at a time in Python floats, summed as the
+    kernel sums a row: with a = g0 - c and b = g1 - c, a segment whose ends
+    share a sign (a * b >= 0) gives L (|a| + |b|) / 2, any other
+    L (a^2 + b^2) / (2 |b - a|)."""
+    parts = []
+    for left, right, u, v in zip(*(w.tolist() for w in (x0, x1, g0, g1))):
+        L, a, b = right - left, u - c, v - c
+        if a * b >= 0.0:
+            parts.append(L * (abs(a) + abs(b)) / 2.0)
+        else:
+            span = abs(b - a)
+            parts.append(L * (a * a + b * b) / (2.0 * (span if span > 0
+                                                       else 1.0)))
+    return float(np.array(parts).sum())
+
+
 def _reference(graph):
-    """(c*, value) of one graph by the scalar median above."""
+    """(c*, value) of one graph by the scalar median and integral above."""
     c = _value_median(*graph)
-    return c, float(_abs_integral(*graph, c))
+    return c, _abs_integral_by_segment(*graph, c)
 
 
 def test_w1_rows_lockstep_with_w1_supported():
     # one row at a time, then every segment count's rows stacked in one
-    # call, against the scalar median
+    # call, against the scalar median and integral; the unrestricted value
+    # of equal masses against the integral at c = 0
     rng = np.random.default_rng(12)
-    by_length = {}
+    by_length, unrestricted = {}, 0
     for _ in range(1000):
         m1, m2 = _random_measure(rng), _random_measure(rng)
         graph = cdf_difference(m1, m2)
@@ -226,6 +243,10 @@ def test_w1_rows_lockstep_with_w1_supported():
         assert (got.optimal_shift, got.value) == want
         c, value = w1_rows(*(v[None] for v in graph))
         assert (c[0], value[0]) == want
+        if abs(m1.total - m2.total) <= 1e-9:
+            unrestricted += 1
+            assert w1_unrestricted(m1, m2).value == _abs_integral_by_segment(
+                *graph, 0.0)
         by_length.setdefault(graph[0].size, []).append((graph, want))
     stacked = 0
     for rows in by_length.values():
@@ -233,7 +254,7 @@ def test_w1_rows_lockstep_with_w1_supported():
         assert c.tolist() == [w[0] for _, w in rows]
         assert value.tolist() == [w[1] for _, w in rows]
         stacked += len(rows) > 1
-    assert stacked > 10
+    assert stacked > 10 and unrestricted > 500
 
 
 def test_w1_values_lockstep_with_w1_supported():
@@ -263,9 +284,9 @@ def _node_widths(monkeypatch):
     widths = []
     rank = transport._row_values
 
-    def spy(nodes):
-        widths.append(nodes.shape[1])
-        return rank(nodes)
+    def spy(g0, g1, joined):
+        widths.append(g0.shape[1] + (1 if joined else g1.shape[1]))
+        return rank(g0, g1, joined)
 
     monkeypatch.setattr(transport, "_row_values", spy)
     return widths

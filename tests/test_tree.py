@@ -328,6 +328,21 @@ def test_carleson_comparison_equals_the_per_tree_sums(forest_cases):
     assert _per_tree(carleson_comparison(CASC, LEB, Forest([]))) == []
 
 
+def test_carleson_fields_are_float_on_any_forest():
+    # an empty forest and a forest of one lazy tree have no members, where
+    # np.bincount of empty weights returns int64
+    cantor = generate({"type": "cantor", "depth": 10})
+    lazy = next(t for t in stopping_forest(cantor, LEB, 1.0 / 16.0,
+                                           max_depth=6).trees if t.lazy_full)
+    for trees, size in (([], 0), ([lazy], 1), ([_full_tree(4)], 1)):
+        cc = carleson_comparison(CASC, LEB, Forest(trees))
+        for field in dataclasses.fields(cc):
+            value = getattr(cc, field.name)
+            assert (value.dtype, value.shape) == (np.float64, (size,)), (
+                field.name, len(trees))
+    assert cc.sum_delta[0] > 0.0 and cc.sum_alpha[0] > 0.0
+
+
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
 def test_array_forest_equals_its_tree_objects(forest_cases):
     # the sweep's arrays against the same trees encoded from Tree objects
