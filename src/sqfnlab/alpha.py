@@ -30,6 +30,7 @@ from __future__ import annotations
 import weakref
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,9 @@ from .measure import (
     _blowup_parts,
     _cdf_tables,
     _difference,
+    _cell_width,
     _integrate_parts,
+    _level_parts,
     _level_pieces,
     _side,
     blowup,
@@ -125,8 +128,17 @@ class AlphaTable:
     def level(self, j):
         """The filled alphas of standard level j, or None: read per entry."""
         if j not in self._levels:
-            self._levels[j] = _alpha_level(self._mu(), self.nu, j)
+            self.levels([j])
         return self._levels[j]
+
+    def levels(self, js):
+        """level(j) for each j of js; the levels not held yet are filled in
+        one pass, whose rows share the kernel's stacks."""
+        new = [j for j in dict.fromkeys(js) if j not in self._levels]
+        if new:
+            self._levels.update(zip(new, _alpha_levels(self._mu(), self.nu,
+                                                       new)))
+        return [self._levels[j] for j in js]
 
     def alphas(self, j, k):
         """Alphas of the standard level-j cells k: filled, else entries made
@@ -228,63 +240,99 @@ def _scaled_side(m, a, b, closed, tent):
     return total, null, (ax, aw, pl, pr, _cdf_tables(aw, pl, pr, pm))
 
 
-def _alpha_level(mu, nu, j):
-    """Plain alphas of the 2^j standard level-j cells, or None.
+def _alpha_levels(mu, nu, levels):
+    """Plain alphas of the 2^j standard level-j cells of each level, or None.
 
-    The rows follow _graph step by step: the uniform shortcut, the
-    blow-up totals, the scaled masses and their CDFs on the finer (or the
-    shared) grid, where a one-piece side is np.interp's line through (0, 0)
-    and (1, F(1)).  Each distinct row, keyed on the exact bytes of its grid and
-    CDF difference, goes through w1_rows once: the kernel works along each
-    row alone, and a level's rows share one length, so equal rows give
-    equal alphas.  A row wider than a chunk is a chunk of its own.  None
-    where that needs more: a zero-mass cell (ZERO), two sides of several
-    pieces per cell on different grids (their union) or a level of more
-    cells than a chunk.
+    The rows follow _graph step by step: the uniform shortcut, the blow-up
+    totals, the scaled masses and their CDFs on the union of both sides'
+    breakpoints.  A level where both measures tile every cell alike makes
+    its rows on its own (_tiled_rows), and they go through the kernel at
+    once, a chunk of segments at a time, so that a wide row's arrays are
+    dropped before the next.  The other levels make their rows together
+    (_cell_rows), and rows of one length share a stack, whatever their
+    level.  Each distinct row, keyed on the exact bytes of its grid and
+    CDF differences, goes through w1_rows once: the kernel works along each
+    row alone, so equal rows give equal alphas.  None for a level of more
+    cells than a chunk, or where a cell's blow-up needs more than whole
+    parts of its own (measure._level_parts: an atom on a cell edge, which
+    can set a one-sided-zero flag, two atoms at one point, overlapping
+    pieces or a piece that crosses an edge inside it).
     """
+    out, cell, fills = {}, [], []
+    for j in levels:
+        out[j] = None
+        widths = _cell_width(mu, j), _cell_width(nu, j)
+        if 1 << j > _CHUNK:
+            continue
+        if None not in widths and (min(widths) < 2 or np.array_equal(
+                mu.piece_l, nu.piece_l)):
+            out[j] = np.zeros(1 << j)
+            fills.append((out[j], _tiled_rows(mu, nu, j, max(*widths, 1))))
+            continue
+        parts = _level_parts(mu, j), _level_parts(nu, j)
+        if None not in parts:
+            cell.append((j, *parts))
+    if cell:
+        alphas = np.zeros(sum(1 << j for j, *_ in cell))
+        stacks, rep = _cell_rows(cell)
+        fills.append((alphas, stacks))
+    known = {}, {}  # kernel input bytes -> alpha, of rows without and with jumps
+    for alphas, stacks in fills:
+        for cells, x, g0, g1 in stacks:
+            # join reads the rows' buffers: x.tobytes() + g.tobytes()
+            # uncopied; g0 is g1 where no row jumps
+            jump = g0 is not g1
+            seen = known[jump]
+            keys = [b"".join(row) for row in (zip(x, g0, g1) if jump
+                                               else zip(x, g0))]
+            fresh = {key: i for i, key in enumerate(keys) if key not in seen}
+            if fresh:
+                if len(fresh) < len(keys):  # one copy of the fresh rows
+                    i = list(fresh.values())
+                    x, g0, g1 = x[i], g0[i], g1[i] if jump else g0[i]
+                seen.update(zip(fresh, w1_rows(x[:, :-1], x[:, 1:],
+                                               g0[:, :-1], g1[:, 1:])[1]))
+            alphas[cells] = [seen[key] for key in keys]
+    if cell:
+        alphas = alphas[rep]
+        start = 0
+        for j, *_ in cell:
+            out[j] = alphas[start:start + (1 << j)]
+            start += 1 << j
+    for alphas in out.values():
+        if alphas is not None:
+            alphas.setflags(write=False)
+    return [out[j] for j in levels]
+
+
+def _tiled_rows(mu, nu, j, width):
+    """Stacks (cells, grid, G, G) of a level where both measures tile every
+    cell alike (measure._cell_width), at most one of them with several
+    pieces per cell or both on one grid: each row on the finer (or the
+    shared) grid, where a one-piece side is np.interp's line through (0, 0)
+    and (1, F(1)).  Rows of width segments, a chunk of them at a time."""
     n = 1 << j
-    sizes = mu.piece_l.size, nu.piece_l.size
-    if n > _CHUNK or min(sizes) > n and sizes[0] != sizes[1]:
-        return None
-    width = max(max(sizes) >> j, 1)  # segments per row, if aligned
     rows = max(_CHUNK // width, 1)
-    out = np.zeros(n)
-    known = {}  # kernel input bytes -> alpha, for the whole level
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         pu = _level_pieces(mu, j, start, stop)
         pv = _level_pieces(nu, j, start, stop)
-        if pu is None or pv is None:
-            return None
-        if min(sizes) > n and not np.array_equal(pu[0], pv[0]):
-            return None  # two grids per cell
         todo = ~(pu[2] & pv[2])  # cells where both are uniform keep 0.0
         if not todo.any():
             continue
         grid = pu[0] if pu[0].shape[1] > 2 else pv[0]
         mu_m, nu_m = pu[1], pv[1]
         del pu, pv  # before the kernel, whose arrays set a wide row's peak
+        cells = np.arange(start, stop)
         if not todo.all():  # copies of the cells to do
-            grid, mu_m, nu_m = grid[todo], mu_m[todo], nu_m[todo]
+            grid, mu_m, nu_m, cells = (v[todo] for v in (grid, mu_m, nu_m,
+                                                         cells))
         G = _cdf_rows(mu_m, grid)
         Fv = _cdf_rows(nu_m, grid)
         del mu_m, nu_m
-        if G is None or Fv is None:
-            return None
         G -= Fv
         del Fv
-        # join reads the rows' buffers: x.tobytes() + g.tobytes() uncopied
-        keys = [b"".join((x, g)) for x, g in zip(grid, G)]
-        fresh = {key: i for i, key in enumerate(keys) if key not in known}
-        if fresh:
-            if len(fresh) < len(keys):  # one copy of the fresh rows
-                i = list(fresh.values())
-                grid, G = grid[i], G[i]
-            known.update(zip(fresh, w1_rows(grid[:, :-1], grid[:, 1:],
-                                            G[:, :-1], G[:, 1:])[1]))
-        out[start:stop][todo] = [known[key] for key in keys]
-    out.setflags(write=False)
-    return out
+        yield cells, grid, G, G
 
 
 def _cdf_rows(pm, grid):
@@ -292,12 +340,9 @@ def _cdf_rows(pm, grid):
 
     As cdf_left_values reads a scaled blow-up: a cumsum of its own pieces,
     made in place in the result, or for one piece np.interp's line
-    slope * x, exact at 0 and 1.  None when a row has no mass.
+    slope * x, exact at 0 and 1.  Every row has mass (measure._cell_width).
     """
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / pm.sum(axis=1)
-    if not np.isfinite(inv).all():
-        return None
+    inv = 1.0 / pm.sum(axis=1)
     if pm.shape[1] == 1:
         return pm * inv[:, None] * grid
     F = np.empty((pm.shape[0], pm.shape[1] + 1))
@@ -306,6 +351,331 @@ def _cdf_rows(pm, grid):
     np.multiply(pm, inv[:, None], out=cum)
     np.cumsum(cum, axis=1, out=cum)
     return F
+
+
+def _cell_rows(levels):
+    """(stacks, rep) of the cells of the given levels, whose cells hold
+    whole parts: (j, parts of mu, parts of nu) each, the parts from
+    measure._level_parts.  The cells are numbered level after level;
+    stacks (cells, x, g0, g1) hold the rows to compute, and rep[c] is the
+    cell whose alpha cell c takes.
+
+    A row's grid is 0, 1 and both sides' atoms and piece ends inside the
+    cell, merged in the measures' own coordinates, where the blow-up's
+    order and ties hold, then mapped as blowup maps them.  Its CDFs are
+    _difference's: g0 from the right limits, g1 from the left ones, and a
+    side with no mass in the cell is ZERO's, 0.0 everywhere and no
+    breakpoint.  Each side's own breakpoints carry its table values, and
+    _cell_cdf reads it at the other side's.  A cell whose blow-ups equal an
+    earlier cell's, bit for bit, takes its row (_cell_reps).  Rows of one
+    length, a chunk of segments at a time.
+    """
+    js = [j for j, *_ in levels]
+    a, b, s = (np.concatenate(v) for v in zip(*(
+        (np.arange(1 << j) * 2.0 ** (-j) + 0.0,  # DyadicInterval.a, .b
+         np.arange(1, (1 << j) + 1) * 2.0 ** (-j), np.full(1 << j, 2.0 ** (-j)))
+        for j in js)))
+    bounds = np.cumsum([0] + [1 << j for j in js])  # each level's cells
+    n = a.size
+    u, v = (_levels_parts([lv[k] for lv in levels]) for k in (1, 2))
+    todo = ~(u[2] & v[2])  # cells where both are uniform keep 0.0
+    u, v = (_cell_side(*p[:2], todo) for p in (u, v))
+    rep = _cell_reps(u, v, todo, a, s)
+    todo &= rep == np.arange(n)
+    u, v = (_cell_tables(side, todo & side.live) for side in (u, v))
+    # each side's breakpoints, with (Fu-, Fu+, Fv-, Fv+) there
+    (xu, au, bu, *fu), (xv, av, bv, *fv) = (
+        _cell_points(side, todo, a, b, s, bounds) for side in (u, v))
+    if not xv.size:
+        at, xb, (lu, ru) = au, bu, fu
+        lv, rv = _cell_cdf(v, xu, au, bu, a, b, s, bounds)
+    elif not xu.size:
+        at, xb, (lv, rv) = av, bv, fv
+        lu, ru = _cell_cdf(u, xv, av, bv, a, b, s, bounds)
+    else:  # merge the two sorted runs; a point of both is read once
+        x, at, xb, lu, ru, lv, rv = (np.concatenate(c) for c in zip(
+            (xu, au, bu, *fu, *_cell_cdf(v, xu, au, bu, a, b, s, bounds)),
+            (xv, av, bv, *_cell_cdf(u, xv, av, bv, a, b, s, bounds), *fv)))
+        order = np.lexsort((x, at))
+        x, at = x[order], at[order]
+        keep = np.ones(x.size, dtype=bool)
+        keep[1:] = (x[1:] != x[:-1]) | (at[1:] != at[:-1])
+        order = order[keep]
+        at = at[keep]
+        xb, lu, ru, lv, rv = (c[order] for c in (xb, lu, ru, lv, rv))
+    g1 = lu - lv
+    g0 = ru - rv if u.ax.size or v.ax.size else None  # atoms make jumps
+    end = u.end - v.end  # F(1-) of each side: only g1 reads the end
+    inner = np.bincount(at, minlength=n)
+    start = np.cumsum(inner) - inner  # each cell's first point
+    cells = np.flatnonzero(todo)
+    stacks = []
+    for k in np.flatnonzero(np.bincount(inner[cells])).tolist():
+        c = cells[inner[cells] == k]
+        idx = start[c][:, None] + np.arange(k)
+        x, G1 = np.empty((2, c.size, k + 2))
+        x[:, 0], x[:, 1:-1], x[:, -1] = 0.0, xb[idx], 1.0
+        G1[:, 0], G1[:, 1:-1], G1[:, -1] = 0.0, g1[idx], end[c]
+        G0 = G1  # both CDFs start at 0.0
+        if g0 is not None:
+            G0 = G1.copy()
+            G0[:, 1:-1] = g0[idx]
+        step = max(_CHUNK // (k + 1), 1)
+        for i in range(0, c.size, step):
+            r = slice(i, i + step)
+            stacks.append((c[r], x[r], G0[r], G1[r]))
+    return stacks, rep
+
+
+def _levels_parts(parts):
+    """One measure's _level_parts of several levels as the parts of one
+    list of cells, numbered level after level."""
+    atoms, pieces, uniform = zip(*parts)
+    fa, ax, aw = zip(*atoms)
+    fp, lo, hi, pm = zip(*pieces)
+    L, m = len(parts), ax[0].size  # each level holds every atom
+    fa = np.concatenate([f[:-1] + i * m for i, f in enumerate(fa)]
+                        + [[L * m]])
+    start = np.cumsum([0] + [f[-1] for f in fp])
+    fp = np.concatenate([f[:-1] + i for f, i in zip(fp, start)]
+                        + [start[-1:]])
+    return ((fa, np.tile(ax[0], L), np.tile(aw[0], L)),
+            (fp, *map(np.concatenate, (lo, hi, pm))), np.concatenate(uniform))
+
+
+class _Side(NamedTuple):
+    """One side of _cell_rows on a level: its parts as measure._level_parts
+    gives them, with each cell's 1 / total (aw.sum() + pm.sum(), as
+    _scaled_side takes it; 0.0 where the total is 0.0, so ZERO's cells read
+    0.0), the atom weights so scaled, each cell's running sums from 0.0 of
+    both scaled kinds (A, T: cell c's from slot first[c] + c, first its
+    first part), F(1-) of each cell, the cells with mass, and the parts'
+    (counts, groups) of _cell_runs."""
+
+    fa: np.ndarray
+    ax: np.ndarray
+    aw: np.ndarray
+    A: np.ndarray
+    fp: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    pm: np.ndarray
+    T: np.ndarray
+    inv: np.ndarray
+    end: np.ndarray
+    live: np.ndarray
+    runs: tuple
+
+
+def _cell_side(atoms, pieces, todo):
+    """The _Side of one measure's level parts on the cells to do, before
+    _cell_tables."""
+    (fa, ax, aw), (fp, lo, hi, pm) = atoms, pieces
+    n = todo.size
+    runs = _cell_runs(fa), _cell_runs(fp)
+    total = np.zeros(n)
+    for (_, groups), w in zip(runs, (aw, pm)):
+        t = np.zeros(n)
+        for rows, idx in groups:
+            t[rows] = w[idx].sum(axis=1)
+        total += t  # aw.sum() + pm.sum(), each 0.0 when empty
+    live = todo & (total > 0.0)  # elsewhere the blow-up is ZERO
+    inv = np.divide(1.0, total, out=np.zeros(n), where=live)
+    return _Side(fa, ax, aw * np.repeat(inv, runs[0][0]), None, fp, lo, hi,
+                 pm, None, inv, None, live, runs)
+
+
+def _cell_tables(side, todo):
+    """side with the running sums (A, T) and F(1-) of the cells to do."""
+    n = todo.size
+    A = _cell_cumsums(side.aw, side.runs[0][1], None, todo)
+    T = _cell_cumsums(side.pm, side.runs[1][1], side.inv, todo)
+    c = np.arange(n)
+    return side._replace(A=A, T=T, end=A[side.fa[1:] + c] + T[side.fp[1:] + c])
+
+
+def _cell_runs(first):
+    """(counts, groups) of the parts from first[c] to first[c + 1] - 1 of
+    each cell: their counts, and for each count k > 0 the cells with k
+    parts and the (cells, k) indices of their parts, so that a row sum
+    adds as the cell's own 1-D sum does (ndarray.sum is pairwise, with a
+    blocking set by the length)."""
+    counts = np.diff(first)
+    k = np.flatnonzero(np.bincount(counts))
+    return counts, [(rows, first[rows, None] + np.arange(k))
+                    for k in k[k > 0].tolist()
+                    for rows in (np.flatnonzero(counts == k),)]
+
+
+def _cell_cumsums(values, groups, inv, todo):
+    """The running sums from 0.0 of the cells to do, of values times the
+    cell's inv (values already so scaled where inv is None), as
+    _cdf_tables makes them, in a table where cell c's start at slot
+    first[c] + c."""
+    out = np.zeros(values.size + todo.size)
+    for rows, idx in groups:
+        k = todo[rows]
+        rows, idx = rows[k], idx[k]
+        out[idx + rows[:, None] + 1] = np.cumsum(
+            values[idx] if inv is None else values[idx] * inv[rows, None],
+            axis=1)
+    return out
+
+
+# parts per cell from which _cell_reps compares the cells of one count
+_SAME = 16
+
+
+def _cell_reps(u, v, todo, a, s):
+    """rep[c]: the first cell to do whose blow-ups of both measures equal
+    cell c's bit for bit (blown-up positions and scaled masses), or c.
+
+    Such cells have equal rows, so only the first is computed: translated
+    copies, as a Cantor measure's cells are.  Cells are keyed on the bytes
+    of their parts, kind by kind; cells with no parts of a kind agree on
+    it.  Only a level with two cells of at least _SAME parts of a kind is
+    compared: below that a row costs less than its key.
+    """
+    n = todo.size
+    cell = np.arange(n)
+    # (ends, masses, their scale or None if scaled, runs) of each kind
+    kinds = [k for side in (u, v) for k in (
+        ((side.ax,), side.aw, None, side.runs[0]),
+        ((side.lo, side.hi), side.pm, side.inv, side.runs[1]))]
+    if not any(rows.size > 1 and idx.shape[1] >= _SAME
+               for *_, (_, g) in kinds for rows, idx in g):
+        return cell
+    key = np.zeros(n, dtype=np.int64)
+    for ends, w, inv, (counts, groups) in kinds:
+        rep = np.where(counts > 0, cell, -1)
+        for rows, idx in groups:
+            c = rows[:, None]
+            parts = np.concatenate(
+                [(e[idx] - a[c]) / s[c] for e in ends]
+                + [w[idx] if inv is None else w[idx] * inv[c]],
+                axis=1).view(np.int64)
+            same = (parts == parts[0]).all(axis=1)
+            rep[rows[same]] = rows[0]
+            seen = {}  # the parts' bytes -> the first other cell with them
+            rows = rows[~same]
+            rep[rows] = [seen.setdefault(p.tobytes(), c)
+                         for p, c in zip(parts[~same], rows.tolist())]
+        key = key * (n + 1) + rep + 1  # n + 1 values each, 4 kinds: < 2^63
+    key[~todo] = -1 - cell[~todo]
+    order = key.argsort(kind="stable")
+    first = np.ones(n, dtype=bool)
+    np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])
+    rep = np.empty(n, dtype=np.int64)
+    rep[order] = order[first][np.cumsum(first) - 1]
+    return rep
+
+
+def _cell_parts(first, cells):
+    """(parts, cell of each) of the given cells, in order."""
+    counts = first[cells + 1] - first[cells]
+    return np.arange(counts.sum()) + np.repeat(
+        first[cells] - np.cumsum(counts) + counts, counts), np.repeat(
+        cells, counts)
+
+
+def _cell_points(side, todo, a, b, s, bounds):
+    """(x, cell, blown-up x, F-, F+) of one side's breakpoints inside the
+    cells to do with mass, in order, each once: atoms, and piece ends off
+    the cell edges (a shared end once), with their running sums."""
+    cells = np.flatnonzero(todo & side.live)
+    i, at = _cell_parts(side.fa, cells)  # A's slots: i + at
+    x, fl, fr = side.ax[i], side.A[i + at], side.A[i + at + 1]
+    if side.lo.size:  # piece ends, at first with their cell's a and s
+        i, c = _cell_parts(side.fp, cells)
+        y = np.stack([side.lo[i], side.hi[i], a[c], s[c]], axis=1)
+        keep = np.ones((i.size, 2), dtype=bool)
+        # only a cell's first part starts at its a, and only its last ends
+        # at its b; a part may start where the one before ends
+        k = side.runs[1][0][cells]
+        last = np.cumsum(k)[k > 0] - 1
+        first = last + 1 - k[k > 0]
+        cells = cells[k > 0]
+        keep[first, 0] = y[first, 0] != a[cells]
+        keep[last, 1] = y[last, 1] != b[cells]
+        keep[1:, 0] &= (y[1:, 0] != y[:-1, 1]) | (c[1:] != c[:-1])
+        if x.size:  # both: the merged breakpoints, each once, read by
+            # _cell_cdf
+            y = y[:, :2][keep]
+            c = np.broadcast_to(c[:, None], keep.shape)[keep]
+            order = np.lexsort((np.concatenate([x, y]),
+                                np.concatenate([at, c])))
+            x, at = (np.concatenate(v)[order] for v in ((x, y), (at, c)))
+            keep = np.ones(x.size, dtype=bool)
+            keep[1:] = (x[1:] != x[:-1]) | (at[1:] != at[:-1])
+            x, at = x[keep], at[keep]
+        else:  # their running sums before and after each part
+            i += c
+            xb = (y[:, :2] - y[:, 2:3]) / y[:, 3:]  # exact, inside (0, 1)
+            fl = np.stack([side.T[i], side.T[i + 1]], axis=1)[keep]
+            return (y[:, :2][keep], np.broadcast_to(c[:, None], keep.shape)[
+                keep], xb[keep], fl, fl)
+    xb = (x - a[at]) / s[at]  # exact, inside (0, 1)
+    if side.ax.size and side.lo.size:
+        fl, fr = _cell_cdf(side, x, at, xb, a, b, s, bounds)
+    return x, at, xb, fl, fr
+
+
+def _ranks(v, x, right):
+    """v.searchsorted(x, "right" if right else "left") for sorted x, the
+    shorter array searched in the longer."""
+    if v.size >= x.size:
+        return v.searchsorted(x, "right" if right else "left")
+    # v[e] <= x[p] (right) or < x[p] (left) iff fewer than p + 1 of x lie
+    # below (or at) v[e]
+    k = x.searchsorted(v, "left" if right else "right")
+    return np.bincount(k, minlength=x.size + 1)[:x.size].cumsum()
+
+
+def _level_ranks(v, first, x, at, bounds, right):
+    """_ranks of each level's points x (cells at, sorted by cell, then x)
+    in that level's run of v (the parts first[c].. of its cells), as
+    indices into v."""
+    out = np.empty(x.size, dtype=np.int64)
+    cut = at.searchsorted(bounds)
+    for p0, p1, c0, c1 in zip(cut[:-1].tolist(), cut[1:].tolist(),
+                              bounds[:-1].tolist(), bounds[1:].tolist()):
+        if p1 > p0:
+            e0 = first[c0]
+            out[p0:p1] = _ranks(v[e0:first[c1]], x[p0:p1], right) + e0
+    return out
+
+
+def _cell_cdf(side, x, at, xb, a, b, s, bounds):
+    """(F(x-), F(x+)) of one _Side's blow-ups at points x of the cells at,
+    sorted by cell, then x, as _cdf_left and _difference read them:
+    np.interp's value at a table point, in a gap or past the pieces, and
+    slope * (x - l) + F(l) strictly inside a piece, on the blown-up scale
+    (xb and the exact maps of the ends); then the atoms left of x, and the
+    atom at x for the right limit.  A piece over its whole cell is the line
+    F(1) * x there."""
+    ax, aw, A, lo, hi, T = side.ax, side.aw, side.A, side.lo, side.hi, side.T
+    if not ax.size:
+        c = np.flatnonzero(side.runs[1][0])
+        if lo.size == c.size and (lo == a[c]).all() and (hi == b[c]).all():
+            F = side.end[at] * xb  # (F(1) - 0.0) / 1.0 * (x - 0.0) + 0.0
+            return F, F
+    i = _level_ranks(hi, side.fp, x, at, bounds, True)  # parts ending <= x
+    F = T[i + at]
+    if hi.size:
+        # the part ending first right of x, if in x's cell, holds x there
+        inside = (i < side.fp[at + 1]) & (lo[np.minimum(i, hi.size - 1)] < x)
+        k, c, y, f = i[inside], at[inside], xb[inside], F[inside]
+        l = (lo[k] - a[c]) / s[c]
+        F[inside] = (T[k + c + 1] - f) / ((hi[k] - a[c]) / s[c] - l) * (
+            y - l) + f
+    if not ax.size:
+        return F, F
+    i = _level_ranks(ax, side.fa, x, at, bounds, False)
+    F += A[i + at]  # a cell without atoms adds 0.0: F is never -0.0
+    hit = (i < side.fa[at + 1]) & (ax[np.minimum(i, ax.size - 1)] == x)
+    Fr = F.copy()
+    Fr[hit] += aw[i[hit]]
+    return F, Fr
 
 
 def _nu_tent_mass(mu, nu, I):

@@ -25,8 +25,8 @@ from .measure import (
     Checked,
     _EMPTY,
     _derived,
+    _finite,
     _histogram,
-    _is_real,
     _nonneg,
     cdf_difference,
     dyadic_cell_masses,
@@ -155,7 +155,7 @@ SCENARIOS = {
 CONFIG = {
     "depth": ints(0, DEPTH_CAP),
     "seed": ints(0),
-    "epsilon": (lambda v: v == "auto" or _is_real(v) and 0 < v < math.inf,
+    "epsilon": (lambda v: v == "auto" or _finite(v) and 0 < v,
                 "'auto' or a finite number > 0"),
     "outputs": (lambda v: isinstance(v, dict) and all(
         k in ("json", "csv") and isinstance(p, str)

@@ -286,9 +286,32 @@ def _pow2(n):
     return n > 0 and not n & (n - 1)
 
 
+def _finite(v):
+    """Whether v is a number whose float is finite: an int too large for a
+    float is not, though it compares below math.inf."""
+    try:
+        return _is_real(v) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _nonneg(v):
     """Whether v is a finite number >= 0."""
-    return _is_real(v) and 0.0 <= v < math.inf
+    return _finite(v) and 0.0 <= v
+
+
+def _masses(v):
+    """Whether v is a list or tuple of 2^L finite numbers >= 0, checked as
+    one array once every entry is an int (not a bool) or a float."""
+    if not (isinstance(v, (list, tuple)) and _pow2(len(v)) and all(
+            issubclass(t, (int, float)) and not issubclass(t, bool)
+            for t in set(map(type, v)))):
+        return False
+    try:
+        a = np.asarray(v, dtype=float)
+    except OverflowError:  # an int too large for a float
+        return False
+    return bool(np.isfinite(a).all() and (a >= 0.0).all())
 
 
 def _is_pair(v):
@@ -322,9 +345,7 @@ def _plan(spec):
                  if float(x * (1 << MAX_LEVEL)).is_integer()]
         build = lambda: Measure.make(atoms=atoms)
     elif t == "histogram":
-        cells = read.get("cells", (
-            lambda v: isinstance(v, (list, tuple)) and _pow2(len(v))
-            and all(map(_nonneg, v)), "2^L finite masses >= 0"))
+        cells = read.get("cells", (_masses, "2^L finite masses >= 0"))
         build = lambda: _histogram(np.asarray(cells, dtype=float))
     elif t == "cascade":
         p = read.get("p", (lambda v: _is_real(v) and 0.0 < v < 1.0,
@@ -586,37 +607,42 @@ def _blowup_parts(m: Measure, a, b, closed_right):
 
 def _cell_width(m: Measure, j):
     """P when every level-j cell is a run of P whole pieces, 0 when every
-    cell lies inside one piece, None otherwise or when m has atoms or its
-    pieces do not tile [0, 1).
+    cell lies inside one piece, None otherwise, or when m has atoms, its
+    pieces do not tile [0, 1) or one has a mass below the smallest normal
+    float, which a cell's blow-up could round to a zero total.  Memoized
+    per level on m.
     """
+    widths = m._memo("_cell_widths")  # level -> _cell_width
+    if j in widths:
+        return widths[j]
     pl, pr = m.piece_l, m.piece_r
-    if (m.atom_x.size or not pl.size or pl[0] != 0.0 or pr[-1] != 1.0
-            or (pl[1:] != pr[:-1]).any()):
-        return None
-    edges = np.arange((1 << j) + 1) * 2.0 ** (-j) + 0.0  # DyadicInterval.a
-    P = pl.size >> j
-    if P:
-        ok = pl.size == P << j and np.array_equal(pl[::P], edges[:-1])
-    else:
-        ok = (pr[pr.searchsorted(edges[:-1], "right")] >= edges[1:]).all()
-    return P if ok else None
+    P = None
+    if not (m.atom_x.size or not pl.size or pl[0] != 0.0 or pr[-1] != 1.0
+            or (pl[1:] != pr[:-1]).any() or m.piece_m.min() < _TINY):
+        edges = np.arange((1 << j) + 1) * 2.0 ** (-j) + 0.0  # DyadicInterval.a
+        P = pl.size >> j
+        if P:
+            ok = pl.size == P << j and np.array_equal(pl[::P], edges[:-1])
+        else:
+            ok = (pr[pr.searchsorted(edges[:-1], "right")] >= edges[1:]).all()
+        P = P if ok else None
+    widths[j] = P
+    return P
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _level_pieces(m: Measure, j, start, stop):
-    """Blow-ups of m onto the level-j cells start..stop-1, one row per cell.
+    """Blow-ups of m onto the level-j cells start..stop-1, one row per cell,
+    on a level that _cell_width finds aligned.
 
-    Returns (x, pm, uniform) when the level is aligned (_cell_width), else
-    None: row i is the blow-up onto cell start + i, with its grid x[i] from
-    0 to 1, its piece masses pm[i], both computed elementwise as restrict
-    and blowup compute them, and uniform[i], whether is_uniform_on gives
-    the cell a positive density.
+    Returns (x, pm, uniform): row i is the blow-up onto cell start + i, with
+    its grid x[i] from 0 to 1, its piece masses pm[i], both computed
+    elementwise as restrict and blowup compute them, and uniform[i], whether
+    is_uniform_on gives the cell a positive density.
     """
-    widths = m._memo("_cell_widths")  # level -> _cell_width
-    if j not in widths:
-        widths[j] = _cell_width(m, j)
-    P = widths[j]
-    if P is None:
-        return None
+    P = _cell_width(m, j)
     edges = np.arange(start, stop + 1) * 2.0 ** (-j) + 0.0
     a, s = edges[:-1, None], 2.0 ** (-j)
     if P:
@@ -645,6 +671,81 @@ def _level_pieces(m: Measure, j, start, stop):
     uniform = (d0[:, 0] > 0.0) & ~(
         np.abs(dens - d0) > 1e-15 * np.maximum(1.0, np.abs(d0))).any(axis=1)
     return x, dens * w, uniform
+
+
+def _level_parts(m: Measure, j):
+    """m's parts in the 2^j standard level-j cells, in cell order, or None
+    where a cell's blow-up needs more than whole parts of its own: an atom
+    on a cell edge (0 and 1 included), two atoms at one point, overlapping
+    pieces, or a piece that crosses an edge inside it.
+
+    Returns ((fa, ax, aw), (fp, lo, hi, pm), uniform): cell c holds the
+    atoms fa[c]..fa[c + 1] - 1 and the piece parts fp[c]..fp[c + 1] - 1,
+    with their ends and masses as restrict computes them (a piece over
+    several cells gives each the whole cell); uniform[c] is whether
+    is_uniform_on gives cell c a positive density.  Coordinates stay as
+    they are: the blow-up onto a cell maps them exactly (see
+    _level_pieces), so their order and ties are the blow-ups'.
+    """
+    memo = _part_memo(m)
+    if memo is None:
+        return None
+    dens, pw, gaps = memo
+    n, s = 1 << j, 2.0 ** (-j)
+    edges = np.arange(n + 1) * s + 0.0  # DyadicInterval.a and .b
+    ax, pl, pr = m.atom_x, m.piece_l, m.piece_r
+    fa = ax.searchsorted(edges)
+    if ax.size and (ax[np.minimum(fa, ax.size - 1)] == edges).any():
+        return None
+    fp = np.zeros(n + 1, dtype=np.int64)
+    if not pl.size:
+        return (fa, ax, m.atom_w), (fp, pl, pr, pw), np.zeros(n, dtype=bool)
+    a, b = edges[:-1], edges[1:]
+    first = pr.searchsorted(a, "right")  # _overlap's slice of each cell
+    count = pl.searchsorted(b) - first
+    f, last = np.minimum(first, pl.size - 1), np.maximum(first + count - 1, 0)
+    has = count > 0
+    # a piece across an edge must hold the whole cell, and so each it meets
+    cover = (pl[f] <= a) & (pr[f] >= b) & (count == 1)
+    if (has & ((pl[f] < a) | (pr[last] > b)) & ~cover).any():
+        return None
+    np.cumsum(count, out=fp[1:])
+    lo, hi, pm = pl, pr, pw
+    if cover.any():
+        src = np.repeat(first - fp[:-1], count) + np.arange(fp[-1])
+        lo, hi, pm = pl[src], pr[src], pw[src]
+        c = fp[:-1][cover]
+        lo[c], hi[c], pm[c] = a[cover], b[cover], dens[first[cover]] * s
+    # is_uniform_on: no atom, parts from a to b without a gap, and every
+    # density within its tolerance of the first, which is > 0
+    d0 = dens[f]
+    uniform = has & (fa[1:] == fa[:-1]) & (d0 > 0.0) & (cover | (
+        (pl[f] == a) & (pr[last] == b)
+        & (gaps.searchsorted(first) == gaps.searchsorted(last))))
+    if uniform.any():
+        c = np.flatnonzero(uniform)
+        src = np.repeat(first[c] - np.cumsum(count[c]) + count[c],
+                        count[c]) + np.arange(count[c].sum())
+        d0 = np.repeat(d0[c], count[c])
+        bad = np.abs(dens[src] - d0) > 1e-15 * np.maximum(1.0, np.abs(d0))
+        uniform[np.repeat(c, count[c])[bad]] = False
+    return (fa, ax, m.atom_w), (fp, lo, hi, pm), uniform
+
+
+def _part_memo(m: Measure):
+    """(dens, pw, gaps) of m's pieces, or None when two atoms share a point
+    or two pieces overlap: densities, the masses restrict keeps for whole
+    pieces, and the pieces followed by a gap.  Memoized on m."""
+    memo = m._memo("_part_memo")
+    if "parts" not in memo:
+        ax, pl, pr = m.atom_x, m.piece_l, m.piece_r
+        parts = None
+        if not ((ax[1:] == ax[:-1]).any() or (pl[1:] < pr[:-1]).any()):
+            w = pr - pl
+            dens = m.piece_m / w
+            parts = dens, dens * w, np.flatnonzero(pl[1:] > pr[:-1])
+        memo["parts"] = parts
+    return memo["parts"]
 
 
 def normalized_blowup(m: Measure, a, b, closed_right=False):

@@ -193,6 +193,7 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
             f"epsilon must be finite and positive, not {epsilon!r}")
     _check_depth(max_depth, "max_depth")
     table = alpha_table(mu, nu)
+    table.levels(range(max_depth + 1))  # one fill of the levels it reads
     eps2 = epsilon * epsilon
     # (j, k, lazy) of each level's new tops: tree ids follow their order
     tops, ntops = [], 0

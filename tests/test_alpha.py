@@ -17,6 +17,7 @@ from sqfnlab.alpha import (
     epsilon_for_doubling,
     smooth_bounds_check,
 )
+from sqfnlab.cli import _random_measure
 from sqfnlab.dyadic import STANDARD, doubling_constant, shifted_systems
 from sqfnlab.measure import (
     ZERO,
@@ -354,6 +355,15 @@ def test_level_fill_equals_the_entries():
     every = set(range(depth + 1))
     fleet = [(_histogram(rng.uniform(0.05, 1.0, 32)),
               _histogram(rng.uniform(0.05, 1.0, 16))) for _ in range(3)]
+    # random-histogram-fleet's atomic measures against its 16-cell
+    # histograms, drawn as the scenario draws them
+    fleet_rng, atomic = np.random.default_rng(0), []
+    while len(atomic) < 3:
+        m1, m2 = _random_measure(fleet_rng), _histogram(
+            fleet_rng.uniform(0.05, 1.0, 16))
+        fleet_rng.integers(0, 4)
+        if m1.atom_x.size:
+            atomic.append((m1, m2))
     cells = np.random.default_rng(9).uniform(0.05, 1.0, (3, 2, 64))
     same_grid = [(_histogram(u[:n]), _histogram(v[:n]))
                  for n, (u, v) in zip((16, 16, 64), cells)]
@@ -366,9 +376,19 @@ def test_level_fill_equals_the_entries():
         ("ac-density 1", generate({"type": "ac-density", "seed": 1,
                                    "cells": 256}), LEB, every),
         ("identity", generate({"type": "lebesgue"}), LEB, every),
-        # both sides hold several pieces per cell down to level 3
-        *[(f"histograms {i}", mu, nu, every - {0, 1, 2, 3})
+        # both sides hold several pieces per cell down to level 3, on
+        # grids whose union each row takes
+        *[(f"histograms {i}", mu, nu, every)
           for i, (mu, nu) in enumerate(fleet)],
+        # atoms strictly inside every cell
+        *[(f"fleet atoms {i}", mu, nu, every)
+          for i, (mu, nu) in enumerate(atomic)],
+        ("atoms 1 ulp inside edges", Measure.make(atoms=[
+            (np.nextafter(0.25, 1.0), 0.5), (np.nextafter(0.75, 0.0), 0.3),
+            (0.6, 0.2)]), LEB, every),
+        # an atom on an edge of level 2 and below stays per entry there
+        ("atom on an edge", Measure.make(atoms=[(0.25, 0.5), (0.6, 0.5)]),
+         LEB, {0, 1}),
         # both sides split each cell on one grid, down to level 3 (16
         # cells) or level 5 (64 cells)
         *[(f"same-grid histograms {i}", mu, nu, every)
@@ -377,22 +397,27 @@ def test_level_fill_equals_the_entries():
         # 2 whole pieces on levels 0-1, cells inside one piece from level 9
         ("example22", generate({"type": "example22", "n": 9}), LEB,
          every - set(range(2, 9))),
-        ("cantor", generate({"type": "cantor", "depth": 8}), LEB, set()),
+        # pieces with gaps, and cells with no mass
+        ("cantor 8", generate({"type": "cantor", "depth": 8}), LEB, every),
+        ("cantor 14", generate({"type": "cantor", "depth": 14}), LEB,
+         every),
+        # atoms at 1/4 and 1/2 + 0.01: 1/4 is an edge from level 2
         ("example53 atoms", generate({"type": "example53", "eps": 0.01,
-                                      "role": "nu"}), LEB, set()),
-        # a cell inside a piece of width 3/4 carries a rounded mass
+                                      "role": "nu"}), LEB, {0, 1}),
+        # a cell inside a piece of width 3/4 carries a rounded mass; at
+        # level 1 that piece crosses an edge inside it
         ("cascade-10 / 3:1", generate({"type": "cascade", "p": 0.7,
                                        "depth": 10}),
          Measure.make(pieces=[(0.0, 0.75, 0.6), (0.75, 1.0, 0.4)]),
-         every - {0, 1}),
+         every - {1}),
         # densities 1e-13 apart are not uniform to is_uniform_on
         ("near-uniform", _histogram(1.0 + 1e-13 * rng.uniform(size=64)),
          LEB, every),
-        ("zero-mass cell", _histogram([0.3, 0.0, 0.2, 0.5]), LEB, set()),
+        ("zero-mass cell", _histogram([0.3, 0.0, 0.2, 0.5]), LEB, every),
         # the zero-mass piece from_arrays would drop: its cells act as ZERO
         ("zero-mass piece", Measure(
             np.zeros(0), np.zeros(0), np.arange(4) / 4, np.arange(1, 5) / 4,
-            np.array([0.3, 0.0, 0.2, 0.5]), 1.0), LEB, {0, 1}),
+            np.array([0.3, 0.0, 0.2, 0.5]), 1.0), LEB, every),
     ]
     for name, mu, nu, filled in pairs:
         stopping_forest(mu, nu, 1.0 / 128.0, max_depth=depth)
@@ -411,6 +436,7 @@ def test_level_fill_equals_the_entries():
             assert alpha(mu, nu, I) == _entry(mu, nu, I).alpha
 
 
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
 def test_level_fill_computes_each_distinct_row_once(monkeypatch):
     rows = _count_rows(monkeypatch)
     # the cascade's blow-ups onto one level's cells are few distinct rows,
@@ -418,6 +444,17 @@ def test_level_fill_computes_each_distinct_row_once(monkeypatch):
     casc = generate({"type": "cascade", "p": 0.7, "depth": 16})
     stopping_forest(casc, LEB, 1.0 / 128.0, max_depth=12)
     assert sum(rows) < 100 and len(alpha_table(casc, LEB)._entries) == 0
+    # nor on a fleet atomic pair, nor on the cantor scenario's measure,
+    # whose cells of one level are a few translated copies
+    rng = np.random.default_rng(0)
+    mu, nu = _random_measure(rng), _histogram(rng.uniform(0.05, 1.0, 16))
+    assert mu.atom_x.size
+    stopping_forest(mu, nu, 1.0 / 64.0, max_depth=6)
+    assert len(alpha_table(mu, nu)._entries) == 0
+    cantor = generate({"type": "cantor", "depth": 14})
+    del rows[:]
+    stopping_forest(cantor, LEB, 1.0 / 16.0, max_depth=10)
+    assert len(alpha_table(cantor, LEB)._entries) == 0 and sum(rows) < 40
 
     # halves that differ by one rounding step in one mass are two rows,
     # and each gets its own alpha; equal quarters are one row
@@ -442,12 +479,12 @@ def test_a_wide_level_fill_holds_few_rows_at_once():
     # level 0 of a depth-16 cascade is one row of 65,536 segments: the fill
     # and the kernel hold about 10 row-sized arrays at once (tracemalloc
     # counts numpy's data), and 23 when they keep each temporary alive
-    alpha_module._alpha_level(generate({"type": "cascade", "p": 0.7,
-                                        "depth": 4}), LEB, 0)  # warm
+    alpha_module._alpha_levels(generate({"type": "cascade", "p": 0.7,
+                                         "depth": 4}), LEB, [0])  # warm
     casc = generate({"type": "cascade", "p": 0.7, "depth": 16})
     tracemalloc.start()
     try:
-        out = alpha_module._alpha_level(casc, LEB, 0)
+        out, = alpha_module._alpha_levels(casc, LEB, [0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -464,15 +501,21 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
     # flagged() are those of one read at a time
     rng = np.random.default_rng(9)
     xs, ws = rng.uniform(0.0, 1.0, 24), rng.uniform(0.1, 1.0, 24)
+    # an atom at 0 sits on an edge of every level, which keeps it per entry
+    cantor = generate({"type": "cantor", "depth": 14})
     pairs = [
-        ("cantor-14", generate({"type": "cantor", "depth": 14}), LEB,
+        ("cantor-14 and an atom at 0", Measure.from_arrays(
+            [0.0], [0.01], cantor.piece_l, cantor.piece_r, cantor.piece_m),
+         LEB, range(7)),
+        ("atoms-24 and one at 0", Measure.from_arrays(
+            np.append(xs, 0.0), np.append(ws, 0.5) / (ws.sum() + 0.5), (), (),
+            ()), generate({"type": "histogram", "cells": [0.25] * 4}),
          range(7)),
-        ("atoms-24", Measure.from_arrays(xs, ws / ws.sum(), (), (), ()),
-         generate({"type": "histogram", "cells": [0.25] * 4}), range(7)),
+        # atoms at 1/4 and 1/2 sit on edges from levels 2 and 1
         ("example53", generate({"type": "example53", "eps": 0.01,
                                 "role": "mu"}),
          generate({"type": "example53", "eps": 0.01, "role": "nu"}),
-         range(7)),
+         range(1, 7)),
         # 6 of the 8 cells are uniform: they read 0.0 with no kernel row
         ("example22", generate({"type": "example22", "n": 8}), LEB, [3]),
     ]
@@ -504,7 +547,7 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
             uniform += len(zeros)
             assert len(rows) == calls, (name, j)
             assert sum(rows) == len(distinct), (name, j)
-            if name == "cantor-14" and j >= 2:
+            if name.startswith("cantor-14") and j >= 2:
                 # translated copies and empty gaps share graphs
                 assert sum(rows) < len(cells), j
             batched.add(max(rows, default=0) > 1)

@@ -86,6 +86,13 @@ def test_depth_cap_is_enforced(tmp_path):
         {"scenario": "identity", "outputs": {"jsn": "report.json"}},
         # example22's checks read the bump's n, which a lebesgue spec lacks
         {"scenario": "example22", "mu_spec": {"type": "lebesgue"}},
+        # an integer literal too large for a float compares below infinity:
+        # validate passed these, and run raised OverflowError
+        {"scenario": "identity",
+         "mu_spec": {"type": "histogram", "cells": [1, 10 ** 400]}},
+        {"scenario": "identity",
+         "mu_spec": {"type": "atomic", "atoms": [[0.5, 10 ** 400]]}},
+        {"scenario": "identity", "epsilon": 10 ** 400},
     ]:
         cfg = _write_cfg(tmp_path, bad)
         with pytest.raises(ValueError):

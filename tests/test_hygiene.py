@@ -179,8 +179,13 @@ def test_no_recursion():
 
 # a level fill's functions; the first np.unique of a process imports
 # numpy.ma, which raises peak RSS
-LEVEL_FILL = {"alpha.py": {"_alpha_level", "_cdf_rows"},
-              "measure.py": {"_level_pieces", "_cell_width"},
+LEVEL_FILL = {"alpha.py": {"_alpha_levels", "_tiled_rows", "_cdf_rows",
+                           "_cell_rows", "_levels_parts", "_cell_side",
+                           "_cell_tables", "_cell_runs", "_cell_cumsums",
+                           "_cell_reps", "_cell_parts", "_cell_points",
+                           "_ranks", "_level_ranks", "_cell_cdf"},
+              "measure.py": {"_level_pieces", "_cell_width", "_level_parts",
+                             "_part_memo"},
               "transport.py": {"w1_rows", "_row_medians", "_row_values",
                                "_bisect", "_abs_integral"}}
 
@@ -209,7 +214,7 @@ def test_no_unique_in_the_level_fill():
 
 # the one caller of the row kernel outside transport.py: a level fill's rows
 # are stacked already, and w1_values would stack the widest again
-ROW_KERNEL_CALLERS = {"alpha.py": "_alpha_level"}
+ROW_KERNEL_CALLERS = {"alpha.py": "_alpha_levels"}
 
 
 def _row_kernel_names(path):

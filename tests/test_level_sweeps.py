@@ -175,20 +175,24 @@ def _ref_g_cell_values(hs, N):
     return cells, np.asarray(values), np.asarray(weights)
 
 
-def _atomic(seed, n=24):
+def _atomic(seed, n=24, zero=()):
+    """n random atoms, and one at 0 of weight zero if given: 0 is an edge of
+    every level."""
     rng = np.random.default_rng(seed)
     xs, ws = rng.uniform(0.0, 1.0, n), rng.uniform(0.1, 1.0, n)
     return generate({"type": "atomic", "atoms": [
-        (float(x), float(w)) for x, w in zip(xs, ws / ws.sum())]})
+        (float(x), float(w)) for x, w in zip(xs, ws / ws.sum())] + [
+        (0.0, w) for w in zero]})
 
 
 @pytest.fixture(scope="module")
 def pairs():
-    """(name, mu, nu): filled alpha levels first, then per-entry ones."""
+    """(name, mu, nu): the cascade, example22 and cantor, then atoms."""
     return [("cascade", CASC, LEB),
             ("example22", generate({"type": "example22", "n": 8}), LEB),
             ("cantor", generate({"type": "cantor", "depth": 14}), LEB),
-            ("atomic", _atomic(4), LEB)]
+            ("atomic", _atomic(4), LEB),
+            ("atomic, one at 0", _atomic(4, zero=[0.1]), LEB)]
 
 
 def _filled(mu, nu, depth):
@@ -198,10 +202,14 @@ def _filled(mu, nu, depth):
 
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
 def test_the_pairs_cover_filled_and_per_entry_levels(pairs):
-    assert all(_filled(CASC, LEB, 10)[2:])
-    for name, mu, nu in pairs[1:]:
-        assert not all(_filled(mu, nu, 10)), name
-    assert not any(_filled(pairs[-1][1], LEB, 10))
+    # the cascade fills from level 2, cantor and the atoms fill every
+    # level; example22 stays per entry on levels 2-7, and the atom at 0
+    # keeps every level per entry
+    filled = {name: _filled(mu, nu, 10) for name, mu, nu in pairs}
+    assert all(filled["cascade"][2:])
+    assert all(filled["cantor"]) and all(filled["atomic"])
+    assert filled["example22"] == [j not in range(2, 8) for j in range(11)]
+    assert not any(filled["atomic, one at 0"])
 
 
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")

@@ -391,7 +391,7 @@ MALFORMED_HISTOGRAM_SPECS = [
     {"type": "histogram", "cells": cells} for cells in (
         [], [0.5, 0.2, 0.3], [0.5, -0.5], [0.5, float("nan")],
         [0.5, float("inf")], [0.5, "0.5"], [0.5, True], [0.5, None], 0.5,
-        [[0.5], [0.5]], [1e308, 1e308])
+        [[0.5], [0.5]], [1e308, 1e308], [0.5, 10 ** 400])
 ] + [
     {"type": "cascade", "p": p, "depth": depth} for p, depth in (
         (0.0, 4), (1.0, 4), (-0.3, 4), (float("nan"), 4), (0.7, 0),
@@ -410,8 +410,9 @@ MALFORMED_HISTOGRAM_SPECS = [
 @pytest.mark.parametrize("spec", MALFORMED_HISTOGRAM_SPECS, ids=repr)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_malformed_histogram_specs_raise(spec):
-    # _histogram trusts its cells, so _plan must reject every bad one; the
-    # last histogram has finite cells whose total overflows
+    # _histogram trusts its cells, so _plan must reject every bad one; one
+    # histogram has finite cells whose total overflows, and one an integer
+    # cell too large for a float
     with pytest.raises(ValueError):
         generate(spec)
 
