@@ -67,7 +67,8 @@ __all__ = [
 
 _PHI = phi_tent()
 # segments per numpy pass of a level fill (a wider row is a pass of its
-# own), and cells of the finest level filled whole
+# own), cells of the finest level filled whole, and parts of the levels
+# whose rows are made together
 _CHUNK = 1 << 14
 
 
@@ -249,7 +250,8 @@ def _alpha_levels(mu, nu, levels):
     its rows on its own (_tiled_rows), and they go through the kernel at
     once, a chunk of segments at a time, so that a wide row's arrays are
     dropped before the next.  The other levels make their rows together
-    (_cell_rows), and rows of one length share a stack, whatever their
+    (_cell_rows), in batches of levels that hold about a chunk of parts
+    (or one level), and rows of one length share a stack, whatever their
     level.  Each distinct row, keyed on the exact bytes of its grid and
     CDF differences, goes through w1_rows once: the kernel works along each
     row alone, so equal rows give equal alphas.  None for a level of more
@@ -258,26 +260,9 @@ def _alpha_levels(mu, nu, levels):
     can set a one-sided-zero flag, two atoms at one point, overlapping
     pieces or a piece that crosses an edge inside it).
     """
-    out, cell, fills = {}, [], []
-    for j in levels:
-        out[j] = None
-        widths = _cell_width(mu, j), _cell_width(nu, j)
-        if 1 << j > _CHUNK:
-            continue
-        if None not in widths and (min(widths) < 2 or np.array_equal(
-                mu.piece_l, nu.piece_l)):
-            out[j] = np.zeros(1 << j)
-            fills.append((out[j], _tiled_rows(mu, nu, j, max(*widths, 1))))
-            continue
-        parts = _level_parts(mu, j), _level_parts(nu, j)
-        if None not in parts:
-            cell.append((j, *parts))
-    if cell:
-        alphas = np.zeros(sum(1 << j for j, *_ in cell))
-        stacks, rep = _cell_rows(cell)
-        fills.append((alphas, stacks))
     known = {}, {}  # kernel input bytes -> alpha, of rows without and with jumps
-    for alphas, stacks in fills:
+
+    def fill(alphas, stacks):
         for cells, x, g0, g1 in stacks:
             # join reads the rows' buffers: x.tobytes() + g.tobytes()
             # uncopied; g0 is g1 where no row jumps
@@ -293,10 +278,35 @@ def _alpha_levels(mu, nu, levels):
                 seen.update(zip(fresh, w1_rows(x[:, :-1], x[:, 1:],
                                                g0[:, :-1], g1[:, 1:])[1]))
             alphas[cells] = [seen[key] for key in keys]
-    if cell:
+
+    out, batches, size = {}, [], _CHUNK
+    for j in levels:
+        out[j] = None
+        widths = _cell_width(mu, j), _cell_width(nu, j)
+        if 1 << j > _CHUNK:
+            continue
+        if None not in widths and (min(widths) < 2 or np.array_equal(
+                mu.piece_l, nu.piece_l)):
+            out[j] = np.zeros(1 << j)
+            fill(out[j], _tiled_rows(mu, nu, j, max(*widths, 1)))
+            continue
+        pu = _level_parts(mu, j)
+        pv = pu and _level_parts(nu, j)
+        if pv:  # batches of about a chunk of parts, or one level
+            k = sum(p[0][0][-1] + p[1][0][-1] for p in (pu, pv))
+            if size + k > _CHUNK:
+                batches.append([])
+                size = 0
+            batches[-1].append((j, pu, pv))
+            size += k
+    for batch in batches:
+        alphas = np.zeros(sum(1 << j for j, *_ in batch))
+        stacks, rep = _cell_rows(batch)
+        fill(alphas, stacks)
+        del stacks
         alphas = alphas[rep]
         start = 0
-        for j, *_ in cell:
+        for j, *_ in batch:
             out[j] = alphas[start:start + (1 << j)]
             start += 1 << j
     for alphas in out.values():
@@ -430,9 +440,11 @@ def _cell_rows(levels):
 def _levels_parts(parts):
     """One measure's _level_parts of several levels as the parts of one
     list of cells, numbered level after level."""
+    if len(parts) == 1:
+        return parts[0]
     atoms, pieces, uniform = zip(*parts)
     fa, ax, aw = zip(*atoms)
-    fp, lo, hi, pm = zip(*pieces)
+    fp, lo, hi, pm, touch = zip(*pieces)
     L, m = len(parts), ax[0].size  # each level holds every atom
     fa = np.concatenate([f[:-1] + i * m for i, f in enumerate(fa)]
                         + [[L * m]])
@@ -440,7 +452,8 @@ def _levels_parts(parts):
     fp = np.concatenate([f[:-1] + i for f, i in zip(fp, start)]
                         + [start[-1:]])
     return ((fa, np.tile(ax[0], L), np.tile(aw[0], L)),
-            (fp, *map(np.concatenate, (lo, hi, pm))), np.concatenate(uniform))
+            (fp, *map(np.concatenate, (lo, hi, pm)), touch[0]),
+            np.concatenate(uniform))
 
 
 class _Side(NamedTuple):
@@ -460,6 +473,7 @@ class _Side(NamedTuple):
     lo: np.ndarray
     hi: np.ndarray
     pm: np.ndarray
+    touch: bool
     T: np.ndarray
     inv: np.ndarray
     end: np.ndarray
@@ -470,7 +484,7 @@ class _Side(NamedTuple):
 def _cell_side(atoms, pieces, todo):
     """The _Side of one measure's level parts on the cells to do, before
     _cell_tables."""
-    (fa, ax, aw), (fp, lo, hi, pm) = atoms, pieces
+    (fa, ax, aw), (fp, lo, hi, pm, touch) = atoms, pieces
     n = todo.size
     runs = _cell_runs(fa), _cell_runs(fp)
     total = np.zeros(n)
@@ -482,7 +496,7 @@ def _cell_side(atoms, pieces, todo):
     live = todo & (total > 0.0)  # elsewhere the blow-up is ZERO
     inv = np.divide(1.0, total, out=np.zeros(n), where=live)
     return _Side(fa, ax, aw * np.repeat(inv, runs[0][0]), None, fp, lo, hi,
-                 pm, None, inv, None, live, runs)
+                 pm, touch, None, inv, None, live, runs)
 
 
 def _cell_tables(side, todo):
@@ -550,16 +564,19 @@ def _cell_reps(u, v, todo, a, s):
         rep = np.where(counts > 0, cell, -1)
         for rows, idx in groups:
             c = rows[:, None]
-            parts = np.concatenate(
-                [(e[idx] - a[c]) / s[c] for e in ends]
-                + [w[idx] if inv is None else w[idx] * inv[c]],
-                axis=1).view(np.int64)
-            same = (parts == parts[0]).all(axis=1)
+            parts = [(e[idx] - a[c]) / s[c] for e in ends] + [
+                w[idx] if inv is None else w[idx] * inv[c]]
+            same = np.ones(rows.size, dtype=bool)
+            for p in parts:  # bit for bit: -0.0 is not +0.0
+                p = p.view(np.int64)
+                same &= (p == p[0]).all(axis=1)
             rep[rows[same]] = rows[0]
-            seen = {}  # the parts' bytes -> the first other cell with them
-            rows = rows[~same]
-            rep[rows] = [seen.setdefault(p.tobytes(), c)
-                         for p, c in zip(parts[~same], rows.tolist())]
+            if not same.all():
+                seen = {}  # the parts' bytes -> the first other cell with them
+                rep[rows[~same]] = [
+                    seen.setdefault(p.tobytes(), c) for p, c in zip(
+                        np.concatenate(parts, axis=1)[~same],
+                        rows[~same].tolist())]
         key = key * (n + 1) + rep + 1  # n + 1 values each, 4 kinds: < 2^63
     key[~todo] = -1 - cell[~todo]
     order = key.argsort(kind="stable")
@@ -597,7 +614,8 @@ def _cell_points(side, todo, a, b, s, bounds):
         cells = cells[k > 0]
         keep[first, 0] = y[first, 0] != a[cells]
         keep[last, 1] = y[last, 1] != b[cells]
-        keep[1:, 0] &= (y[1:, 0] != y[:-1, 1]) | (c[1:] != c[:-1])
+        if side.touch:
+            keep[1:, 0] &= (y[1:, 0] != y[:-1, 1]) | (c[1:] != c[:-1])
         if x.size:  # both: the merged breakpoints, each once, read by
             # _cell_cdf
             y = y[:, :2][keep]
@@ -611,7 +629,7 @@ def _cell_points(side, todo, a, b, s, bounds):
         else:  # their running sums before and after each part
             i += c
             xb = (y[:, :2] - y[:, 2:3]) / y[:, 3:]  # exact, inside (0, 1)
-            fl = np.stack([side.T[i], side.T[i + 1]], axis=1)[keep]
+            fl = side.T[np.stack([i, i + 1], axis=1)[keep]]
             return (y[:, :2][keep], np.broadcast_to(c[:, None], keep.shape)[
                 keep], xb[keep], fl, fl)
     xb = (x - a[at]) / s[at]  # exact, inside (0, 1)

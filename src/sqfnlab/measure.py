@@ -679,11 +679,12 @@ def _level_parts(m: Measure, j):
     on a cell edge (0 and 1 included), two atoms at one point, overlapping
     pieces, or a piece that crosses an edge inside it.
 
-    Returns ((fa, ax, aw), (fp, lo, hi, pm), uniform): cell c holds the
-    atoms fa[c]..fa[c + 1] - 1 and the piece parts fp[c]..fp[c + 1] - 1,
-    with their ends and masses as restrict computes them (a piece over
-    several cells gives each the whole cell); uniform[c] is whether
-    is_uniform_on gives cell c a positive density.  Coordinates stay as
+    Returns ((fa, ax, aw), (fp, lo, hi, pm, touch), uniform): cell c
+    holds the atoms fa[c]..fa[c + 1] - 1 and the piece parts fp[c]..
+    fp[c + 1] - 1, with their ends and masses as restrict computes them (a
+    piece over several cells gives each the whole cell); touch is whether
+    two pieces share an end; uniform[c] is whether is_uniform_on gives
+    cell c a positive density.  Coordinates stay as
     they are: the blow-up onto a cell maps them exactly (see
     _level_pieces), so their order and ties are the blow-ups'.
     """
@@ -699,7 +700,8 @@ def _level_parts(m: Measure, j):
         return None
     fp = np.zeros(n + 1, dtype=np.int64)
     if not pl.size:
-        return (fa, ax, m.atom_w), (fp, pl, pr, pw), np.zeros(n, dtype=bool)
+        return ((fa, ax, m.atom_w), (fp, pl, pr, pw, False),
+                np.zeros(n, dtype=bool))
     a, b = edges[:-1], edges[1:]
     first = pr.searchsorted(a, "right")  # _overlap's slice of each cell
     count = pl.searchsorted(b) - first
@@ -729,7 +731,9 @@ def _level_parts(m: Measure, j):
         d0 = np.repeat(d0[c], count[c])
         bad = np.abs(dens[src] - d0) > 1e-15 * np.maximum(1.0, np.abs(d0))
         uniform[np.repeat(c, count[c])[bad]] = False
-    return (fa, ax, m.atom_w), (fp, lo, hi, pm), uniform
+    # a part may start where the one before ends when no gap follows it
+    return ((fa, ax, m.atom_w), (fp, lo, hi, pm, gaps.size < pl.size - 1),
+            uniform)
 
 
 def _part_memo(m: Measure):
