@@ -8,21 +8,26 @@ version is not.  alpha_table(mu, nu) memoizes the plain alpha and the
 one-sided-zero flag once per pair on mu; the smooth variant and the tent
 masses are computed when asked.
 
-The first read of a standard dyadic cell fills its whole level, in numpy
-passes over many cells at once, when both measures are aligned there
-(measure._cell_width: no atoms, and every cell holds the same run of whole
-pieces or lies inside one piece), at most one of them holds several pieces
-per cell or both share a grid, both charge every cell, and the level has at
-most 2^14 cells.  Each distinct row of a level, keyed on the exact bytes of
-its kernel input, is computed once.  Such a level, as on histogram, cascade and
-Lebesgue pairs, keeps one array of alphas, each == the per-entry value.
-Every other level keeps entries: AlphaTable.alphas sends the distinct
-graphs of the cells it reads there through one w1_values call, and a
-single read of a cell, ball or tuple is a one-graph w1_values call, with
-== results.  An entry's graph builds no Measure: each side goes from the
-measure's arrays to its scaled blow-up and CDF tables in one step, and
-measure._difference, the core of cdf_difference, takes the two.  An
-interval where both measures are uniform reads 0.0 without a kernel call.
+The first read of a standard dyadic cell fills its whole level, and
+stopping_forest fills every level it will read in one call
+(AlphaTable.levels), in numpy passes over many cells at once.  A level of
+at most 2^14 cells fills when each of its cells holds whole parts of each
+measure (measure._level_parts): atoms strictly inside the cell, pieces
+inside it or a piece over the whole cell, with gaps between them or no
+mass at all.  Where both measures tile every cell alike
+(measure._cell_width, as histogram, cascade and Lebesgue pairs do) the
+rows come from their pieces' grids; otherwise each row merges both sides'
+breakpoints, and the cell levels of one call make their rows together.
+Each distinct row is computed once, and such a level keeps one array of
+alphas, each == the per-entry value.  A level with an atom on a cell
+edge, or a piece across an edge inside it, keeps entries:
+AlphaTable.alphas sends the distinct graphs of the cells it reads there
+through one w1_values call, and a single read of a cell, ball or tuple is
+a one-graph w1_values call, with == results.  An entry's graph builds no
+Measure: each side goes from the measure's arrays to its scaled blow-up
+and CDF tables in one step, and measure._difference, the core of
+cdf_difference, takes the two.  An interval where both measures are
+uniform reads 0.0 without a kernel call.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .measure import (
     _difference,
     _cell_width,
     _integrate_parts,
+    _level_cells,
     _level_parts,
     _level_pieces,
     _side,
@@ -156,7 +162,7 @@ class AlphaTable:
         one w1_values call on their distinct graphs (the kernel works along
         each graph alone, so equal graphs give equal alphas); a key where
         both measures are uniform reads 0.0 without a kernel row, as in
-        _alpha_level."""
+        _alpha_levels."""
         todo = {key: _graph(self._mu(), self.nu, *key)
                 for key in dict.fromkeys(keys) if key not in self._entries}
         first, graphs, at = {}, [], {}  # graph key -> place of its first
@@ -290,23 +296,32 @@ def _alpha_levels(mu, nu, levels):
             out[j] = np.zeros(1 << j)
             fill(out[j], _tiled_rows(mu, nu, j, max(*widths, 1)))
             continue
-        pu = _level_parts(mu, j)
-        pv = pu and _level_parts(nu, j)
-        if pv:  # batches of about a chunk of parts, or one level
-            k = sum(p[0][0][-1] + p[1][0][-1] for p in (pu, pv))
-            if size + k > _CHUNK:
-                batches.append([])
-                size = 0
-            batches[-1].append((j, pu, pv))
-            size += k
+        # batches of levels with about a chunk of parts at most, or one
+        k = (1 << j) + sum(m.atom_x.size + m.piece_l.size for m in (mu, nu))
+        if size + k > _CHUNK:
+            batches.append([])
+            size = 0
+        batches[-1].append(j)
+        size += k
     for batch in batches:
-        alphas = np.zeros(sum(1 << j for j, *_ in batch))
-        stacks, rep = _cell_rows(batch)
+        cells = _level_cells(batch)
+        parts = _level_parts(mu, cells), _level_parts(nu, cells)
+        if None in parts:
+            break  # no level can hold whole parts
+        ok = parts[0][1] & parts[1][1]
+        if not ok.all():  # the levels that do, again
+            batch = [j for j, o in zip(batch, ok.tolist()) if o]
+            if not batch:
+                continue
+            cells = _level_cells(batch)
+            parts = _level_parts(mu, cells), _level_parts(nu, cells)
+        alphas = np.zeros(cells[0].size)
+        stacks, rep = _cell_rows(cells, parts[0][0], parts[1][0])
         fill(alphas, stacks)
         del stacks
         alphas = alphas[rep]
         start = 0
-        for j, *_ in batch:
+        for j in batch:
             out[j] = alphas[start:start + (1 << j)]
             start += 1 << j
     for alphas in out.values():
@@ -363,12 +378,11 @@ def _cdf_rows(pm, grid):
     return F
 
 
-def _cell_rows(levels):
-    """(stacks, rep) of the cells of the given levels, whose cells hold
-    whole parts: (j, parts of mu, parts of nu) each, the parts from
-    measure._level_parts.  The cells are numbered level after level;
-    stacks (cells, x, g0, g1) hold the rows to compute, and rep[c] is the
-    cell whose alpha cell c takes.
+def _cell_rows(cells, pu, pv):
+    """(stacks, rep) of the given measure._level_cells, which hold whole
+    parts of each measure (pu, pv: their measure._level_parts): stacks
+    (cells, x, g0, g1) of the rows to compute, and rep[c], the cell whose
+    alpha cell c takes.
 
     A row's grid is 0, 1 and both sides' atoms and piece ends inside the
     cell, merged in the measures' own coordinates, where the blow-up's
@@ -380,16 +394,11 @@ def _cell_rows(levels):
     earlier cell's, bit for bit, takes its row (_cell_reps).  Rows of one
     length, a chunk of segments at a time.
     """
-    js = [j for j, *_ in levels]
-    a, b, s = (np.concatenate(v) for v in zip(*(
-        (np.arange(1 << j) * 2.0 ** (-j) + 0.0,  # DyadicInterval.a, .b
-         np.arange(1, (1 << j) + 1) * 2.0 ** (-j), np.full(1 << j, 2.0 ** (-j)))
-        for j in js)))
-    bounds = np.cumsum([0] + [1 << j for j in js])  # each level's cells
+    a, b, s, level = cells
+    bounds = level.searchsorted(np.arange(level[-1] + 2))  # level starts
     n = a.size
-    u, v = (_levels_parts([lv[k] for lv in levels]) for k in (1, 2))
-    todo = ~(u[2] & v[2])  # cells where both are uniform keep 0.0
-    u, v = (_cell_side(*p[:2], todo) for p in (u, v))
+    todo = ~(pu[2] & pv[2])  # cells where both are uniform keep 0.0
+    u, v = (_cell_side(*p[:2], todo) for p in (pu, pv))
     rep = _cell_reps(u, v, todo, a, s)
     todo &= rep == np.arange(n)
     u, v = (_cell_tables(side, todo & side.live) for side in (u, v))
@@ -435,25 +444,6 @@ def _cell_rows(levels):
             r = slice(i, i + step)
             stacks.append((c[r], x[r], G0[r], G1[r]))
     return stacks, rep
-
-
-def _levels_parts(parts):
-    """One measure's _level_parts of several levels as the parts of one
-    list of cells, numbered level after level."""
-    if len(parts) == 1:
-        return parts[0]
-    atoms, pieces, uniform = zip(*parts)
-    fa, ax, aw = zip(*atoms)
-    fp, lo, hi, pm, touch = zip(*pieces)
-    L, m = len(parts), ax[0].size  # each level holds every atom
-    fa = np.concatenate([f[:-1] + i * m for i, f in enumerate(fa)]
-                        + [[L * m]])
-    start = np.cumsum([0] + [f[-1] for f in fp])
-    fp = np.concatenate([f[:-1] + i for f, i in zip(fp, start)]
-                        + [start[-1:]])
-    return ((fa, np.tile(ax[0], L), np.tile(aw[0], L)),
-            (fp, *map(np.concatenate, (lo, hi, pm)), touch[0]),
-            np.concatenate(uniform))
 
 
 class _Side(NamedTuple):

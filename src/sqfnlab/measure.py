@@ -673,67 +673,81 @@ def _level_pieces(m: Measure, j, start, stop):
     return x, dens * w, uniform
 
 
-def _level_parts(m: Measure, j):
-    """m's parts in the 2^j standard level-j cells, in cell order, or None
-    where a cell's blow-up needs more than whole parts of its own: an atom
-    on a cell edge (0 and 1 included), two atoms at one point, overlapping
-    pieces, or a piece that crosses an edge inside it.
+def _level_cells(levels):
+    """(a, b, s, level) of the standard cells of the given levels, level
+    after level: their ends as DyadicInterval gives them, their widths and
+    the place of their level in levels."""
+    n = [1 << j for j in levels]
+    return (*(np.concatenate(v) for v in zip(*(
+        (np.arange(k) * 2.0 ** (-j) + 0.0, np.arange(1, k + 1) * 2.0 ** (-j))
+        for j, k in zip(levels, n)))),
+        np.repeat([2.0 ** (-j) for j in levels], n),
+        np.repeat(np.arange(len(levels)), n))
 
-    Returns ((fa, ax, aw), (fp, lo, hi, pm, touch), uniform): cell c
-    holds the atoms fa[c]..fa[c + 1] - 1 and the piece parts fp[c]..
-    fp[c + 1] - 1, with their ends and masses as restrict computes them (a
-    piece over several cells gives each the whole cell); touch is whether
-    two pieces share an end; uniform[c] is whether is_uniform_on gives
-    cell c a positive density.  Coordinates stay as
-    they are: the blow-up onto a cell maps them exactly (see
+
+def _level_parts(m: Measure, cells):
+    """(parts, ok): m's parts in the given _level_cells, in order, and
+    whether each level's cells hold whole parts of their own: no atom on a
+    cell edge (0 and 1 included) and no piece that crosses an edge inside
+    it.  None where two atoms share a point or two pieces overlap.
+
+    parts = ((fa, ax, aw), (fp, lo, hi, pm, touch), uniform): cell c holds
+    the atoms fa[c]..fa[c + 1] - 1 and the piece parts fp[c]..fp[c + 1] -
+    1, each level all of m's atoms and pieces, with their ends and masses
+    as restrict computes them (a piece over several cells gives each the
+    whole cell); touch is whether two pieces share an end; uniform[c] is
+    whether is_uniform_on gives cell c a positive density.  Coordinates
+    stay as they are: the blow-up onto a cell maps them exactly (see
     _level_pieces), so their order and ties are the blow-ups'.
     """
     memo = _part_memo(m)
     if memo is None:
         return None
     dens, pw, gaps = memo
-    n, s = 1 << j, 2.0 ** (-j)
-    edges = np.arange(n + 1) * s + 0.0  # DyadicInterval.a and .b
-    ax, pl, pr = m.atom_x, m.piece_l, m.piece_r
-    fa = ax.searchsorted(edges)
-    if ax.size and (ax[np.minimum(fa, ax.size - 1)] == edges).any():
-        return None
-    fp = np.zeros(n + 1, dtype=np.int64)
-    if not pl.size:
-        return ((fa, ax, m.atom_w), (fp, pl, pr, pw, False),
-                np.zeros(n, dtype=bool))
-    a, b = edges[:-1], edges[1:]
-    first = pr.searchsorted(a, "right")  # _overlap's slice of each cell
-    count = pl.searchsorted(b) - first
-    f, last = np.minimum(first, pl.size - 1), np.maximum(first + count - 1, 0)
-    has = count > 0
-    # a piece across an edge must hold the whole cell, and so each it meets
-    cover = (pl[f] <= a) & (pr[f] >= b) & (count == 1)
-    if (has & ((pl[f] < a) | (pr[last] > b)) & ~cover).any():
-        return None
-    np.cumsum(count, out=fp[1:])
-    lo, hi, pm = pl, pr, pw
-    if cover.any():
-        src = np.repeat(first - fp[:-1], count) + np.arange(fp[-1])
-        lo, hi, pm = pl[src], pr[src], pw[src]
-        c = fp[:-1][cover]
-        lo[c], hi[c], pm[c] = a[cover], b[cover], dens[first[cover]] * s
-    # is_uniform_on: no atom, parts from a to b without a gap, and every
-    # density within its tolerance of the first, which is > 0
-    d0 = dens[f]
-    uniform = has & (fa[1:] == fa[:-1]) & (d0 > 0.0) & (cover | (
-        (pl[f] == a) & (pr[last] == b)
-        & (gaps.searchsorted(first) == gaps.searchsorted(last))))
-    if uniform.any():
-        c = np.flatnonzero(uniform)
-        src = np.repeat(first[c] - np.cumsum(count[c]) + count[c],
-                        count[c]) + np.arange(count[c].sum())
-        d0 = np.repeat(d0[c], count[c])
-        bad = np.abs(dens[src] - d0) > 1e-15 * np.maximum(1.0, np.abs(d0))
-        uniform[np.repeat(c, count[c])[bad]] = False
-    # a part may start where the one before ends when no gap follows it
-    return ((fa, ax, m.atom_w), (fp, lo, hi, pm, gaps.size < pl.size - 1),
-            uniform)
+    a, b, s, level = cells
+    L, ax, pl, pr = level[-1] + 1, m.atom_x, m.piece_l, m.piece_r
+    i = ax.searchsorted(a)
+    fa = np.append(i + level * ax.size, L * ax.size)
+    bad = np.zeros(a.size, dtype=bool)
+    if ax.size:  # atoms at each cell's a, or at 1
+        bad = (ax[np.minimum(i, ax.size - 1)] == a) | (ax[-1] == 1.0)
+    fp = np.zeros(a.size + 1, dtype=np.int64)
+    lo, hi, pm, touch = pl, pr, pw, gaps.size < pl.size - 1
+    uniform = np.zeros(a.size, dtype=bool)
+    if pl.size:
+        first = pr.searchsorted(a, "right")  # _overlap's slice of each cell
+        count = pl.searchsorted(b) - first
+        f, last = np.minimum(first, pl.size - 1), np.maximum(first + count - 1,
+                                                             0)
+        has = count > 0
+        # a piece across an edge must hold the whole cell, and so each it
+        # meets
+        cover = (pl[f] <= a) & (pr[f] >= b) & (count == 1)
+        bad |= has & ((pl[f] < a) | (pr[last] > b)) & ~cover
+        np.cumsum(count, out=fp[1:])
+        if L > 1 or cover.any():  # each level's parts
+            src = np.repeat(first - fp[:-1], count) + np.arange(fp[-1])
+            lo, hi, pm = pl[src], pr[src], pw[src]
+            c = fp[:-1][cover]
+            lo[c], hi[c] = a[cover], b[cover]
+            pm[c] = dens[first[cover]] * s[cover]
+        # is_uniform_on: no atom, parts from a to b without a gap, and every
+        # density within its tolerance of the first, which is > 0
+        d0 = dens[f]
+        uniform = has & (fa[1:] == fa[:-1]) & (d0 > 0.0) & (cover | (
+            (pl[f] == a) & (pr[last] == b)
+            & (gaps.searchsorted(first) == gaps.searchsorted(last))))
+        if uniform.any():
+            c = np.flatnonzero(uniform)
+            src = np.repeat(first[c] - np.cumsum(count[c]) + count[c],
+                            count[c]) + np.arange(count[c].sum())
+            d0 = np.repeat(d0[c], count[c])
+            bad_d = np.abs(dens[src] - d0) > 1e-15 * np.maximum(1.0,
+                                                                np.abs(d0))
+            uniform[np.repeat(c, count[c])[bad_d]] = False
+    parts = (fa, np.tile(ax, L), np.tile(m.atom_w, L)), (
+        fp, lo, hi, pm, touch), uniform
+    return parts, np.bincount(level[bad], minlength=L) == 0
 
 
 def _part_memo(m: Measure):

@@ -180,12 +180,12 @@ def test_no_recursion():
 # a level fill's functions; the first np.unique of a process imports
 # numpy.ma, which raises peak RSS
 LEVEL_FILL = {"alpha.py": {"_alpha_levels", "_tiled_rows", "_cdf_rows",
-                           "_cell_rows", "_levels_parts", "_cell_side",
-                           "_cell_tables", "_cell_runs", "_cell_cumsums",
-                           "_cell_reps", "_cell_parts", "_cell_points",
-                           "_ranks", "_level_ranks", "_cell_cdf"},
-              "measure.py": {"_level_pieces", "_cell_width", "_level_parts",
-                             "_part_memo"},
+                           "_cell_rows", "_cell_side", "_cell_tables",
+                           "_cell_runs", "_cell_cumsums", "_cell_reps",
+                           "_cell_parts", "_cell_points", "_ranks",
+                           "_level_ranks", "_cell_cdf"},
+              "measure.py": {"_level_pieces", "_cell_width", "_level_cells",
+                             "_level_parts", "_part_memo"},
               "transport.py": {"w1_rows", "_row_medians", "_row_values",
                                "_bisect", "_abs_integral"}}
 
