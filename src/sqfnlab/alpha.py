@@ -266,7 +266,7 @@ def _alpha_levels(mu, nu, levels):
     can set a one-sided-zero flag, two atoms at one point, overlapping
     pieces or a piece that crosses an edge inside it).
     """
-    known = {}, {}  # kernel input bytes -> alpha, of rows without and with jumps
+    known = {}, {}  # kernel input bytes -> alpha: rows without, with jumps
 
     def fill(alphas, stacks):
         for cells, x, g0, g1 in stacks:
@@ -288,9 +288,9 @@ def _alpha_levels(mu, nu, levels):
     out, batches, size = {}, [], _CHUNK
     for j in levels:
         out[j] = None
-        widths = _cell_width(mu, j), _cell_width(nu, j)
         if 1 << j > _CHUNK:
             continue
+        widths = _cell_width(mu, j), _cell_width(nu, j)
         if None not in widths and (min(widths) < 2 or np.array_equal(
                 mu.piece_l, nu.piece_l)):
             out[j] = np.zeros(1 << j)

@@ -367,6 +367,11 @@ def test_level_fill_equals_the_entries():
     cells = np.random.default_rng(9).uniform(0.05, 1.0, (3, 2, 64))
     same_grid = [(_histogram(u[:n]), _histogram(v[:n]))
                  for n, (u, v) in zip((16, 16, 64), cells)]
+    mixed = Measure(
+        np.array([np.nextafter(0.125, 1.0), 0.3, 0.55]),
+        np.array([0.05, 0.2, 0.1]), np.array([0.0, 0.0625, 0.3, 0.5, 0.75]),
+        np.array([0.0625, 0.125, 0.3 + 2.0 ** -12, 0.625, 0.875]),
+        np.array([0.25, 0.05, 0.1, 0.25, 0.0]), 1.0)
     pairs = [
         ("cascade-16", generate({"type": "cascade", "p": 0.7, "depth": 16}),
          LEB, every),  # rows of 2^16 and 2^15 segments: one chunk each
@@ -389,6 +394,11 @@ def test_level_fill_equals_the_entries():
         # an atom on an edge of level 2 and below stays per entry there
         ("atom on an edge", Measure.make(atoms=[(0.25, 0.5), (0.6, 0.5)]),
          LEB, {0, 1}),
+        # atoms and pieces on one side: pieces that share an end, a gap, a
+        # zero-mass piece (kept, as from_arrays would drop it) and an atom
+        # on a piece's end
+        ("atoms and pieces", mixed, LEB, every),
+        ("atoms and pieces / 16 cells", mixed, fleet[0][1], every),
         # both sides split each cell on one grid, down to level 3 (16
         # cells) or level 5 (64 cells)
         *[(f"same-grid histograms {i}", mu, nu, every)
