@@ -424,7 +424,7 @@ def _cell_rows(cells, pu, pv):
         xb, lu, ru, lv, rv = (c[order] for c in (xb, lu, ru, lv, rv))
     g1 = lu - lv
     g0 = ru - rv if u.ax.size or v.ax.size else None  # atoms make jumps
-    end = u.end - v.end  # F(1-) of each side: only g1 reads the end
+    end = u.end - v.end
     inner = np.bincount(at, minlength=n)
     start = np.cumsum(inner) - inner  # each cell's first point
     cells = np.flatnonzero(todo)
@@ -434,8 +434,9 @@ def _cell_rows(cells, pu, pv):
         idx = start[c][:, None] + np.arange(k)
         x, G1 = np.empty((2, c.size, k + 2))
         x[:, 0], x[:, 1:-1], x[:, -1] = 0.0, xb[idx], 1.0
+        # both CDFs start at 0.0, and only g1 reads F(1-) at the end
         G1[:, 0], G1[:, 1:-1], G1[:, -1] = 0.0, g1[idx], end[c]
-        G0 = G1  # both CDFs start at 0.0
+        G0 = G1
         if g0 is not None:
             G0 = G1.copy()
             G0[:, 1:-1] = g0[idx]
