@@ -175,14 +175,14 @@ def _ref_g_cell_values(hs, N):
     return cells, np.asarray(values), np.asarray(weights)
 
 
-def _atomic(seed, n=24, zero=()):
-    """n random atoms, and one at 0 of weight zero if given: 0 is an edge of
-    every level."""
+def _atomic(seed, n=24, at_zero=()):
+    """n random atoms, plus an atom at 0 for each weight in at_zero: 0 is
+    an edge of every level."""
     rng = np.random.default_rng(seed)
     xs, ws = rng.uniform(0.0, 1.0, n), rng.uniform(0.1, 1.0, n)
     return generate({"type": "atomic", "atoms": [
         (float(x), float(w)) for x, w in zip(xs, ws / ws.sum())] + [
-        (0.0, w) for w in zero]})
+        (0.0, w) for w in at_zero]})
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +192,7 @@ def pairs():
             ("example22", generate({"type": "example22", "n": 8}), LEB),
             ("cantor", generate({"type": "cantor", "depth": 14}), LEB),
             ("atomic", _atomic(4), LEB),
-            ("atomic, one at 0", _atomic(4, zero=[0.1]), LEB)]
+            ("atomic, one at 0", _atomic(4, at_zero=[0.1]), LEB)]
 
 
 def _filled(mu, nu, depth):
