@@ -422,8 +422,8 @@ def _cell_rows(cells, pu, pv):
         order = order[keep]
         at = at[keep]
         xb, lu, ru, lv, rv = (c[order] for c in (xb, lu, ru, lv, rv))
-    g1 = lu - lv
     g0 = ru - rv if u.ax.size or v.ax.size else None  # atoms make jumps
+    g1 = np.subtract(lu, lv, out=lu)  # lu is the side's own, read once
     end = u.end - v.end
     inner = np.bincount(at, minlength=n)
     start = np.cumsum(inner) - inner  # each cell's first point
@@ -433,13 +433,15 @@ def _cell_rows(cells, pu, pv):
         c = cells[inner[cells] == k]
         idx = start[c][:, None] + np.arange(k)
         x, G1 = np.empty((2, c.size, k + 2))
-        x[:, 0], x[:, 1:-1], x[:, -1] = 0.0, xb[idx], 1.0
+        x[:, 0], x[:, -1] = 0.0, 1.0
+        xb.take(idx, out=x[:, 1:-1], mode="clip")  # idx is valid
         # both CDFs start at 0.0, and only g1 reads F(1-) at the end
-        G1[:, 0], G1[:, 1:-1], G1[:, -1] = 0.0, g1[idx], end[c]
+        G1[:, 0], G1[:, -1] = 0.0, end[c]
+        g1.take(idx, out=G1[:, 1:-1], mode="clip")
         G0 = G1
         if g0 is not None:
             G0 = G1.copy()
-            G0[:, 1:-1] = g0[idx]
+            g0.take(idx, out=G0[:, 1:-1], mode="clip")
         step = max(_CHUNK // (k + 1), 1)
         for i in range(0, c.size, step):
             r = slice(i, i + step)
@@ -485,7 +487,8 @@ def _cell_side(atoms, pieces, todo):
             t[rows] = w[idx].sum(axis=1)
         total += t  # aw.sum() + pm.sum(), each 0.0 when empty
     live = todo & (total > 0.0)  # elsewhere the blow-up is ZERO
-    inv = np.divide(1.0, total, out=np.zeros(n), where=live)
+    with np.errstate(over="ignore"):  # as 1.0 / total does on a float
+        inv = np.divide(1.0, total, out=np.zeros(n), where=live)
     return _Side(fa, ax, aw * np.repeat(inv, runs[0][0]), None, fp, lo, hi,
                  pm, touch, None, inv, None, live, runs)
 
@@ -554,20 +557,18 @@ def _cell_reps(u, v, todo, a, s):
     for ends, w, inv, (counts, groups) in kinds:
         rep = np.where(counts > 0, cell, -1)
         for rows, idx in groups:
-            c = rows[:, None]
-            parts = [(e[idx] - a[c]) / s[c] for e in ends] + [
-                w[idx] if inv is None else w[idx] * inv[c]]
             same = np.ones(rows.size, dtype=bool)
-            for p in parts:  # bit for bit: -0.0 is not +0.0
-                p = p.view(np.int64)
+            for p in _cell_blowups(ends, w, inv, rows, idx, a, s):
+                p = p.view(np.int64)  # bit for bit: -0.0 is not +0.0
                 same &= (p == p[0]).all(axis=1)
             rep[rows[same]] = rows[0]
             if not same.all():
+                rows, idx = rows[~same], idx[~same]
                 seen = {}  # the parts' bytes -> the first other cell with them
-                rep[rows[~same]] = [
-                    seen.setdefault(p.tobytes(), c) for p, c in zip(
-                        np.concatenate(parts, axis=1)[~same],
-                        rows[~same].tolist())]
+                rep[rows] = [seen.setdefault(p.tobytes(), c) for p, c in zip(
+                    np.concatenate(list(_cell_blowups(ends, w, inv, rows, idx,
+                                                      a, s)), axis=1),
+                    rows.tolist())]
         key = key * (n + 1) + rep + 1  # n + 1 values each, 4 kinds: < 2^63
     key[~todo] = -1 - cell[~todo]
     order = key.argsort(kind="stable")
@@ -576,6 +577,21 @@ def _cell_reps(u, v, todo, a, s):
     rep = np.empty(n, dtype=np.int64)
     rep[order] = order[first][np.cumsum(first) - 1]
     return rep
+
+
+def _cell_blowups(ends, w, inv, rows, idx, a, s):
+    """The blown-up ends, then the scaled masses, of the parts idx of the
+    cells rows, as _cell_reps compares them, one array at a time."""
+    c = rows[:, None]
+    for e in ends:
+        p = e[idx]
+        p -= a[c]
+        p /= s[c]
+        yield p
+    p = w[idx]
+    if inv is not None:
+        p *= inv[c]
+    yield p
 
 
 def _cell_parts(first, cells):
@@ -593,9 +609,11 @@ def _cell_points(side, todo, a, b, s, bounds):
     cells = np.flatnonzero(todo & side.live)
     i, at = _cell_parts(side.fa, cells)  # A's slots: i + at
     x, fl, fr = side.ax[i], side.A[i + at], side.A[i + at + 1]
-    if side.lo.size:  # piece ends, at first with their cell's a and s
+    if side.lo.size:  # piece ends
         i, c = _cell_parts(side.fp, cells)
-        y = np.stack([side.lo[i], side.hi[i], a[c], s[c]], axis=1)
+        y = np.empty((i.size, 2))
+        side.lo.take(i, out=y[:, 0], mode="clip")  # i is valid: no buffer
+        side.hi.take(i, out=y[:, 1], mode="clip")
         keep = np.ones((i.size, 2), dtype=bool)
         # only a cell's first part starts at its a, and only its last ends
         # at its b; a part may start where the one before ends
@@ -609,7 +627,7 @@ def _cell_points(side, todo, a, b, s, bounds):
             keep[1:, 0] &= (y[1:, 0] != y[:-1, 1]) | (c[1:] != c[:-1])
         if x.size:  # both: the merged breakpoints, each once, read by
             # _cell_cdf
-            y = y[:, :2][keep]
+            y = y[keep]
             c = np.broadcast_to(c[:, None], keep.shape)[keep]
             order = np.lexsort((np.concatenate([x, y]),
                                 np.concatenate([at, c])))
@@ -619,11 +637,13 @@ def _cell_points(side, todo, a, b, s, bounds):
             x, at = x[keep], at[keep]
         else:  # their running sums before and after each part
             i += c
-            xb = (y[:, :2] - y[:, 2:3]) / y[:, 3:]  # exact, inside (0, 1)
             fl = side.T[np.stack([i, i + 1], axis=1)[keep]]
-            return (y[:, :2][keep], np.broadcast_to(c[:, None], keep.shape)[
-                keep], xb[keep], fl, fl)
-    xb = (x - a[at]) / s[at]  # exact, inside (0, 1)
+            del i
+            x, at = y[keep], np.broadcast_to(c[:, None], keep.shape)[keep]
+            del y, c, keep
+            fr = fl
+    xb = x - a[at]  # exact, inside (0, 1)
+    xb /= s[at]
     if side.ax.size and side.lo.size:
         fl, fr = _cell_cdf(side, x, at, xb, a, b, s, bounds)
     return x, at, xb, fl, fr
