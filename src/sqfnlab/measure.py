@@ -605,6 +605,9 @@ def _blowup_parts(m: Measure, a, b, closed_right):
             np.maximum((lo - a) / s, 0.0), np.minimum((hi - a) / s, 1.0), pm)
 
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
 def _cell_width(m: Measure, j):
     """P when every level-j cell is a run of P whole pieces, 0 when every
     cell lies inside one piece, None otherwise, or when m has atoms, its
@@ -628,9 +631,6 @@ def _cell_width(m: Measure, j):
         P = P if ok else None
     widths[j] = P
     return P
-
-
-_TINY = np.finfo(float).tiny
 
 
 def _level_pieces(m: Measure, j, start, stop):
