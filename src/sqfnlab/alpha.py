@@ -9,23 +9,24 @@ one-sided-zero flag once per pair on mu; the smooth variant and the tent
 masses are computed when asked.
 
 The first read of a standard dyadic cell fills its whole level, and
-stopping_forest fills every level it will read in one call
-(AlphaTable.levels), in numpy passes over many cells at once.  A level of
-at most 2^14 cells fills when each of its cells holds whole parts of each
-measure (measure._level_parts): atoms strictly inside the cell, pieces
-inside it or a piece over the whole cell, with gaps between them or no
-mass at all.  Where both measures tile every cell alike
+fill_levels fills every level a caller will read, of one pair
+(AlphaTable.levels, as stopping_forest calls it) or of several, whose
+rows share the kernel's stacks, in numpy passes over many cells.  A
+level of at most 2^14 cells fills when each of its cells holds whole
+parts of each measure (measure._level_parts): atoms strictly inside the
+cell, pieces inside it or a piece over the whole cell, with gaps between
+them or no mass at all.  Where both measures tile every cell alike
 (measure._cell_width, as histogram, cascade and Lebesgue pairs do) the
-rows come from their pieces' grids; otherwise each row merges both sides'
-breakpoints, and the cell levels of one call make their rows together.
-Each distinct row is computed once, and such a level keeps one array of
-alphas, each == the per-entry value.  A level with an atom on a cell
+rows come from their pieces' grids; otherwise each row merges both
+sides' breakpoints, and a pair's cell levels make their rows together.
+Each distinct row is computed once, and a filled level keeps one array
+of alphas, each == the per-entry value.  A level with an atom on a cell
 edge, or a piece across an edge inside it, keeps entries:
 AlphaTable.alphas sends the distinct graphs of the cells it reads there
-through one w1_values call, and a single read of a cell, ball or tuple is
-a one-graph w1_values call, with == results.  An entry's graph builds no
-Measure: each side goes from the measure's arrays to its scaled blow-up
-and CDF tables in one step, and measure._difference, the core of
+through one w1_values call, and a single read of a cell, ball or tuple
+is a one-graph w1_values call, with == results.  An entry's graph builds
+no Measure: each side goes from the measure's arrays to its scaled
+blow-up and CDF tables in one step, and measure._difference, the core of
 cdf_difference, takes the two.  An interval where both measures are
 uniform reads 0.0 without a kernel call.
 """
@@ -65,6 +66,7 @@ __all__ = [
     "AlphaEntry",
     "AlphaTable",
     "alpha_table",
+    "fill_levels",
     "alpha",
     "alpha_smooth",
     "smooth_bounds_check",
@@ -139,12 +141,8 @@ class AlphaTable:
         return self._levels[j]
 
     def levels(self, js):
-        """level(j) for each j of js; the levels not held yet are filled in
-        one pass, whose rows share the kernel's stacks."""
-        new = [j for j in dict.fromkeys(js) if j not in self._levels]
-        if new:
-            self._levels.update(zip(new, _alpha_levels(self._mu(), self.nu,
-                                                       new)))
+        """level(j) for each j of js: fill_levels of this table alone."""
+        fill_levels([self], js)
         return [self._levels[j] for j in js]
 
     def alphas(self, j, k):
@@ -198,6 +196,17 @@ def _graph_key(graph):
     return graph[2].size, zlib.crc32(graph[2])
 
 
+def fill_levels(tables, js):
+    """Fill the standard levels js that each AlphaTable of tables does not
+    hold yet, in one _alpha_levels pass: rows of every table share the
+    kernel's stacks."""
+    todo = [(t, [j for j in dict.fromkeys(js) if j not in t._levels])
+            for t in dict.fromkeys(tables)]
+    for (t, _), filled in zip(todo, _alpha_levels(
+            [(t._mu(), t.nu) for t, _ in todo], [new for _, new in todo])):
+        t._levels.update(filled)
+
+
 def alpha_table(mu: Measure, nu: Measure) -> AlphaTable:
     """The pair's one AlphaTable, kept on mu and created on first use."""
     tables = mu._memo("_alpha_tables")  # id(nu) -> AlphaTable
@@ -247,28 +256,47 @@ def _scaled_side(m, a, b, closed, tent):
     return total, null, (ax, aw, pl, pr, _cdf_tables(aw, pl, pr, pm))
 
 
-def _alpha_levels(mu, nu, levels):
-    """Plain alphas of the 2^j standard level-j cells of each level, or None.
+def _alpha_levels(pairs, levels):
+    """{j: plain alphas of the 2^j standard level-j cells, or None} for
+    the levels levels[p] of each pair p = (mu, nu) of pairs.
 
     The rows follow _graph step by step: the uniform shortcut, the blow-up
     totals, the scaled masses and their CDFs on the union of both sides'
     breakpoints.  A level where both measures tile every cell alike makes
-    its rows on its own (_tiled_rows), and they go through the kernel at
-    once, a chunk of segments at a time, so that a wide row's arrays are
-    dropped before the next.  The other levels make their rows together
-    (_cell_rows), in batches of levels that hold about a chunk of parts
-    (or one level), and rows of one length share a stack, whatever their
-    level.  Each distinct row, keyed on the exact bytes of its grid and
-    CDF differences, goes through w1_rows once: the kernel works along each
-    row alone, so equal rows give equal alphas.  None for a level of more
-    cells than a chunk, or where a cell's blow-up needs more than whole
-    parts of its own (measure._level_parts: an atom on a cell edge, which
-    can set a one-sided-zero flag, two atoms at one point, overlapping
-    pieces or a piece that crosses an edge inside it).
+    its rows on its own (_tiled_rows), a chunk of segments at a time, so
+    that a wide row's arrays are dropped before the next.  A pair's other
+    levels make their rows together (_cell_rows), in batches of levels that
+    hold about a chunk of parts (or one level).  Each distinct row of all
+    pairs, keyed on the exact bytes of its grid and CDF differences, joins
+    the pool of its length (and of whether it jumps); the pools go through
+    w1_rows, a stack each, whenever they hold a chunk of segments (so a row
+    that wide goes at once) and at the end: the kernel works along each row
+    alone, so equal rows give equal alphas, whatever their stack.  None
+    for a level of more cells than a chunk, or where a cell's blow-up needs
+    more than whole parts of its own (measure._level_parts: an atom on a
+    cell edge, which can set a one-sided-zero flag, two atoms at one point,
+    overlapping pieces or a piece that crosses an edge inside it).
     """
-    known = {}, {}  # kernel input bytes -> alpha: rows without, with jumps
+    known = {}, {}  # kernel input bytes -> slot of its alpha: rows without,
+    # with jumps; slot 0 holds the 0.0 of cells where both are uniform
+    pools, done, pending = {}, [], 0  # (jump, length) -> its rows' keys
 
-    def fill(alphas, stacks):
+    def flush():
+        nonlocal pending
+        while pools:
+            (jump, width), keys = pools.popitem()
+            # the rows as views of their keys' (x, g0[, g1]) bytes, which the
+            # dedup holds anyway: a waiting row holds no array of its own
+            x, *g = np.frombuffer(b"".join(keys)).reshape(
+                len(keys), 2 + jump, width).transpose(1, 0, 2)
+            done.append(([known[jump][key] for key in keys], w1_rows(
+                x[:, :-1], x[:, 1:], g[0][:, :-1], g[-1][:, 1:])[1]))
+        pending = 0
+
+    def fill(n, stacks):
+        """The alpha slots of n cells, from the stacks of their rows."""
+        nonlocal pending
+        slots = np.zeros(n, dtype=np.int64)
         for cells, x, g0, g1 in stacks:
             # join reads the rows' buffers: x.tobytes() + g.tobytes()
             # uncopied; g0 is g1 where no row jumps
@@ -276,58 +304,64 @@ def _alpha_levels(mu, nu, levels):
             seen = known[jump]
             keys = [b"".join(row) for row in (zip(x, g0, g1) if jump
                                                else zip(x, g0))]
-            fresh = {key: i for i, key in enumerate(keys) if key not in seen}
+            fresh = [key for key in dict.fromkeys(keys) if key not in seen]
             if fresh:
-                if len(fresh) < len(keys):  # one copy of the fresh rows
-                    i = list(fresh.values())
-                    x, g0, g1 = x[i], g0[i], g1[i] if jump else g0[i]
-                seen.update(zip(fresh, w1_rows(x[:, :-1], x[:, 1:],
-                                               g0[:, :-1], g1[:, 1:])[1]))
-            alphas[cells] = [seen[key] for key in keys]
+                start = 1 + sum(map(len, known))
+                seen.update(zip(fresh, range(start, start + len(fresh))))
+                pools.setdefault((jump, x.shape[1]), []).extend(fresh)
+                pending += len(fresh) * (x.shape[1] - 1)
+                if pending >= _CHUNK:
+                    flush()
+            slots[cells] = [seen[key] for key in keys]
+        return slots
 
-    out, batches, size = {}, [], _CHUNK
-    for j in levels:
-        out[j] = None
-        if 1 << j > _CHUNK:
-            continue
-        widths = _cell_width(mu, j), _cell_width(nu, j)
-        if None not in widths and (min(widths) < 2 or np.array_equal(
-                mu.piece_l, nu.piece_l)):
-            out[j] = np.zeros(1 << j)
-            fill(out[j], _tiled_rows(mu, nu, j, max(*widths, 1)))
-            continue
-        # batches of levels with about a chunk of parts at most, or one
-        k = (1 << j) + sum(m.atom_x.size + m.piece_l.size for m in (mu, nu))
-        if size + k > _CHUNK:
-            batches.append([])
-            size = 0
-        batches[-1].append(j)
-        size += k
-    for batch in batches:
-        cells = _level_cells(batch)
-        parts = _level_parts(mu, cells), _level_parts(nu, cells)
-        if None in parts:
-            break  # no level can hold whole parts
-        ok = parts[0][1] & parts[1][1]
-        if not ok.all():  # the levels that do, again
-            batch = [j for j, o in zip(batch, ok.tolist()) if o]
-            if not batch:
+    out = [dict.fromkeys(js) for js in levels]  # alpha slots, then alphas
+    for (mu, nu), js, filled in zip(pairs, levels, out):
+        batches, size = [], _CHUNK
+        for j in js:
+            if 1 << j > _CHUNK:
                 continue
+            widths = _cell_width(mu, j), _cell_width(nu, j)
+            if None not in widths and (min(widths) < 2 or np.array_equal(
+                    mu.piece_l, nu.piece_l)):
+                filled[j] = fill(1 << j, _tiled_rows(mu, nu, j,
+                                                     max(*widths, 1)))
+                continue
+            # batches of levels with about a chunk of parts at most, or one
+            k = (1 << j) + sum(m.atom_x.size + m.piece_l.size
+                               for m in (mu, nu))
+            if size + k > _CHUNK:
+                batches.append([])
+                size = 0
+            batches[-1].append(j)
+            size += k
+        for batch in batches:
             cells = _level_cells(batch)
             parts = _level_parts(mu, cells), _level_parts(nu, cells)
-        alphas = np.zeros(cells[0].size)
-        stacks, rep = _cell_rows(cells, parts[0][0], parts[1][0])
-        fill(alphas, stacks)
-        del stacks
-        alphas = alphas[rep]
-        start = 0
-        for j in batch:
-            out[j] = alphas[start:start + (1 << j)]
-            start += 1 << j
-    for alphas in out.values():
-        if alphas is not None:
-            alphas.setflags(write=False)
-    return [out[j] for j in levels]
+            if None in parts:
+                break  # no level can hold whole parts
+            ok = parts[0][1] & parts[1][1]
+            if not ok.all():  # the levels that do, again
+                batch = [j for j, o in zip(batch, ok.tolist()) if o]
+                if not batch:
+                    continue
+                cells = _level_cells(batch)
+                parts = _level_parts(mu, cells), _level_parts(nu, cells)
+            stacks, rep = _cell_rows(cells, parts[0][0], parts[1][0])
+            slots = fill(rep.size, stacks)[rep]
+            del stacks
+            for i, j in enumerate(batch):  # cells[3]: place of the level
+                filled[j] = slots[cells[3] == i]
+    flush()
+    values = np.zeros(1 + sum(map(len, known)))
+    for slots, alphas in done:
+        values[slots] = alphas
+    for filled in out:
+        for j, slots in filled.items():
+            if slots is not None:
+                filled[j] = values[slots]
+                filled[j].setflags(write=False)
+    return out
 
 
 def _tiled_rows(mu, nu, j, width):

@@ -38,7 +38,9 @@ from .dyadic import DEPTH_CAP, STANDARD, cell_mass, delta, doubling_constant
 from .alpha import (
     alpha,
     alpha_smooth,
+    alpha_table,
     epsilon_for_doubling,
+    fill_levels,
     smooth_bounds_check,
 )
 from .transport import w1_oracle, w1_values
@@ -350,16 +352,19 @@ def _checks(cfg, mu, nu):
 
     elif name == "random-histogram-fleet":
         rng = np.random.default_rng(seed)
-        worst = 0.0
+        fleet = []
         for _ in range(Checked(cfg, "config").get("pairs", PAIRS, 1)):
             m1 = _random_measure(rng)
             # reference measure must charge every cell for the forest
             cells = rng.uniform(0.05, 1.0, 16)
             cells /= cells.sum()
-            m2 = _histogram(cells)
+            fleet.append((m1, _histogram(cells), int(rng.integers(0, 4))))
+        # each forest's levels 0-6 in one fill, whose rows share kernel stacks
+        fill_levels([alpha_table(m1, m2) for m1, m2, _ in fleet], range(7))
+        worst = 0.0
+        for m1, m2, k in fleet:
             forest = stopping_forest(m1, m2, 1.0 / 64.0, max_depth=6)
             forest.check_structure()
-            k = int(rng.integers(0, 4))
             if min(dyadic_cell_masses(m, 2)[k] for m in (m1, m2)) > 0:
                 hs_tree = forest.tree(0)
                 if hs_tree.members and len(hs_tree.members) > 1:

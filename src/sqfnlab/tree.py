@@ -477,8 +477,9 @@ def representation_check(mu: Measure, nu: Measure, side="minus", tau=1 / 16,
         nu_factors.append(f_k)
         delta_term += f_k * delta(mu, nu, ints[k]) * mI
     a2, b2 = ints[N + 1]
-    # exact sup of the bump series over its breakpoints
-    bps = np.unique(np.concatenate([f.breakpoints for f in funcs]))
+    # exact sup of the bump series: its max over the breakpoints, where a
+    # repeated one changes nothing (np.unique would import numpy.ma)
+    bps = np.concatenate([f.breakpoints for f in funcs])
     sup = float(sum(f(bps) for f in funcs).max())
     tip_term = 2.0 * sup * mass(mu, a2, b2)
     slack = alpha_term + delta_term + tip_term - lhs

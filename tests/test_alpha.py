@@ -15,6 +15,7 @@ from sqfnlab.alpha import (
     alpha_smooth,
     alpha_table,
     epsilon_for_doubling,
+    fill_levels,
     smooth_bounds_check,
 )
 from sqfnlab.cli import _random_measure
@@ -481,6 +482,53 @@ def test_level_fill_computes_each_distinct_row_once(monkeypatch):
         assert np.array_equal(table.level(j), want) and rows == [count], j
 
 
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_filling_many_tables_equals_filling_each_alone():
+    # one fill_levels pass over many tables pools their rows in the kernel's
+    # stacks; every level is the one-table fill's, bit for bit, or None
+    pairs = []
+    for seed in range(10):  # random-histogram-fleet's pairs, as it draws
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            m1 = _random_measure(rng)
+            pairs.append((m1, _histogram(rng.uniform(0.05, 1.0, 16))))
+            rng.integers(0, 4)
+    mixed = Measure(  # atoms and pieces on one side: rows that jump
+        np.array([np.nextafter(0.125, 1.0), 0.3, 0.55]),
+        np.array([0.05, 0.2, 0.1]), np.array([0.0, 0.0625, 0.3, 0.5, 0.75]),
+        np.array([0.0625, 0.125, 0.3 + 2.0 ** -12, 0.625, 0.875]),
+        np.array([0.25, 0.05, 0.1, 0.25, 0.0]), 1.0)
+    cascade = {"type": "cascade", "p": 0.7, "depth": 10}
+    pairs += [
+        (mixed, LEB), (mixed, pairs[0][1]),
+        (generate({"type": "cantor", "depth": 8}), LEB),  # gaps, no mass
+        (generate({"type": "lebesgue"}), LEB),  # uniform cells
+        # equal measures of two tables: rows that repeat across pairs
+        (generate(cascade), LEB), (generate(cascade), LEB),
+        # an atom on an edge from level 2, pieces across edges: per entry
+        (Measure.make(atoms=[(0.25, 0.5), (0.6, 0.5)]), LEB),
+        (generate({"type": "example22", "n": 5}), LEB),
+    ]
+    per_entry = {len(pairs) - 2: range(2, 9), len(pairs) - 1: range(2, 5)}
+    js = range(9)
+    alone = [AlphaTable(mu, nu).levels(js) for mu, nu in pairs]
+    tables = [AlphaTable(mu, nu) for mu, nu in pairs]
+    held = {i: tables[i].levels([1, 4]) for i in (0, 7, 100, 104, 106)}
+    fill_levels(tables, js)
+    for i, (table, want) in enumerate(zip(tables, alone)):
+        assert [j for j in js if want[j] is None] == list(
+            per_entry.get(i, [])), i
+        for j in js:
+            got = table._levels[j]
+            if want[j] is None:
+                assert got is None, (i, j)
+            else:
+                assert np.array_equal(got.view(np.int64),
+                                      want[j].view(np.int64)), (i, j)
+        if i in held:  # a level held already is not filled again
+            assert all(table._levels[j] is a for j, a in zip((1, 4), held[i]))
+
+
 # bytes of one float64 row of a depth-16 cascade's level-0 fill
 _ROW_BYTES = 8 << 16
 
@@ -489,12 +537,12 @@ def test_a_wide_level_fill_holds_few_rows_at_once():
     # level 0 of a depth-16 cascade is one row of 65,536 segments: the fill
     # and the kernel hold about 10 row-sized arrays at once (tracemalloc
     # counts numpy's data), and 23 when they keep each temporary alive
-    alpha_module._alpha_levels(generate({"type": "cascade", "p": 0.7,
-                                         "depth": 4}), LEB, [0])  # warm
+    alpha_module._alpha_levels([(generate({"type": "cascade", "p": 0.7,
+                                          "depth": 4}), LEB)], [[0]])  # warm
     casc = generate({"type": "cascade", "p": 0.7, "depth": 16})
     tracemalloc.start()
     try:
-        out, = alpha_module._alpha_levels(casc, LEB, [0])
+        out = alpha_module._alpha_levels([(casc, LEB)], [[0]])[0][0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import sqfnlab
+import sqfnlab.alpha as alpha_module
 from sqfnlab import squarefn
 from sqfnlab.cli import SCENARIOS, load_config, main, run_experiment
+from sqfnlab.transport import w1_rows
 
 
 def _write_cfg(tmp_path, cfg):
@@ -272,17 +274,21 @@ def test_each_dyadic_sum_is_made_once_per_run(tmp_path, monkeypatch, name,
     assert made[key] == 1 and max(made.values()) == 1, made
 
 
-def test_console_entry_point_runs(tmp_path):
-    cfg = _write_cfg(tmp_path, {"scenario": "identity"})
-    # The child must import the same sqfnlab as this process, installed or
-    # found through PYTHONPATH, so put its parent directory first.
+def _child_env():
+    """The environment of a child process that imports the same sqfnlab as
+    this process, installed or found through PYTHONPATH: its parent
+    directory goes first."""
     pythonpath = os.path.dirname(os.path.dirname(sqfnlab.__file__))
     if os.environ.get("PYTHONPATH"):
         pythonpath += os.pathsep + os.environ["PYTHONPATH"]
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath}
+
+
+def test_console_entry_point_runs(tmp_path):
+    cfg = _write_cfg(tmp_path, {"scenario": "identity"})
     proc = subprocess.run(
         [sys.executable, "-m", "sqfnlab.cli", "run", "--config", cfg],
-        capture_output=True, text=True, env={"PATH": "/usr/bin:/bin",
-                                             "PYTHONPATH": pythonpath})
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["passed"]
@@ -344,3 +350,49 @@ def test_default_reports_are_pinned(tmp_path, monkeypatch, capsys):
             if (tmp_path / p).exists() else None for p in outputs.values())
     capsys.readouterr()
     assert got == REPORT_DIGESTS
+
+
+# the pinned scenarios as `sqfnlab run` writes them, in a fresh interpreter
+_FRESH_RUN = """
+import contextlib, io, json, sys
+from sqfnlab.cli import SCENARIOS, main
+for name in sorted(SCENARIOS):
+    outputs = {"json": name + ".json", "csv": name + ".csv"}
+    with open("cfg.json", "w") as fh:
+        json.dump({"scenario": name, "outputs": outputs}, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", "cfg.json"]) == 0, name
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_default_scenarios_do_not_import_numpy_ma(tmp_path):
+    # the first np.unique (or np.ma) of a process imports numpy.ma, which
+    # costs a bench pass milliseconds and about 1.7 MB of RSS
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", _FRESH_RUN],
+                         cwd=tmp_path, env=_child_env(), capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_fleet_fills_all_pairs_in_few_kernel_calls(tmp_path, monkeypatch):
+    # random-histogram-fleet (seed 0) fills every pair's levels in one
+    # pass: its 424 distinct rows go through the kernel in a stack per row
+    # length and jump kind, 24 calls, where its pairs filling one at a time
+    # sent 440 rows in 101
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return w1_rows(*args)
+
+    monkeypatch.setattr(alpha_module, "w1_rows", counted)
+    cfg = load_config(_write_cfg(tmp_path, {
+        "scenario": "random-histogram-fleet"}))
+    counts = []
+    for _ in range(2):
+        del calls[:]
+        assert run_experiment(cfg)["passed"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 24, counts
