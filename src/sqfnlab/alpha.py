@@ -11,30 +11,27 @@ masses are computed when asked.
 The first read of a standard dyadic cell fills its whole level, and
 fill_levels fills every level a caller will read, of one pair
 (AlphaTable.levels, as stopping_forest calls it) or of several, whose
-rows share the kernel's stacks, in numpy passes over many cells.  A
-level of at most 2^14 cells fills when each of its cells holds whole
-parts of each measure (measure._level_parts): atoms strictly inside the
-cell, pieces inside it or a piece over the whole cell, with gaps between
-them or no mass at all.  Where both measures tile every cell alike
-(measure._cell_width, as histogram, cascade and Lebesgue pairs do) the
-rows come from their pieces' grids; otherwise each row merges both
-sides' breakpoints, and a pair's cell levels make their rows together.
-Each distinct row is computed once, and a filled level keeps one array
-of alphas, each == the per-entry value.  A level with an atom on a cell
-edge, or a piece across an edge inside it, keeps entries:
-AlphaTable.alphas sends the distinct graphs of the cells it reads there
-through one w1_values call, and a single read of a cell, ball or tuple
-is a one-graph w1_values call, with == results.  An entry's graph builds
-no Measure: each side goes from the measure's arrays to its scaled
-blow-up and CDF tables in one step, and measure._difference, the core of
-cdf_difference, takes the two.  An interval where both measures are
-uniform reads 0.0 without a kernel call.
+rows share the kernel's stacks, in numpy passes over many cells.  One
+reader, measure._level_parts, scans a level's cells, then takes the parts
+of the cells to compute: atoms, and the pieces that meet the cell, one
+across an edge clipped there as restrict clips it.  Where both measures'
+parts tile every such cell alike the rows come from their grids;
+otherwise each row merges both sides' breakpoints, and a pair's cell
+levels make their rows together.  Each distinct row is computed once, and
+a filled level keeps one array of alphas, each == the per-entry value.
+Only a level with an atom on a cell edge, which can set the one-sided
+flag, keeps entries: AlphaTable.alphas sends the graphs of the cells it
+reads there through one w1_values call, and a single read of a cell, ball
+or tuple is a one-graph w1_values call, with == results.  An entry's
+graph builds no Measure: each side goes from the measure's arrays to its
+scaled blow-up and CDF tables in one step, and measure._difference, the
+core of cdf_difference, takes the two.  An interval where both measures
+are uniform reads 0.0 without a kernel call.
 """
 
 from __future__ import annotations
 
 import weakref
-import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,11 +43,9 @@ from .measure import (
     _blowup_parts,
     _cdf_tables,
     _difference,
-    _cell_width,
     _integrate_parts,
     _level_cells,
     _level_parts,
-    _level_pieces,
     _side,
     blowup,
     integrate,
@@ -157,25 +152,15 @@ class AlphaTable:
 
     def _add(self, keys):
         """Make the entries of the keys not held yet, in their order, from
-        one w1_values call on their distinct graphs (the kernel works along
-        each graph alone, so equal graphs give equal alphas); a key where
-        both measures are uniform reads 0.0 without a kernel row, as in
-        _alpha_levels."""
+        one w1_values call on their graphs; a key where both measures are
+        uniform reads 0.0 without a kernel row, as in _alpha_levels."""
         todo = {key: _graph(self._mu(), self.nu, *key)
                 for key in dict.fromkeys(keys) if key not in self._entries}
-        first, graphs, at = {}, [], {}  # graph key -> place of its first
-        for key, (g, _) in todo.items():
-            if g is not None:
-                i = first.setdefault(_graph_key(g), len(graphs))
-                if i == len(graphs) or not all(
-                        map(np.array_equal, g, graphs[i])):
-                    i = len(graphs)  # new, or a key collision
-                    graphs.append(g)
-                at[key] = i
-        values = w1_values(graphs).tolist()
-        for key, (_, flag) in todo.items():
+        values = iter(w1_values([g for g, _ in todo.values()
+                                 if g is not None]).tolist())
+        for key, (g, flag) in todo.items():
             self._entries[key] = AlphaEntry(
-                values[at[key]] if key in at else 0.0, flag)
+                0.0 if g is None else next(values), flag)
 
     def alpha(self, I):
         return self.entry(I).alpha
@@ -187,13 +172,6 @@ class AlphaTable:
     def __len__(self):
         return len(self._entries) + sum(
             a.size for a in self._levels.values() if a is not None)
-
-
-def _graph_key(graph):
-    """A graph's segment count and the CRC-32 of its values g0: a key that
-    holds no copy of the graph and reads a quarter of it; _add confirms
-    equality on all four arrays."""
-    return graph[2].size, zlib.crc32(graph[2])
 
 
 def fill_levels(tables, js):
@@ -262,20 +240,20 @@ def _alpha_levels(pairs, levels):
 
     The rows follow _graph step by step: the uniform shortcut, the blow-up
     totals, the scaled masses and their CDFs on the union of both sides'
-    breakpoints.  A level where both measures tile every cell alike makes
-    its rows on its own (_tiled_rows), a chunk of segments at a time, so
-    that a wide row's arrays are dropped before the next.  A pair's other
-    levels make their rows together (_cell_rows), in batches of levels that
-    hold about a chunk of parts (or one level).  Each distinct row of all
-    pairs, keyed on the exact bytes of its grid and CDF differences, joins
-    the pool of its length (and of whether it jumps); the pools go through
-    w1_rows, a stack each, whenever they hold a chunk of segments (so a row
-    that wide goes at once) and at the end: the kernel works along each row
-    alone, so equal rows give equal alphas, whatever their stack.  None
-    for a level of more cells than a chunk, or where a cell's blow-up needs
-    more than whole parts of its own (measure._level_parts: an atom on a
-    cell edge, which can set a one-sided-zero flag, two atoms at one point,
-    overlapping pieces or a piece that crosses an edge inside it).
+    breakpoints.  measure._level_parts scans the pair's levels at once.
+    Once no array of the scans is left, a level where both measures' parts
+    tile every cell to compute makes its rows on its own (_tiled_rows), a
+    chunk of segments at a time; the pair's other levels make theirs
+    together (_cell_rows), in batches of about a chunk of parts (or one
+    level).  Each distinct row of all pairs, keyed on the exact bytes of
+    its grid and CDF differences, joins the pool of its length (and of
+    whether it jumps); the pools go through w1_rows, a stack each, whenever
+    they hold a chunk of segments (so a row that wide goes at once) and at
+    the end: the kernel works along each row alone, so equal rows give
+    equal alphas, whatever their stack.  None for a level of more cells
+    than a chunk or with an atom on a cell edge (which can set a one-sided
+    flag), and for every level of a measure with two atoms at one point or
+    overlapping pieces.
     """
     known = {}, {}  # kernel input bytes -> slot of its alpha: rows without,
     # with jumps; slot 0 holds the 0.0 of cells where both are uniform
@@ -317,41 +295,51 @@ def _alpha_levels(pairs, levels):
 
     out = [dict.fromkeys(js) for js in levels]  # alpha slots, then alphas
     for (mu, nu), js, filled in zip(pairs, levels, out):
-        batches, size = [], _CHUNK
-        for j in js:
-            if 1 << j > _CHUNK:
-                continue
-            widths = _cell_width(mu, j), _cell_width(nu, j)
+        js = [j for j in js if 1 << j <= _CHUNK]
+        if not js:
+            continue
+        cells = _level_cells([(j, np.arange(1 << j)) for j in js])
+        scans = _level_parts(mu, cells), _level_parts(nu, cells)
+        if None in scans:
+            continue
+        (su, tu), (sv, tv) = scans
+        todo = ~(su.uniform & sv.uniform)  # the others keep slot 0: 0.0
+        tiled, batches, size, k, c = [], [], _CHUNK, None, None
+        starts = np.cumsum([0] + [1 << j for j in js]).tolist()
+        for i, (j, start) in enumerate(zip(js, starts)):
+            if su.edge[i] or sv.edge[i]:
+                continue  # an atom on a cell edge: per entry
+            k = np.flatnonzero(todo[start:start + (1 << j)])  # cells to do
+            c = k + start
+            widths = [int(p[c[0]]) if t[c].all() and (p[c] == p[c[0]]).all()
+                      else None for p, t in ((su.parts, su.tiles),
+                                             (sv.parts, sv.tiles))
+                      ] if k.size else [1, 1]  # no cell to do: no row
             if None not in widths and (min(widths) < 2 or np.array_equal(
                     mu.piece_l, nu.piece_l)):
-                filled[j] = fill(1 << j, _tiled_rows(mu, nu, j,
-                                                     max(*widths, 1)))
+                # where all cells are to do, k is made when they are filled
+                tiled.append((j, None if k.size == 1 << j else k, widths))
                 continue
             # batches of levels with about a chunk of parts at most, or one
-            k = (1 << j) + sum(m.atom_x.size + m.piece_l.size
-                               for m in (mu, nu))
-            if size + k > _CHUNK:
+            n = k.size + int(su.parts[c].sum() + sv.parts[c].sum())
+            if size + n > _CHUNK:
                 batches.append([])
                 size = 0
-            batches[-1].append(j)
-            size += k
+            batches[-1].append((j, k))
+            size += n
+        # no array of the scans outlives them: wide rows set the peak
+        del cells, scans, su, sv, todo, k, c
+        for j, k, widths in tiled:
+            filled[j] = fill(1 << j, _tiled_rows(
+                j, np.arange(1 << j) if k is None else k, widths, (tu, tv)))
         for batch in batches:
             cells = _level_cells(batch)
-            parts = _level_parts(mu, cells), _level_parts(nu, cells)
-            if None in parts:
-                break  # no level can hold whole parts
-            ok = parts[0][1] & parts[1][1]
-            if not ok.all():  # the levels that do, again
-                batch = [j for j, o in zip(batch, ok.tolist()) if o]
-                if not batch:
-                    continue
-                cells = _level_cells(batch)
-                parts = _level_parts(mu, cells), _level_parts(nu, cells)
-            stacks, rep = _cell_rows(cells, parts[0][0], parts[1][0])
+            stacks, rep = _cell_rows(cells, tu(*cells[:2]), tv(*cells[:2]))
             slots = fill(rep.size, stacks)[rep]
             del stacks
-            for i, j in enumerate(batch):  # cells[3]: place of the level
-                filled[j] = slots[cells[3] == i]
+            for j, k in batch:  # the slots, level after level
+                filled[j] = np.zeros(1 << j, dtype=np.int64)
+                filled[j][k], slots = slots[:k.size], slots[k.size:]
     flush()
     values = np.zeros(1 + sum(map(len, known)))
     for slots, alphas in done:
@@ -364,34 +352,32 @@ def _alpha_levels(pairs, levels):
     return out
 
 
-def _tiled_rows(mu, nu, j, width):
-    """Stacks (cells, grid, G, G) of a level where both measures tile every
-    cell alike (measure._cell_width), at most one of them with several
-    pieces per cell or both on one grid: each row on the finer (or the
-    shared) grid, where a one-piece side is np.interp's line through (0, 0)
-    and (1, F(1)).  Rows of width segments, a chunk of them at a time."""
-    n = 1 << j
-    rows = max(_CHUNK // width, 1)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        pu = _level_pieces(mu, j, start, stop)
-        pv = _level_pieces(nu, j, start, stop)
-        todo = ~(pu[2] & pv[2])  # cells where both are uniform keep 0.0
-        if not todo.any():
-            continue
-        grid = pu[0] if pu[0].shape[1] > 2 else pv[0]
-        mu_m, nu_m = pu[1], pv[1]
-        del pu, pv  # before the kernel, whose arrays set a wide row's peak
-        cells = np.arange(start, stop)
-        if not todo.all():  # copies of the cells to do
-            grid, mu_m, nu_m, cells = (v[todo] for v in (grid, mu_m, nu_m,
-                                                         cells))
-        G = _cdf_rows(mu_m, grid)
-        Fv = _cdf_rows(nu_m, grid)
+def _tiled_rows(j, k, widths, takes):
+    """Stacks (cells, grid, G, G) of the level-j cells k, where the parts of
+    both measures (takes: their level takes) tile every cell (_Scan.tiles)
+    in widths[0] and widths[1] parts, at most one of them several or both
+    on one grid: each row on the finer (or the shared) grid, where a
+    one-part side is np.interp's line through (0, 0) and (1, F(1)).  Rows
+    of max(widths) segments, a chunk of them at a time."""
+    P, s = max(widths), 2.0 ** (-j)
+    step = max(_CHUNK // P, 1)
+    for start in range(0, k.size, step):
+        c = k[start:start + step]
+        a = c * s + 0.0  # the cells' ends, as _level_cells makes them
+        parts = [take(a, a + s)[1] for take in takes]
+        (_, lo, hi, _, _), mu_m, nu_m = (parts[widths[0] < P], parts[0][3],
+                                         parts[1][3])
+        del parts
+        grid = np.empty((c.size, P + 1))
+        grid[:, :-1] = lo.reshape(c.size, P)
+        grid[:, -1] = hi[P - 1::P]
+        del lo, hi  # before the kernel, whose arrays set a wide row's peak
+        grid -= a[:, None]  # exact: the cells' blow-ups
+        grid /= s
+        G = _cdf_rows(mu_m.reshape(c.size, -1), grid)
+        G -= _cdf_rows(nu_m.reshape(c.size, -1), grid)
         del mu_m, nu_m
-        G -= Fv
-        del Fv
-        yield cells, grid, G, G
+        yield c, grid, G, G
 
 
 def _cdf_rows(pm, grid):
@@ -399,7 +385,7 @@ def _cdf_rows(pm, grid):
 
     As cdf_left_values reads a scaled blow-up: a cumsum of its own pieces,
     made in place in the result, or for one piece np.interp's line
-    slope * x, exact at 0 and 1.  Every row has mass (measure._cell_width).
+    slope * x, exact at 0 and 1.  Every row has mass (measure._Scan.tiles).
     """
     inv = 1.0 / pm.sum(axis=1)
     if pm.shape[1] == 1:
@@ -413,8 +399,8 @@ def _cdf_rows(pm, grid):
 
 
 def _cell_rows(cells, pu, pv):
-    """(stacks, rep) of the given measure._level_cells, which hold whole
-    parts of each measure (pu, pv: their measure._level_parts): stacks
+    """(stacks, rep) of the given measure._level_cells, with the parts of
+    each measure that measure._level_parts takes there (pu, pv): stacks
     (cells, x, g0, g1) of the rows to compute, and rep[c], the cell whose
     alpha cell c takes.
 
@@ -431,10 +417,9 @@ def _cell_rows(cells, pu, pv):
     a, b, s, level = cells
     bounds = level.searchsorted(np.arange(level[-1] + 2))  # level starts
     n = a.size
-    todo = ~(pu[2] & pv[2])  # cells where both are uniform keep 0.0
-    u, v = (_cell_side(*p[:2], todo) for p in (pu, pv))
-    rep = _cell_reps(u, v, todo, a, s)
-    todo &= rep == np.arange(n)
+    u, v = (_cell_side(*p) for p in (pu, pv))
+    rep = _cell_reps(u, v, a, s)
+    todo = rep == np.arange(n)
     u, v = (_cell_tables(side, todo & side.live) for side in (u, v))
     # each side's breakpoints, with (Fu-, Fu+, Fv-, Fv+) there
     (xu, au, bu, *fu), (xv, av, bv, *fv) = (
@@ -508,11 +493,10 @@ class _Side(NamedTuple):
     runs: tuple
 
 
-def _cell_side(atoms, pieces, todo):
-    """The _Side of one measure's level parts on the cells to do, before
-    _cell_tables."""
+def _cell_side(atoms, pieces):
+    """The _Side of one measure's level parts, before _cell_tables."""
     (fa, ax, aw), (fp, lo, hi, pm, touch) = atoms, pieces
-    n = todo.size
+    n = fa.size - 1
     runs = _cell_runs(fa), _cell_runs(fp)
     total = np.zeros(n)
     for (_, groups), w in zip(runs, (aw, pm)):
@@ -520,7 +504,7 @@ def _cell_side(atoms, pieces, todo):
         for rows, idx in groups:
             t[rows] = w[idx].sum(axis=1)
         total += t  # aw.sum() + pm.sum(), each 0.0 when empty
-    live = todo & (total > 0.0)  # elsewhere the blow-up is ZERO
+    live = total > 0.0  # elsewhere the blow-up is ZERO
     with np.errstate(over="ignore"):  # as 1.0 / total does on a float
         inv = np.divide(1.0, total, out=np.zeros(n), where=live)
     return _Side(fa, ax, aw * np.repeat(inv, runs[0][0]), None, fp, lo, hi,
@@ -568,8 +552,8 @@ def _cell_cumsums(values, groups, inv, todo):
 _SAME = 16
 
 
-def _cell_reps(u, v, todo, a, s):
-    """rep[c]: the first cell to do whose blow-ups of both measures equal
+def _cell_reps(u, v, a, s):
+    """rep[c]: the first cell whose blow-ups of both measures equal
     cell c's bit for bit (blown-up positions and scaled masses), or c.
 
     Such cells have equal rows, so only the first is computed: translated
@@ -578,7 +562,7 @@ def _cell_reps(u, v, todo, a, s):
     it.  Only a level with two cells of at least _SAME parts of a kind is
     compared: below that a row costs less than its key.
     """
-    n = todo.size
+    n = a.size
     cell = np.arange(n)
     # (ends, masses, their scale or None if scaled, runs) of each kind
     kinds = [k for side in (u, v) for k in (
@@ -604,7 +588,6 @@ def _cell_reps(u, v, todo, a, s):
                                                       a, s)), axis=1),
                     rows.tolist())]
         key = key * (n + 1) + rep + 1  # n + 1 values each, 4 kinds: < 2^63
-    key[~todo] = -1 - cell[~todo]
     order = key.argsort(kind="stable")
     first = np.ones(n, dtype=bool)
     np.not_equal(key[order[1:]], key[order[:-1]], out=first[1:])

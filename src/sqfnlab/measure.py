@@ -7,6 +7,11 @@ construction; every operation returns a new value.  The internals are plain
 numpy arrays, and interval queries binary-search the sorted atoms and pieces,
 so that measures with hundreds of thousands of pieces (deep multiplicative
 cascades) stay cheap to restrict, blow up and integrate.
+
+A dyadic level's parts have one reader, _level_parts: it scans every cell
+first (its counts, whether its parts tile it, whether it is uniform), then
+takes the parts of only the cells a level fill computes, a piece across a
+cell edge clipped there as restrict clips it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 import reprlib
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -605,165 +611,130 @@ def _blowup_parts(m: Measure, a, b, closed_right):
             np.maximum((lo - a) / s, 0.0), np.minimum((hi - a) / s, 1.0), pm)
 
 
-_TINY = np.finfo(float).tiny  # the smallest normal float
+def _level_cells(cells):
+    """(a, b, s, level) of the standard cells k of level j of each (j, k) of
+    cells, one after another: their ends as DyadicInterval gives them,
+    their widths and the place of their (j, k) in cells."""
+    n = [k.size for _, k in cells]
+    s = np.repeat([2.0 ** (-j) for j, _ in cells], n)
+    a = np.concatenate([k for _, k in cells]) * s + 0.0  # a, a + s: exact
+    return a, a + s, s, np.repeat(np.arange(len(cells)), n)
 
 
-def _cell_width(m: Measure, j):
-    """P when every level-j cell is a run of P whole pieces, 0 when every
-    cell lies inside one piece, None otherwise, or when m has atoms, its
-    pieces do not tile [0, 1) or one has a mass below the smallest normal
-    float, which a cell's blow-up could round to a zero total.  Memoized
-    per level on m.
-    """
-    widths = m._memo("_cell_widths")  # level -> _cell_width
-    if j in widths:
-        return widths[j]
-    pl, pr = m.piece_l, m.piece_r
-    P = None
-    if not (m.atom_x.size or not pl.size or pl[0] != 0.0 or pr[-1] != 1.0
-            or (pl[1:] != pr[:-1]).any() or m.piece_m.min() < _TINY):
-        edges = np.arange((1 << j) + 1) * 2.0 ** (-j) + 0.0  # DyadicInterval.a
-        P = pl.size >> j
-        if P:
-            ok = pl.size == P << j and np.array_equal(pl[::P], edges[:-1])
-        else:
-            ok = (pr[pr.searchsorted(edges[:-1], "right")] >= edges[1:]).all()
-        P = P if ok else None
-    widths[j] = P
-    return P
+class _Scan(NamedTuple):
+    """Per cell, before a part is taken: its count of parts, whether they
+    tile it (no atom, pieces from a to b without a gap, the first of mass
+    at least the smallest normal float: the blow-up has mass) and whether
+    is_uniform_on gives it a positive density; per level, an edge atom."""
 
-
-def _level_pieces(m: Measure, j, start, stop):
-    """Blow-ups of m onto the level-j cells start..stop-1, one row per cell,
-    on a level that _cell_width finds aligned.
-
-    Returns (x, pm, uniform): row i is the blow-up onto cell start + i, with
-    its grid x[i] from 0 to 1, its piece masses pm[i], both computed
-    elementwise as restrict and blowup compute them, and uniform[i], whether
-    is_uniform_on gives the cell a positive density.
-    """
-    P = _cell_width(m, j)
-    edges = np.arange(start, stop + 1) * 2.0 ** (-j) + 0.0
-    a, s = edges[:-1, None], 2.0 ** (-j)
-    if P:
-        # each cell is a run of whole pieces from a to b, so restrict keeps
-        # them as they are (lo = l, hi = r) and the last right end maps to 1;
-        # exact: l - a loses nothing (Sterbenz, as a <= l < b <= 2a or a =
-        # 0) and s is a power of two, so the rows' breakpoints keep the
-        # pieces' order and adjacent pieces share them
-        take = slice(start * P, stop * P)
-        l, r, mm = (v[take].reshape(-1, P)
-                    for v in (m.piece_l, m.piece_r, m.piece_m))
-        w = r - l
-        dens = mm / w
-        x = np.concatenate([l, r[:, -1:]], axis=1)
-        x -= a
-        x /= s
-    else:
-        # each cell lies inside one piece, so restrict keeps the whole cell
-        # (lo = a, hi = b) at that piece's density: one piece from 0 to 1
-        i = m.piece_r.searchsorted(a[:, 0], "right")[:, None]
-        w = s
-        dens = m.piece_m[i] / (m.piece_r[i] - m.piece_l[i])
-        x = np.zeros((stop - start, 2))
-        x[:, 1] = 1.0
-    d0 = dens[:, :1]
-    uniform = (d0[:, 0] > 0.0) & ~(
-        np.abs(dens - d0) > 1e-15 * np.maximum(1.0, np.abs(d0))).any(axis=1)
-    return x, dens * w, uniform
-
-
-def _level_cells(levels):
-    """(a, b, s, level) of the standard cells of the given levels, level
-    after level: their ends as DyadicInterval gives them, their widths and
-    the place of their level in levels."""
-    n = [1 << j for j in levels]
-    return (*(np.concatenate(v) for v in zip(*(
-        (np.arange(k) * 2.0 ** (-j) + 0.0, np.arange(1, k + 1) * 2.0 ** (-j))
-        for j, k in zip(levels, n)))),
-        np.repeat([2.0 ** (-j) for j in levels], n),
-        np.repeat(np.arange(len(levels)), n))
+    parts: np.ndarray
+    tiles: np.ndarray
+    uniform: np.ndarray
+    edge: np.ndarray
 
 
 def _level_parts(m: Measure, cells):
-    """(parts, ok): m's parts in the given _level_cells, in order, and
-    whether each level's cells hold whole parts of their own: no atom on a
-    cell edge (0 and 1 included) and no piece that crosses an edge inside
-    it.  None where two atoms share a point or two pieces overlap.
+    """(scan, take) of m's parts in the given cells (_level_cells), or None
+    where two atoms share a point or two pieces overlap.
 
-    parts = ((fa, ax, aw), (fp, lo, hi, pm, touch), uniform): cell c holds
-    the atoms fa[c]..fa[c + 1] - 1 and the piece parts fp[c]..fp[c + 1] -
-    1, each level all of m's atoms and pieces, with their ends and masses
-    as restrict computes them (a piece over several cells gives each the
-    whole cell); touch is whether two pieces share an end; uniform[c] is
-    whether is_uniform_on gives cell c a positive density.  Coordinates
-    stay as they are: the blow-up onto a cell maps them exactly (see
-    _level_pieces), so their order and ties are the blow-ups'.
+    A cell's parts are restrict's: its atoms, and the pieces that meet it,
+    one across an edge clipped there (lo = max(l, a), hi = min(r, b), mass
+    pm / (r - l) * (hi - lo)).  scan is the _Scan of every cell, from their
+    slices and densities (a run is uniform when its extremes lie within
+    is_uniform_on's tolerance of its first).  take(a, b) gives the parts of
+    the cells [a[i], b[i]), each level's in order, as ((fa, ax, aw), (fp,
+    lo, hi, pm, touch)): cell i holds the atoms fa[i]..fa[i + 1] - 1 and
+    the pieces fp[i]..fp[i + 1] - 1; touch is whether two pieces share an
+    end.  Coordinates stay as they are: the blow-up onto a cell maps them
+    exactly (x - a is exact by Sterbenz, as a <= x <= b <= 2a or a = 0, and
+    the width is a power of two), so their order and ties are the blow-ups'.
     """
-    memo = _part_memo(m)
-    if memo is None:
+    ax, pl, pr, pm = m.atom_x, m.piece_l, m.piece_r, m.piece_m
+    memo = m._memo("_part_memo")  # the pieces followed by a gap
+    if "gaps" not in memo:
+        memo["gaps"] = None if ((ax[1:] == ax[:-1]).any()
+                                or (pl[1:] < pr[:-1]).any()) else (
+            np.flatnonzero(pl[1:] > pr[:-1]))
+    gaps = memo["gaps"]
+    if gaps is None:
         return None
-    dens, pw, gaps = memo
-    a, b, s, level = cells
-    L, ax, pl, pr = level[-1] + 1, m.atom_x, m.piece_l, m.piece_r
-    i = ax.searchsorted(a)
-    fa = np.append(i + level * ax.size, L * ax.size)
-    bad = np.zeros(a.size, dtype=bool)
-    if ax.size:  # atoms at each cell's a, or at 1
-        bad = (ax[np.minimum(i, ax.size - 1)] == a) | (ax[-1] == 1.0)
-    fp = np.zeros(a.size + 1, dtype=np.int64)
-    lo, hi, pm, touch = pl, pr, pw, gaps.size < pl.size - 1
-    uniform = np.zeros(a.size, dtype=bool)
+
+    def slices(a, b):  # each cell's first atom, atoms, first piece, pieces
+        fa = na = np.zeros(a.size, dtype=np.int64)
+        if ax.size:
+            fa = ax.searchsorted(a)
+            na = ax.searchsorted(b) - fa
+        fp = pr.searchsorted(a, "right")  # as _overlap slices them
+        return fa, na, fp, pl.searchsorted(b) - fp
+
+    def take(a, b):
+        fa, na, fp, count = slices(a, b)
+        (oa, ia), (op, ip) = _runs(fa, na) if ax.size else (
+            np.zeros(a.size + 1, dtype=np.int64), slice(0)), _runs(fp, count)
+        l, r = pl[ip], pr[ip]
+        w = r - l
+        mass = pm[ip] / w
+        i0, i1 = op[:-1], op[1:] - 1
+        if not count.all():  # the cells with pieces
+            k = count > 0
+            i0, i1, a, b = i0[k], i1[k], a[k], b[k]
+        cut0, cut1 = l[i0] < a, r[i1] > b
+        if cut0.any() or cut1.any():  # a piece across an edge: clip it
+            l, r = l.copy(), r.copy()
+            i0, i1 = i0[cut0], i1[cut1]
+            l[i0], r[i1] = a[cut0], b[cut1]
+            w[i0], w[i1] = r[i0] - l[i0], r[i1] - l[i1]
+        mass *= w
+        return (oa, ax[ia], m.atom_w[ia]), (op, l, r, mass,
+                                            gaps.size < pl.size - 1)
+
+    a, b, _, level = cells
+    fa, na, fp, count = slices(a, b)
+    edge = np.zeros(level[-1] + 1, dtype=bool)
+    if ax.size:  # an atom at a cell's a, or at 1, is on an edge
+        edge[level[(ax[np.minimum(fa, ax.size - 1)] == a)
+                   | (ax[-1] == 1.0)]] = True
+    tiles = uniform = np.zeros(a.size, dtype=bool)
     if pl.size:
-        first = pr.searchsorted(a, "right")  # _overlap's slice of each cell
-        count = pl.searchsorted(b) - first
-        f, last = np.minimum(first, pl.size - 1), np.maximum(first + count - 1,
-                                                             0)
-        has = count > 0
-        # a piece across an edge must hold the whole cell, and so each it
-        # meets
-        cover = (pl[f] <= a) & (pr[f] >= b) & (count == 1)
-        bad |= has & ((pl[f] < a) | (pr[last] > b)) & ~cover
-        np.cumsum(count, out=fp[1:])
-        if L > 1 or cover.any():  # each level's parts
-            src = np.repeat(first - fp[:-1], count) + np.arange(fp[-1])
-            lo, hi, pm = pl[src], pr[src], pw[src]
-            c = fp[:-1][cover]
-            lo[c], hi[c] = a[cover], b[cover]
-            pm[c] = dens[first[cover]] * s[cover]
-        # is_uniform_on: no atom, parts from a to b without a gap, and every
-        # density within its tolerance of the first, which is > 0
-        d0 = dens[f]
-        uniform = has & (fa[1:] == fa[:-1]) & (d0 > 0.0) & (cover | (
-            (pl[f] == a) & (pr[last] == b)
-            & (gaps.searchsorted(first) == gaps.searchsorted(last))))
-        if uniform.any():
-            c = np.flatnonzero(uniform)
-            src = np.repeat(first[c] - np.cumsum(count[c]) + count[c],
-                            count[c]) + np.arange(count[c].sum())
-            d0 = np.repeat(d0[c], count[c])
-            bad_d = np.abs(dens[src] - d0) > 1e-15 * np.maximum(1.0,
-                                                                np.abs(d0))
-            uniform[np.repeat(c, count[c])[bad_d]] = False
-    parts = (fa, np.tile(ax, L), np.tile(m.atom_w, L)), (
-        fp, lo, hi, pm, touch), uniform
-    return parts, np.bincount(level[bad], minlength=L) == 0
+        f = np.minimum(fp, pl.size - 1)
+        last = np.maximum(fp + count - 1, 0)
+        lf, rf = pl[f], pr[f]
+        ok = (count > 0) & (na == 0) & (lf <= a) & (pr[last] >= b)
+        if gaps.size:
+            ok &= gaps.searchsorted(f) == gaps.searchsorted(last)
+        d0 = pm[f] / (rf - lf)  # densities, as is_uniform_on reads them
+        tiles = ok & (d0 * (np.minimum(rf, b) - np.maximum(lf, a))
+                      >= np.finfo(float).tiny)
+        uniform = ok & (d0 > 0.0)
+        c = np.flatnonzero(uniform & (count > 1))  # runs of several pieces
+        if c.size:  # the second piece settles runs of two, and most others
+            f, last, d0, g = f[c], last[c], d0[c], f[c] + 1
+            tol = 1e-15 * np.maximum(1.0, np.abs(d0))
+            off = np.abs(pm[g] / (pr[g] - pl[g]) - d0) > tol
+            i = np.flatnonzero(~off & (last > g))
+            if i.size:  # reduceat's even slots reduce f..last - 1, and in
+                # floats too, max |d - d0| is max(hi - d0, d0 - lo)
+                dens = pm / (pr - pl)
+                runs = np.stack([f[i], last[i]], axis=1).ravel()
+                hi = np.maximum(np.maximum.reduceat(dens, runs)[::2],
+                                dens[last[i]])
+                lo = np.minimum(np.minimum.reduceat(dens, runs)[::2],
+                                dens[last[i]])
+                off[i] = np.maximum(hi - d0[i], d0[i] - lo) > tol[i]
+            uniform[c] = ~off
+    return _Scan(na + count if ax.size else count, tiles, uniform,
+                 edge), take
 
 
-def _part_memo(m: Measure):
-    """(dens, pw, gaps) of m's pieces, or None when two atoms share a point
-    or two pieces overlap: densities, the masses restrict keeps for whole
-    pieces, and the pieces followed by a gap.  Memoized on m."""
-    memo = m._memo("_part_memo")
-    if "parts" not in memo:
-        ax, pl, pr = m.atom_x, m.piece_l, m.piece_r
-        parts = None
-        if not ((ax[1:] == ax[:-1]).any() or (pl[1:] < pr[:-1]).any()):
-            w = pr - pl
-            dens = m.piece_m / w
-            parts = dens, dens * w, np.flatnonzero(pl[1:] > pr[:-1])
-        memo["parts"] = parts
-    return memo["parts"]
+def _runs(first, count):
+    """(offsets, index) of the runs first[i]..first[i] + count[i] - 1, laid
+    end to end: where each starts (and the last ends), and the indices of
+    their items, a slice when each run starts where the one before ends."""
+    off = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=off[1:])
+    if (first[1:] == first[:-1] + count[:-1]).all():  # first: not empty
+        return off, slice(first[0], first[0] + off[-1])
+    return off, np.repeat(first - off[:-1], count) + np.arange(off[-1])
 
 
 def normalized_blowup(m: Measure, a, b, closed_right=False):

@@ -24,6 +24,8 @@ import numpy as np
 from .measure import (
     BoundaryAtomWarning,
     Measure,
+    _atoms_at,
+    cdf_left_values,
     dyadic_cell_masses,
     mass,
     restrict,
@@ -253,8 +255,8 @@ def buckley_ratio(mu: Measure, nu: Measure, depth, which="delta"):
 def tolsa_l2(gdensity: Measure, nu: Measure, depth=8):
     """(lhs, l2norm, ratio) for the squared-alpha L2 bound.
 
-    gdensity is mu = g dnu with g piecewise constant on the dyadic cells of
-    level ceil(log2(pieces)), read from its piece count.  lhs sums
+    gdensity is mu = g dnu with g constant between consecutive ends of mu's
+    pieces, a gap between two pieces being one such cell.  lhs sums
     alpha^2(I) mu(I)^2 / nu(I) over levels <= depth; l2norm is int g^2 dnu.
     lhs adds the terms of _pruned_terms (nu must charge where mu does) in
     depth-first preorder, as level order rounds differently.
@@ -263,8 +265,11 @@ def tolsa_l2(gdensity: Measure, nu: Measure, depth=8):
     mu = gdensity
     if mu.atom_x.size:
         raise ValueError("density measure cannot carry atoms")
-    level = math.ceil(math.log2(max(mu.piece_l.size, 1)))
-    mu_cells, nu_cells = (dyadic_cell_masses(m, level) for m in (mu, nu))
+    # the cells of g's resolution, as dyadic_cell_masses reads them
+    ends = np.sort(np.concatenate([[0.0, 1.0], mu.piece_l, mu.piece_r]))
+    ends = ends[np.append(True, ends[1:] != ends[:-1])]
+    mu_cells, nu_cells = (np.diff(cdf_left_values(m, ends)) for m in (mu, nu))
+    nu_cells[-1] += _atoms_at(nu, 1.0)
     if np.any((mu_cells > 0) & (nu_cells == 0)):
         raise ValueError("mu is not absolutely continuous at g-resolution")
     ok = nu_cells > 0

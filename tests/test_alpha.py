@@ -150,6 +150,12 @@ def _count_rows(monkeypatch):
     return rows
 
 
+def _with_atoms(m, xs):
+    """m with an atom of weight 0.1 at each x of xs."""
+    return Measure.from_arrays(xs, [0.1] * len(xs), m.piece_l, m.piece_r,
+                               m.piece_m)
+
+
 def _entry(mu, nu, I):
     """The entry a fresh table computes for I alone, as a tuple read."""
     a, b, closed = _interval_bounds(I)
@@ -196,8 +202,9 @@ def test_alpha_table_memoizes(monkeypatch):
     monkeypatch.undo()
 
     # where both measures are uniform, a read is +0.0 with no kernel row: a
-    # cell of an unfilled level, a half-open tuple and a smooth read
-    bumps = generate({"type": "example22", "n": 8})
+    # cell of an unfilled level (an atom at 1/2 sits on its edges), a
+    # half-open tuple and a smooth read
+    bumps = _with_atoms(generate({"type": "example22", "n": 8}), [0.5])
     fresh = alpha_table(bumps, leb)
     rows = _count_rows(monkeypatch)
     got = [fresh.alpha(STANDARD.interval(3, 1)), fresh.alpha((0.1, 0.3)),
@@ -349,8 +356,8 @@ def _histogram(cells):
 # the example53 atoms sit on dyadic boundaries by construction
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
 def test_level_fill_equals_the_entries():
-    # every cell of every level a forest fills whole is == the per-entry
-    # alpha; the other levels stay per entry
+    # every cell of every level a forest fills is == the per-entry alpha;
+    # only the levels with an atom on a cell edge stay per entry
     rng = np.random.default_rng(8)
     depth = 10
     every = set(range(depth + 1))
@@ -373,6 +380,9 @@ def test_level_fill_equals_the_entries():
         np.array([0.05, 0.2, 0.1]), np.array([0.0, 0.0625, 0.3, 0.5, 0.75]),
         np.array([0.0625, 0.125, 0.3 + 2.0 ** -12, 0.625, 0.875]),
         np.array([0.25, 0.05, 0.1, 0.25, 0.0]), 1.0)
+    # pieces ending at 1/3 and 0.7, which are no cell's edges
+    thirds = Measure.make(pieces=[(0.0, 1.0 / 3.0, 0.2), (1.0 / 3.0, 0.7, 0.5),
+                                  (0.7, 1.0, 0.3)])
     pairs = [
         ("cascade-16", generate({"type": "cascade", "p": 0.7, "depth": 16}),
          LEB, every),  # rows of 2^16 and 2^15 segments: one chunk each
@@ -404,10 +414,22 @@ def test_level_fill_equals_the_entries():
         # cells) or level 5 (64 cells)
         *[(f"same-grid histograms {i}", mu, nu, every)
           for i, (mu, nu) in enumerate(same_grid)],
-        # density bumps of width 2^-9 on either side of 1/2: runs of 4 and
-        # 2 whole pieces on levels 0-1, cells inside one piece from level 9
-        ("example22", generate({"type": "example22", "n": 9}), LEB,
-         every - set(range(2, 9))),
+        # density bumps of width 2^-n on either side of 1/2: runs of 4 and
+        # 2 whole pieces on levels 0-1, pieces clipped at the edges of the
+        # cells beside 1/2 on levels 2 to n - 1, cells inside one piece
+        # from level n
+        *[(f"example22 n={n}", generate({"type": "example22", "n": n}), LEB,
+           every) for n in (8, 9)],
+        ("example52", generate({"type": "example52", "n": 6}), LEB, every),
+        # pieces across edges on every level, clipped on both sides
+        *[(f"thirds / {name}", thirds, nu, every)
+          for name, nu in (("lebesgue", LEB),
+                           ("finite-haar", generate({"type": "finite-haar"})))],
+        # atoms strictly inside cells, beside pieces across edges
+        ("atoms and clipped pieces", Measure.make(
+            atoms=[(0.3, 0.1), (0.55, 0.05), (0.9, 0.05)],
+            pieces=[(0.1, 0.45, 0.3), (0.45, 0.5, 0.2), (0.6, 0.95, 0.3)]),
+         LEB, every),
         # pieces with gaps, and cells with no mass
         ("cantor 8", generate({"type": "cantor", "depth": 8}), LEB, every),
         ("cantor 14", generate({"type": "cantor", "depth": 14}), LEB,
@@ -416,13 +438,16 @@ def test_level_fill_equals_the_entries():
         ("example53 atoms", generate({"type": "example53", "eps": 0.01,
                                       "role": "nu"}), LEB, {0, 1}),
         # a cell inside a piece of width 3/4 carries a rounded mass; at
-        # level 1 that piece crosses an edge inside it
+        # level 1 that piece is clipped at the edge 1/2
         ("cascade-10 / 3:1", generate({"type": "cascade", "p": 0.7,
                                        "depth": 10}),
-         Measure.make(pieces=[(0.0, 0.75, 0.6), (0.75, 1.0, 0.4)]),
-         every - {1}),
+         Measure.make(pieces=[(0.0, 0.75, 0.6), (0.75, 1.0, 0.4)]), every),
         # densities 1e-13 apart are not uniform to is_uniform_on
         ("near-uniform", _histogram(1.0 + 1e-13 * rng.uniform(size=64)),
+         LEB, every),
+        # runs whose first two densities agree: the extremes of the run
+        # decide, and the right half is uniform
+        ("runs of equal densities", _histogram([1, 1, 1, 2, 1, 1, 1, 1]),
          LEB, every),
         ("zero-mass cell", _histogram([0.3, 0.0, 0.2, 0.5]), LEB, every),
         # the zero-mass piece from_arrays would drop: its cells act as ZERO
@@ -499,17 +524,20 @@ def test_filling_many_tables_equals_filling_each_alone():
         np.array([0.0625, 0.125, 0.3 + 2.0 ** -12, 0.625, 0.875]),
         np.array([0.25, 0.05, 0.1, 0.25, 0.0]), 1.0)
     cascade = {"type": "cascade", "p": 0.7, "depth": 10}
+    bumps = {"type": "example22", "n": 5}
     pairs += [
         (mixed, LEB), (mixed, pairs[0][1]),
         (generate({"type": "cantor", "depth": 8}), LEB),  # gaps, no mass
         (generate({"type": "lebesgue"}), LEB),  # uniform cells
         # equal measures of two tables: rows that repeat across pairs
         (generate(cascade), LEB), (generate(cascade), LEB),
-        # an atom on an edge from level 2, pieces across edges: per entry
+        # an atom on an edge from level 2: per entry there
         (Measure.make(atoms=[(0.25, 0.5), (0.6, 0.5)]), LEB),
-        (generate({"type": "example22", "n": 5}), LEB),
+        # pieces clipped at cell edges fill; an atom at 3/8 as well keeps
+        # the levels from 3 on per entry
+        (generate(bumps), LEB), (_with_atoms(generate(bumps), [0.375]), LEB),
     ]
-    per_entry = {len(pairs) - 2: range(2, 9), len(pairs) - 1: range(2, 5)}
+    per_entry = {len(pairs) - 3: range(2, 9), len(pairs) - 1: range(3, 9)}
     js = range(9)
     alone = [AlphaTable(mu, nu).levels(js) for mu, nu in pairs]
     tables = [AlphaTable(mu, nu) for mu, nu in pairs]
@@ -553,10 +581,10 @@ def test_a_wide_level_fill_holds_few_rows_at_once():
 # the example53 atoms sit on dyadic boundaries by construction
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
 def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
-    # one alphas(j, k) read of an unfilled level sends each distinct graph
-    # through the kernel once, in one call per distinct segment count (per
-    # stack of _STACK segments); each value, flag and the order of
-    # flagged() are those of one read at a time
+    # one alphas(j, k) read of an unfilled level sends the graph of each
+    # cell it has not read through the kernel once, in one call per
+    # distinct segment count (per stack of _STACK segments); each value,
+    # flag and the order of flagged() are those of one read at a time
     rng = np.random.default_rng(9)
     xs, ws = rng.uniform(0.0, 1.0, 24), rng.uniform(0.1, 1.0, 24)
     # an atom at 0 sits on an edge of every level, which keeps it per entry
@@ -574,8 +602,10 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
                                 "role": "mu"}),
          generate({"type": "example53", "eps": 0.01, "role": "nu"}),
          range(1, 7)),
-        # 6 of the 8 cells are uniform: they read 0.0 with no kernel row
-        ("example22", generate({"type": "example22", "n": 8}), LEB, [3]),
+        # an atom at 1/2 keeps the bumps per entry, and 6 of the 8 cells
+        # are uniform: they read 0.0 with no kernel row
+        ("example22 and an atom at 1/2", _with_atoms(
+            generate({"type": "example22", "n": 8}), [0.5]), LEB, [3]),
     ]
     batched, flagged, uniform = set(), 0, 0
     for name, mu, nu, levels in pairs:
@@ -592,9 +622,8 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
                                           (c + 1) / (1 << j), False)[0]
                       for c in cells]
             zeros = [c for c, g in zip(cells, graphs) if g is None]
-            distinct = {b"".join(map(bytes, g)): g
-                        for g in graphs if g is not None}
-            sizes = Counter(g[0].size for g in distinct.values())
+            graphs = [g for g in graphs if g is not None]
+            sizes = Counter(g[0].size for g in graphs)
             calls = sum(-(-n // max(_STACK // size, 1))
                         for size, n in sizes.items())
             rows = _count_rows(monkeypatch)
@@ -604,10 +633,7 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
             assert np.all(at_zero == 0.0) and not np.signbit(at_zero).any()
             uniform += len(zeros)
             assert len(rows) == calls, (name, j)
-            assert sum(rows) == len(distinct), (name, j)
-            if name.startswith("cantor-14") and j >= 2:
-                # translated copies and empty gaps share graphs
-                assert sum(rows) < len(cells), j
+            assert sum(rows) == len(graphs), (name, j)
             batched.add(max(rows, default=0) > 1)
             # a second read computes nothing
             table.alphas(j, k)
@@ -616,15 +642,3 @@ def test_unfilled_level_reads_batch_by_segment_count(monkeypatch):
         assert table._entries == single._entries, name
         flagged += len(table.flagged())
     assert batched == {False, True} and flagged > 0 and uniform == 6
-
-
-def test_graph_key_collisions_keep_values(monkeypatch):
-    # graphs whose keys collide but whose arrays differ keep their own
-    # values; the equal ones still share a kernel row
-    mu = generate({"type": "cantor", "depth": 10})
-    single = AlphaTable(mu, LEB)
-    want = [single.entry((c / 32, (c + 1) / 32)).alpha for c in range(32)]
-    rows = _count_rows(monkeypatch)
-    monkeypatch.setattr(alpha_module, "_graph_key", lambda graph: 0)
-    assert AlphaTable(mu, LEB).alphas(5, np.arange(32)).tolist() == want
-    assert 1 < sum(rows) < 32

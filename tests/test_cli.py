@@ -396,3 +396,30 @@ def test_fleet_fills_all_pairs_in_few_kernel_calls(tmp_path, monkeypatch):
         assert run_experiment(cfg)["passed"]
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 24, counts
+
+
+@pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
+def test_only_an_atom_on_a_cell_edge_keeps_a_default_level_per_entry(
+        tmp_path, monkeypatch):
+    # every level a default scenario fills is filled, pieces across cell
+    # edges included, but for the levels where an atom sits on a cell
+    # edge: example53's; the cascade has depth 16, as in the bench
+    fill, unfilled = alpha_module._alpha_levels, collections.defaultdict(set)
+
+    def recorded(pairs, levels):
+        out = fill(pairs, levels)
+        for (mu, nu), filled in zip(pairs, out):
+            for j in (j for j, alphas in filled.items() if alphas is None):
+                unfilled[name].add(j)
+                assert any(float(x * (1 << j)).is_integer() for m in (mu, nu)
+                           for x in m.atom_x.tolist()), (name, j)
+        return out
+
+    monkeypatch.setattr(alpha_module, "_alpha_levels", recorded)
+    for name in sorted(SCENARIOS):
+        cfg = {"scenario": name}
+        if name == "singular-cascade":
+            cfg["mu_spec"] = {"type": "cascade", "p": 0.7, "depth": 16}
+        assert run_experiment(load_config(_write_cfg(tmp_path, cfg)))[
+            "passed"], name
+    assert dict(unfilled) == {"example53": set(range(1, 7))}

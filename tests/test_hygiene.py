@@ -184,8 +184,7 @@ LEVEL_FILL = {"alpha.py": {"_alpha_levels", "_tiled_rows", "_cdf_rows",
                            "_cell_runs", "_cell_cumsums", "_cell_reps",
                            "_cell_parts", "_cell_points", "_ranks",
                            "_level_ranks", "_cell_cdf"},
-              "measure.py": {"_level_pieces", "_cell_width", "_level_cells",
-                             "_level_parts", "_part_memo"},
+              "measure.py": {"_level_cells", "_level_parts", "_runs"},
               "transport.py": {"w1_rows", "_row_medians", "_row_values",
                                "_bisect", "_abs_integral"}}
 

@@ -19,7 +19,7 @@ from sqfnlab.dyadic import (
     containing_interval,
     navigate,
 )
-from sqfnlab.measure import generate, is_uniform_on
+from sqfnlab.measure import Measure, generate, is_uniform_on
 from sqfnlab.squarefn import (
     _pruned_terms,
     cz_decompose,
@@ -188,11 +188,15 @@ def _atomic(seed, n=24, at_zero=()):
 @pytest.fixture(scope="module")
 def pairs():
     """(name, mu, nu): the cascade, example22 and cantor, then atoms."""
+    bumps = generate({"type": "example22", "n": 8})
     return [("cascade", CASC, LEB),
-            ("example22", generate({"type": "example22", "n": 8}), LEB),
+            ("example22", bumps, LEB),
             ("cantor", generate({"type": "cantor", "depth": 14}), LEB),
             ("atomic", _atomic(4), LEB),
-            ("atomic, one at 0", _atomic(4, at_zero=[0.1]), LEB)]
+            ("atomic, one at 0", _atomic(4, at_zero=[0.1]), LEB),
+            ("example22, an atom at 1/4", Measure.from_arrays(
+                [0.25], [0.1], bumps.piece_l, bumps.piece_r, bumps.piece_m),
+             LEB)]
 
 
 def _filled(mu, nu, depth):
@@ -202,13 +206,15 @@ def _filled(mu, nu, depth):
 
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
 def test_the_pairs_cover_filled_and_per_entry_levels(pairs):
-    # the cascade fills from level 2, cantor and the atoms fill every
-    # level; example22 stays per entry on levels 2-7, and the atom at 0
-    # keeps every level per entry
+    # the cascade fills from level 2, example22 (its pieces clipped at the
+    # cell edges), cantor and the atoms fill every level; an atom on a cell
+    # edge keeps its levels per entry: from level 2 for the atom at 1/4,
+    # and every level for the atom at 0
     filled = {name: _filled(mu, nu, 10) for name, mu, nu in pairs}
     assert all(filled["cascade"][2:])
-    assert all(filled["cantor"]) and all(filled["atomic"])
-    assert filled["example22"] == [j not in range(2, 8) for j in range(11)]
+    assert all(filled["example22"]) and all(filled["cantor"])
+    assert all(filled["atomic"])
+    assert filled["example22, an atom at 1/4"] == [j < 2 for j in range(11)]
     assert not any(filled["atomic, one at 0"])
 
 

@@ -111,6 +111,17 @@ def test_tolsa_l2_bound_random_densities():
         assert lhs2 == pytest.approx(lhs, rel=1e-12)
 
 
+def test_tolsa_l2_reads_g_between_the_piece_ends():
+    # a histogram drops its empty cells, so its piece count understates the
+    # resolution of g; int g^2 dnu sums mu(I)^2 / nu(I) over the cells
+    # between the piece ends
+    for cells, want in (([0.75, 0.0, 0.0, 0.25], 2.5),
+                        ([0.5] + [0.0] * 6 + [0.5], 4.0)):
+        g = generate({"type": "histogram", "cells": cells})
+        lhs, l2, ratio = tolsa_l2(g, LEB, depth=6)
+        assert l2 == want and ratio == lhs / want
+
+
 def test_cz_decomposition_invariants():
     rng = np.random.default_rng(13)
     for _ in range(10):
