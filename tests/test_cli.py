@@ -401,9 +401,9 @@ def test_fleet_fills_all_pairs_in_few_kernel_calls(tmp_path, monkeypatch):
 @pytest.mark.filterwarnings("ignore::sqfnlab.measure.BoundaryAtomWarning")
 def test_only_an_atom_on_a_cell_edge_keeps_a_default_level_per_entry(
         tmp_path, monkeypatch):
-    # every level a default scenario fills is filled, pieces across cell
-    # edges included, but for the levels where an atom sits on a cell
-    # edge: example53's; the cascade has depth 16, as in the bench
+    # every level a default scenario reads is filled, pieces across cell
+    # edges included, except where an atom sits on a cell edge: example53's
+    # levels; the cascade has depth 16, as in the bench
     fill, unfilled = alpha_module._alpha_levels, collections.defaultdict(set)
 
     def recorded(pairs, levels):

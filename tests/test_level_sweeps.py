@@ -187,7 +187,8 @@ def _atomic(seed, n=24, at_zero=()):
 
 @pytest.fixture(scope="module")
 def pairs():
-    """(name, mu, nu): the cascade, example22 and cantor, then atoms."""
+    """(name, mu, nu): the cascade, example22 and cantor, then atoms, and
+    example22 with an atom on a cell edge."""
     bumps = generate({"type": "example22", "n": 8})
     return [("cascade", CASC, LEB),
             ("example22", bumps, LEB),
