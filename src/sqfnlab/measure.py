@@ -58,6 +58,7 @@ def _ro(a):
 
 
 _EMPTY = _ro(np.empty(0))
+_ENDS = _ro([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,12 @@ def _derived(ax, aw, pl, pr, pm):
     """A Measure from slices or monotone maps of a checked measure's arrays,
     which are already sorted, nonzero and valid.
     """
-    ax, aw, pl, pr, pm = (_ro(v) for v in (ax, aw, pl, pr, pm))
-    return Measure(ax, aw, pl, pr, pm, float(aw.sum() + pm.sum()))
+    ax, aw, pl, pr, pm = map(_ro, (ax, aw, pl, pr, pm))
+    # an empty part sums to 0.0: added to a sum of nonzero values, which is
+    # never -0.0, it changes no bit
+    total = (aw.sum() + pm.sum() if aw.size and pm.size
+             else (pm if pm.size else aw).sum())
+    return Measure(ax, aw, pl, pr, pm, float(total))
 
 
 def _cdf_tables(aw, pl, pr, pm):
@@ -467,7 +472,7 @@ def _cdf_left(ax, tables, xs):
     # bv[0] left of bx[0] and bv[-1] at or right of bx[-1]
     cont = np.interp(xs, bx, bv)
     if ax.size:
-        cont = cont + acum[np.searchsorted(ax, xs, side="left")]
+        cont += acum[np.searchsorted(ax, xs, side="left")]
     return cont
 
 
@@ -537,28 +542,27 @@ def _side(m: Measure):
 
 def _difference(s1, s2):
     """cdf_difference of two sides (atom_x, atom_w, piece_l, piece_r,
-    _cdf_tables) given as arrays, which need no Measure."""
-    bx = np.concatenate([
-        np.array([0.0, 1.0]), s1[2], s1[3], s1[0], s2[2], s2[3], s2[0]])
+    _cdf_tables) given as arrays, which need no Measure; atoms lie in
+    [0, 1], so each is a breakpoint.  Without atoms g0 and g1 share G."""
+    bx = np.concatenate([_ENDS, s1[2], s1[3], s1[0], s2[2], s2[3], s2[0]])
     # np.unique's steps (an in-place sort, the first of each run: the same
-    # bits, signed zeros included), with the range filter in its mask
+    # bits, signed zeros included) on the sorted values in [0, 1]
     bx.sort()
+    bx = bx[bx.searchsorted(0.0):bx.searchsorted(1.0, "right")]
     keep = np.empty(bx.size, dtype=bool)
     keep[0] = True
     np.not_equal(bx[1:], bx[:-1], out=keep[1:])
-    bx = bx[keep & (bx >= 0.0) & (bx <= 1.0)]
-    Fl1 = _cdf_left(s1[0], s1[4], bx)
-    Fl2 = _cdf_left(s2[0], s2[4], bx)
-    # right-limit values: add atoms located exactly at each breakpoint
-    Fr1 = Fl1.copy()
-    Fr2 = Fl2.copy()
-    for (ax, aw, _, _, _), Fr in ((s1, Fr1), (s2, Fr2)):
+    bx = bx[keep]
+    F = [_cdf_left(s[0], s[4], bx) for s in (s1, s2)]
+    G_left = F[0] - F[1]
+    if not (s1[0].size or s2[0].size):
+        return bx[:-1], bx[1:], G_left[:-1], G_left[1:]
+    # right-limit values: add the atoms at each breakpoint, in order
+    for j, (ax, aw, _, _, _) in enumerate((s1, s2)):
         if ax.size:
-            idx = np.minimum(bx.searchsorted(ax), bx.size - 1)
-            hit = bx[idx] == ax
-            np.add.at(Fr, idx[hit], aw[hit])
-    G_left = Fl1 - Fl2
-    G_right = Fr1 - Fr2
+            F[j] = F[j].copy()
+            np.add.at(F[j], bx.searchsorted(ax), aw)
+    G_right = F[0] - F[1]
     return bx[:-1], bx[1:], G_right[:-1], G_left[1:]
 
 

@@ -324,18 +324,21 @@ def _grid_cdf(m: Measure):
     """F(x-) = m([0, x)) at the sorted grid midpoints, == cdf_left_values.
 
     The piece part is np.interp's formula slope * (x - bx[j]) + bv[j] on
-    each breakpoint interval, with bx[j], its slope and bv[j] repeated over
-    the midpoints the interval holds.  It ends with a step of bv >= 0, so it
-    is never -0.0 and a measure without atoms returns it as is.  Only a
-    measure with atoms builds the atom part, a step function: each atom's
-    cumulative weight is repeated up to the first midpoint right of it;
-    "right" leaves out an atom sitting exactly on a midpoint, as F(x-) must.
+    each breakpoint interval holding a midpoint, with bx[j], its slope and
+    bv[j] repeated over the midpoints it holds.  It ends with a step of
+    bv >= 0, so it is never -0.0 and a measure without atoms returns it as
+    is.  Only a measure with atoms builds the atom part, a step function:
+    each atom's cumulative weight is repeated up to the first midpoint right
+    of it; "right" leaves out an atom sitting exactly on a midpoint, as F(x-)
+    must.
     """
     acum, bx, bv = m._tables
     F = None
     if m.atom_x.size:
-        cuts = np.searchsorted(_MIDS, m.atom_x, "right")
-        F = np.repeat(acum, np.diff(cuts, prepend=0, append=_GRID_N))
+        cuts = np.empty(acum.size + 1, dtype=np.intp)
+        cuts[0], cuts[-1] = 0, _GRID_N
+        cuts[1:-1] = _MIDS.searchsorted(m.atom_x, "right")
+        F = np.repeat(acum, cuts[1:] - cuts[:-1])
     if not m.piece_l.size:
         return np.zeros(_GRID_N) if F is None else F
     steps = bx[1:] - bx[:-1]
@@ -347,13 +350,28 @@ def _grid_cdf(m: Measure):
         first = np.searchsorted(_MIDS, bx)  # first midpoint >= each bx
         counts = first[1:] - first[:-1]
         # bx runs from 0 to at least 1, so the counts cover every midpoint;
-        # an interval of zero width holds none, so its 0 / 0 is never read
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = (bv[1:] - bv[:-1]) / steps
+        # an interval holding none, as one of zero width, gets no slope
+        slope = np.divide(bv[1:] - bv[:-1], steps, where=counts > 0, out=None)
         P = _MIDS - np.repeat(bx[:-1], counts)
         P *= np.repeat(slope, counts)
         P += np.repeat(bv[:-1], counts)
     return P if F is None else np.add(F, P, out=F)
+
+
+def _middle_pair(G):
+    """np.partition(G, h - 1)'s value at h - 1 and least value after it,
+    h = G.size // 2, from w1_oracle's bracket; a zero may come out with the
+    other sign, which |G - c| does not see."""
+    h = G.size // 2
+    s = np.sort(G[::64])
+    inside = G >= s[s.size // 2 - 8]
+    k = h - 1 - (G.size - np.count_nonzero(inside))  # rank h - 1 in W
+    inside &= G <= s[s.size // 2 + 7]
+    W = G[inside]
+    if not 0 <= k < W.size - 1:  # a miss: h - 1 or h lies outside
+        W, k = G, h - 1
+    W = np.partition(W, k)
+    return W[k], W[k + 1:].min()
 
 
 def w1_oracle(m1: Measure, m2: Measure):
@@ -362,16 +380,17 @@ def w1_oracle(m1: Measure, m2: Measure):
     Samples G at the midpoints of a uniform grid of 2^14 cells straight
     from the two CDFs, takes the sample median as the shift, and sums
     |G - c| * h.  Each CDF is read in one pass over the sorted midpoints
-    (_grid_cdf), == cdf_left_values at the midpoints.  The median takes one
-    selection: np.partition puts the (h-1)-th order statistic at h - 1 and
-    only larger or equal values after it, so the least of those is the h-th
-    and c is == np.median.  The quadrature error is at most h times the
-    total variation of G, so for probability measures it is below 2 * h.
+    (_grid_cdf), == cdf_left_values at the midpoints.  The two middle order
+    statistics come from a bracket, as Floyd and Rivest select: [lo, hi]
+    spans the middle 16 of every 64th value of G; the values below lo are
+    counted and only those inside are partitioned (_middle_pair).  Order
+    statistics are values, not places, so when both middle ranks fall
+    inside, c is == np.median; when either falls outside, all of G is
+    partitioned.  The quadrature error is at most h times the total
+    variation of G, so for probability measures it is below 2 * h.
     """
     G = _grid_cdf(m1)
     G -= _grid_cdf(m2)
-    h = _GRID_N // 2
-    W = np.partition(G, h - 1)
-    c = float((W[h - 1] + W[h:].min()) / 2)
-    G -= c
+    lo, hi = _middle_pair(G)
+    G -= float((lo + hi) / 2)
     return float(np.abs(G, out=G).sum() * _GRID_H)

@@ -1,7 +1,7 @@
 """Static checks: every export resolves, no import or local goes unused,
 the package reads no single dyadic cell and computes no single-pair W1
 inside a loop, no function of it calls itself, a level fill calls no
-np.unique, only transport.py and the level fill name the row kernel, the
+np.unique and the grid oracle no np.unique, np.median or np.ma, only transport.py and the level fill name the row kernel, the
 suite keeps its stopping forest as arrays, with no Tree objects, the
 alpha^2 sums of tree.py and squarefn.py read alphas in three places only,
 and a per-entry alpha graph builds no Measure.
@@ -189,25 +189,38 @@ LEVEL_FILL = {"alpha.py": {"_alpha_levels", "_tiled_rows", "_cdf_rows",
                                "_bisect", "_abs_integral"}}
 
 
-def _unique_calls(path, names):
-    """(line, function) of np.unique / numpy.unique calls in the named
-    top-level functions."""
+def _numpy_names(path, names, banned):
+    """(line, function, name) of each np.<name> / numpy.<name> with a banned
+    name in the named top-level functions."""
     tree = ast.parse(path.read_text(), filename=str(path))
     funcs = [f for f in tree.body
              if isinstance(f, ast.FunctionDef) and f.name in names]
     assert {f.name for f in funcs} == names, path.name
-    return sorted((call.lineno, func.name) for func in funcs
-                  for call in ast.walk(func) if isinstance(call, ast.Call)
-                  and isinstance(call.func, ast.Attribute)
-                  and call.func.attr == "unique"
-                  and isinstance(call.func.value, ast.Name)
-                  and call.func.value.id in ("np", "numpy"))
+    return sorted((node.lineno, func.name, node.attr) for func in funcs
+                  for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                  and node.attr in banned and isinstance(node.value, ast.Name)
+                  and node.value.id in ("np", "numpy"))
 
 
 def test_no_unique_in_the_level_fill():
     found = [f"{name}:{line}: {func}"
              for name, funcs in sorted(LEVEL_FILL.items())
-             for line, func in _unique_calls(PACKAGE_DIR / name, funcs)]
+             for line, func, _ in _numpy_names(PACKAGE_DIR / name, funcs,
+                                               {"unique"})]
+    assert found == []
+
+
+# the grid oracle's functions, which oracle-crossval runs 3,000 times: an
+# np.unique there imported numpy.ma and raised the scenario's peak RSS by
+# 1.1 MB, and the first np.median or np.ma of a process imports it as well
+ORACLE = {"_grid_cdf", "w1_oracle", "_middle_pair"}
+
+
+def test_no_masked_arrays_in_the_oracle():
+    found = [f"transport.py:{line}: np.{name} in {func}"
+             for line, func, name in _numpy_names(
+                 PACKAGE_DIR / "transport.py", ORACLE,
+                 {"unique", "median", "ma"})]
     assert found == []
 
 

@@ -16,6 +16,7 @@ from sqfnlab.transport import (
     _STACK,
     _bisect,
     _grid_cdf,
+    _middle_pair,
     w1_oracle,
     w1_rows,
     w1_supported,
@@ -517,6 +518,86 @@ def test_oracle_median_edge_cases():
     for m1, m2 in pairs:
         assert w1_oracle(m1, m2) == _oracle_sampled(m1, m2), (m1, m2)
     assert w1_oracle(mixed, mixed) == 0.0
+
+
+def _partition_pair(G):
+    h = G.size // 2
+    W = np.partition(G, h - 1)
+    return W[h - 1], W[h:].min()
+
+
+def _bits(pair):
+    return np.array(pair).view(np.int64).tolist()
+
+
+def _spied_middle_pair(monkeypatch, G):
+    """_middle_pair(G) and, for each array it partitioned, whether that
+    array was G itself: the whole partition of a miss."""
+    whole = []
+
+    def spy(a, kth):
+        whole.append(a is G)
+        return partition(a, kth)
+
+    partition = np.partition
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "partition", spy)
+        return _middle_pair(G), whole
+
+
+def _with_sample(sample, rng):
+    """A permutation of 0, ..., 2^14 - 1 whose every 64th value, from the
+    first, runs through sample in a random order."""
+    G = np.empty(_MIDS.size)
+    G[::64] = rng.permutation(sample)
+    rest = np.setdiff1d(np.arange(_MIDS.size, dtype=float), sample)
+    G[np.arange(G.size) % 64 != 0] = rng.permutation(rest)
+    return G
+
+
+def test_middle_pair_takes_the_bracket_or_the_whole(monkeypatch):
+    rng = np.random.default_rng(17)
+    n, h = _MIDS.size, _MIDS.size // 2
+    low, high = np.arange(120.0), 16000.0 + np.arange(135.0)
+    cases = [
+        # every 64th value 1 and the rest 0: the bracket [1, 1] misses
+        (np.where(np.arange(n) % 64 == 0, 1.0, 0.0), False),
+        # a flat run across both middle positions
+        (rng.permutation(np.r_[np.arange(7000.0), np.full(2000, 0.25) + 7e3,
+                               np.arange(7384.0) + 1e4]), True),
+        # all equal, ZERO against ZERO: every value is bracketed
+        (_grid_cdf(ZERO) - _grid_cdf(ZERO), True),
+        # +0.0 and -0.0 at both middle positions
+        (rng.permutation(np.r_[np.full(4192, -1.0), np.full(4000, -0.0),
+                               np.full(4000, 0.0), np.full(4192, 1.0)]), True),
+        # lo is the (h-1)-th value, so k = 0; lo the h-th: a miss
+        (_with_sample(np.r_[low, h - 1.0, high], rng), True),
+        (_with_sample(np.r_[low, h, high], rng), False),
+        # hi is the h-th value; hi the (h-1)-th: a miss
+        (_with_sample(np.r_[np.arange(135.0), h, high[:120]], rng), True),
+        (_with_sample(np.r_[np.arange(135.0), h - 1.0, high[:120]], rng),
+         False),
+    ]
+    for G, bracketed in cases:
+        got, whole = _spied_middle_pair(monkeypatch, G)
+        want = _partition_pair(G)
+        assert got == want
+        if 0.0 not in want:
+            assert _bits(got) == _bits(want)
+        assert whole == [not bracketed]
+        c = float((got[0] + got[1]) / 2)
+        assert np.abs(G - c).sum() == np.abs(G - float(sum(want) / 2)).sum()
+
+
+def test_random_pairs_never_take_the_whole_partition(monkeypatch):
+    rng = np.random.default_rng(18)
+    for _ in range(1000):
+        m1, m2 = _random_measure(rng), _random_measure(rng)
+        G = _grid_cdf(m1) - _grid_cdf(m2)
+        got, whole = _spied_middle_pair(monkeypatch, G)
+        assert whole == [False], (m1, m2)
+        assert _bits(got) == _bits(_partition_pair(G))
+        assert w1_oracle(m1, m2) == _oracle_sampled(m1, m2)
 
 
 def test_from_arrays_drops_an_all_zero_part():
