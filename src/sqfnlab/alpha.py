@@ -32,7 +32,6 @@ are uniform reads 0.0 without a kernel call.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +39,7 @@ import numpy as np
 from .measure import (
     Measure,
     ZERO,
+    _Record,
     _blowup_parts,
     _cdf_tables,
     _difference,
@@ -75,12 +75,14 @@ _PHI = phi_tent()
 _CHUNK = 1 << 14
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(_Record):
     """Closed ball B(x, r) on the line."""
 
     x: float
     r: float
+
+    def __init__(self, x, r):
+        self.__dict__.update(x=x, r=r)
 
     def bounds(self):
         return self.x - self.r, self.x + self.r
@@ -100,10 +102,12 @@ def _interval_bounds(I):
     return float(a), float(b), False
 
 
-@dataclass(frozen=True)
-class AlphaEntry:
+class AlphaEntry(_Record):
     alpha: float
     one_sided_zero: bool  # exactly one blow-up has zero tent mass
+
+    def __init__(self, alpha, one_sided_zero):
+        self.__dict__.update(alpha=alpha, one_sided_zero=one_sided_zero)
 
 
 class AlphaTable:
@@ -745,8 +749,7 @@ def alpha_smooth(mu: Measure, nu: Measure, I):
     return 0.0 if graph is None else float(w1_values([graph])[0])
 
 
-@dataclass(frozen=True)
-class SmoothBoundsReport:
+class SmoothBoundsReport(NamedTuple):
     alpha_smooth: float
     bound_const: float
     bound_alpha: float

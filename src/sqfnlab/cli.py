@@ -11,7 +11,6 @@ config errors.  Reports are byte-identical for identical config + seed.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import math
@@ -479,6 +478,7 @@ def cmd_validate(args):
 
 
 def main(argv=None):
+    import argparse  # only the command line parses arguments
     parser = argparse.ArgumentParser(
         prog="sqfnlab",
         description="square-function experiments on measure pairs")

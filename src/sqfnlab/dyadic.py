@@ -10,11 +10,12 @@ simply carry the mass of their visible part).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .measure import MAX_LEVEL, Measure, _is_int, dyadic_cell_masses, mass
+from .measure import (MAX_LEVEL, Measure, _is_int, _Record,
+                      dyadic_cell_masses, mass)
 
 __all__ = [
     "DyadicSystem",
@@ -43,12 +44,14 @@ def _check_depth(depth, name="depth"):
                          f"not {depth!r}")
 
 
-@dataclass(frozen=True)
-class DyadicSystem:
+class DyadicSystem(_Record):
     """A dyadic grid, optionally shifted by a constant."""
 
     name: str
-    shift: float = 0.0
+    shift: float
+
+    def __init__(self, name, shift=0.0):
+        self.__dict__.update(name=name, shift=shift)
 
     def interval(self, j, k):
         return DyadicInterval(self, int(j), int(k))
@@ -60,17 +63,17 @@ class DyadicSystem:
 STANDARD = DyadicSystem("std")
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
+class DyadicInterval(_Record):
     """Level-j interval [k 2^-j + shift, (k+1) 2^-j + shift)."""
 
     system: DyadicSystem
     j: int
     k: int
 
-    def __post_init__(self):
-        if self.j < 0 or self.j > MAX_LEVEL:
-            raise ValueError(f"level {self.j} outside 0..{MAX_LEVEL}")
+    def __init__(self, system, j, k):
+        if j < 0 or j > MAX_LEVEL:
+            raise ValueError(f"level {j} outside 0..{MAX_LEVEL}")
+        self.__dict__.update(system=system, j=j, k=k)
 
     @property
     def length(self):
@@ -162,8 +165,7 @@ def delta(mu: Measure, nu: Measure, I):
 # doubling
 
 
-@dataclass(frozen=True)
-class DoublingReport:
+class DoublingReport(NamedTuple):
     constant: float
     worst_interval: DyadicInterval | None
     depth_checked: int

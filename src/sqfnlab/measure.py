@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import reprlib
 import warnings
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +61,35 @@ _EMPTY = _ro(np.empty(0))
 _ENDS = _ro([0.0, 1.0])
 
 
-@dataclass(frozen=True)
-class Measure:
+class _Record:
+    """Annotated fields, in order, set once by the class's __init__ and
+    read-only after; compared, hashed and shown as a frozen dataclass's, with
+    no methods generated at import (a dataclass execs its own, ~1 ms)."""
+
+    def __init_subclass__(cls):
+        if "__annotations__" in cls.__dict__:  # a subclass keeps its fields
+            cls._fields = tuple(cls.__annotations__)
+            cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, *value):  # memos use object.__setattr__
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Measure(_Record):
     """Nonnegative measure on [0, 1]: point masses plus uniform pieces.
 
     atom_x, atom_w : sorted atom positions in [0, 1] and their weights.
@@ -75,7 +102,11 @@ class Measure:
     piece_l: np.ndarray
     piece_r: np.ndarray
     piece_m: np.ndarray
-    total: float = field(default=0.0)
+    total: float
+
+    def __init__(self, atom_x, atom_w, piece_l, piece_r, piece_m, total=0.0):
+        self.__dict__.update(atom_x=atom_x, atom_w=atom_w, piece_l=piece_l,
+                             piece_r=piece_r, piece_m=piece_m, total=total)
 
     @staticmethod
     def from_arrays(atom_x, atom_w, piece_l, piece_r, piece_m):
@@ -200,12 +231,14 @@ def _cdf_tables(aw, pl, pr, pm):
 ZERO = Measure.make()
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearFn:
+class PiecewiseLinearFn(_Record):
     """Continuous piecewise-linear function on [x0, xn], zero outside."""
 
     breakpoints: np.ndarray
     values: np.ndarray
+
+    def __init__(self, breakpoints, values):
+        self.__dict__.update(breakpoints=breakpoints, values=values)
 
     @staticmethod
     def make(breakpoints, values):

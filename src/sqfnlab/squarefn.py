@@ -14,10 +14,9 @@ the Buckley, L2 and tree.carleson_comparison sums.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SquareFunctionProfile:
+class SquareFunctionProfile(NamedTuple):
     """Per-point partial sums of squared alphas over depths or scales."""
 
     points: np.ndarray
@@ -78,6 +76,7 @@ class SquareFunctionProfile:
         return self.partial_sums[:, -1] - self.partial_sums[:, start_index]
 
     def to_csv(self, path):
+        import csv  # only a run that writes a profile needs it
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             key = "depth" if self.mode == "dyadic" else "radius"
@@ -290,8 +289,7 @@ def tolsa_l2(gdensity: Measure, nu: Measure, depth=8):
 # Calderon-Zygmund decomposition
 
 
-@dataclass(frozen=True)
-class CZDecomposition:
+class CZDecomposition(NamedTuple):
     lam: float
     bad: tuple  # maximal intervals with mu(I) > lam nu(I)
     good: Measure
@@ -344,8 +342,7 @@ def cz_decompose(mu: Measure, nu: Measure, lam, depth=10) -> CZDecomposition:
 # continuous-vs-dyadic domination
 
 
-@dataclass(frozen=True)
-class DominationReport:
+class DominationReport(NamedTuple):
     x: float
     r: float
     alpha_s_sq: float

@@ -26,7 +26,7 @@ place: a continuous row holds about six row-sized arrays beyond its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ __all__ = ["W1Result", "w1_supported", "w1_rows", "w1_values",
            "w1_unrestricted", "w1_oracle"]
 
 
-@dataclass(frozen=True)
-class W1Result:
+class W1Result(NamedTuple):
     """Distance value, the minimizing shift c*, and an optional witness.
 
     The witness is a 1-Lipschitz piecewise-linear function psi with

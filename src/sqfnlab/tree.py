@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .measure import (
     Measure,
     PiecewiseLinearFn,
+    _Record,
     dyadic_cell_masses,
     integrate,
     mass,
@@ -68,8 +69,7 @@ __all__ = [
 # trees and forests
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(_Record):
     """A coherent dyadic family with a single top.
 
     members and leaves hold (level, index) pairs, members including the
@@ -81,7 +81,11 @@ class Tree:
     members: frozenset | None
     leaves: tuple
     max_depth: int
-    lazy_full: bool = False
+    lazy_full: bool
+
+    def __init__(self, top, members, leaves, max_depth, lazy_full=False):
+        self.__dict__.update(top=top, members=members, leaves=leaves,
+                             max_depth=max_depth, lazy_full=lazy_full)
 
     def contains(self, I: DyadicInterval):
         if self.lazy_full:
@@ -243,8 +247,7 @@ def stopping_forest(mu: Measure, nu: Measure, epsilon, max_depth=10) -> Forest:
 # mu-adapted Haar analysis
 
 
-@dataclass(frozen=True)
-class HaarSystem:
+class HaarSystem(NamedTuple):
     """Haar functions h_I = c_I^+ on I_+, -c_I^- on I_-, adapted to mu.
 
     Coefficients a_I expand the tree-adapted density of nu against the
@@ -253,13 +256,17 @@ class HaarSystem:
     """
 
     tree: Tree
-    mu: Measure = field(repr=False)
-    nu: Measure = field(repr=False)
-    coeff: dict = field(repr=False)
-    cplus: dict = field(repr=False)
-    cminus: dict = field(repr=False)
+    mu: Measure
+    nu: Measure
+    coeff: dict
+    cplus: dict
+    cminus: dict
     mu_top: float
     nu_top: float
+
+    def __repr__(self):  # the measures and the dicts are left out
+        return (f"HaarSystem(tree={self.tree!r}, mu_top={self.mu_top!r}, "
+                f"nu_top={self.nu_top!r})")
 
     def mu_mass(self, I):
         return cell_mass(self.mu, I) / self.mu_top
@@ -426,8 +433,7 @@ def _chain(side, tau, kmax):
     raise ValueError("side must be minus or plus")
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
+class RepresentationReport(NamedTuple):
     lhs: float
     alpha_term: float
     delta_term: float
@@ -487,8 +493,7 @@ def representation_check(mu: Measure, nu: Measure, side="minus", tau=1 / 16,
                                 tuple(nu_factors), sup, slack, slack >= -1e-9)
 
 
-@dataclass(frozen=True)
-class TailTipReport:
+class TailTipReport(NamedTuple):
     lhs: float
     rhs: float
     alpha_sum: float
@@ -531,8 +536,7 @@ def tailtip_check(mu: Measure, nu: Measure, I, tau=1 / 16, N1=0,
 # Carleson comparison (Delta sums against alpha sums over a tree)
 
 
-@dataclass(frozen=True, eq=False)
-class CarlesonComparison:
+class CarlesonComparison(NamedTuple):
     """Per-tree arrays, in the forest's tree order."""
 
     sum_delta: np.ndarray

@@ -376,6 +376,18 @@ def test_default_scenarios_do_not_import_numpy_ma(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_dataclasses_argparse_and_csv_unloaded(tmp_path):
+    # a dataclass generates and execs its methods at import, about 1 ms a
+    # class; argparse (with gettext) loads in main, csv in to_csv
+    code = ("import sys, sqfnlab.cli; print(sorted(sys.modules.keys()"
+            " & {'dataclasses', 'argparse', 'csv'}))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env=_child_env(), capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_fleet_fills_all_pairs_in_few_kernel_calls(tmp_path, monkeypatch):
     # random-histogram-fleet (seed 0) fills every pair's levels in one
     # pass: its 424 distinct rows go through the kernel in a stack per row

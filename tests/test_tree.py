@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -68,7 +67,7 @@ def test_check_structure_names_each_defect():
     }
     lazy = Tree(STANDARD.interval(1, 1), None, (), 2, lazy_full=True)
     for message, change in broken.items():
-        bad = dataclasses.replace(tree, **change)
+        bad = Tree(**{f: getattr(tree, f) for f in Tree._fields} | change)
         forest = Forest((_full_tree(1), bad, lazy))
         with pytest.raises(AssertionError, match=f"^{message}$"):
             forest.check_structure()
@@ -336,10 +335,9 @@ def test_carleson_fields_are_float_on_any_forest():
                                            max_depth=6).trees if t.lazy_full)
     for trees, size in (([], 0), ([lazy], 1), ([_full_tree(4)], 1)):
         cc = carleson_comparison(CASC, LEB, Forest(trees))
-        for field in dataclasses.fields(cc):
-            value = getattr(cc, field.name)
+        for name, value in zip(cc._fields, cc):
             assert (value.dtype, value.shape) == (np.float64, (size,)), (
-                field.name, len(trees))
+                name, len(trees))
     assert cc.sum_delta[0] > 0.0 and cc.sum_alpha[0] > 0.0
 
 
